@@ -15,6 +15,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidDimensions,
     InvalidGrid,
+    NonFiniteInput,
     NotConverged,
     ParseError,
     ShiftKrylovError,
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedFormat,
     ZeroStartVector,
 )
-from .sparse import CsrMatrix, MvpCounter, identity, matvec
+from .sparse import CsrMatrix, MvpCounter, identity
 from .mmio import load_matrix_market, save_matrix_market
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
 from .processes import (
@@ -68,6 +69,7 @@ __all__ = [
     "InvalidDimensions",
     "InvalidGrid",
     "MvpCounter",
+    "NonFiniteInput",
     "NotConverged",
     "ParseError",
     "QuadratureRule",
@@ -90,7 +92,6 @@ __all__ = [
     "identity",
     "load_matrix_market",
     "load_quadrature",
-    "matvec",
     "mittag_leffler",
     "packaged_rule_path",
     "pivot_select",

@@ -16,6 +16,7 @@ __all__ = [
     "ParseError",
     "UnsupportedFormat",
     "ZeroStartVector",
+    "NonFiniteInput",
     "SingularReducedSystem",
     "AllShiftsStalled",
     "NotConverged",
@@ -63,6 +64,15 @@ class UnsupportedFormat(ShiftKrylovError):
 
 class ZeroStartVector(ShiftKrylovError):
     """The start vector (or right-hand side) is identically zero."""
+
+
+class NonFiniteInput(ShiftKrylovError):
+    """An operand holds a NaN or an infinity.
+
+    The restarted solvers check the right-hand side, the initial guess,
+    the shifts and the operator norm at entry, before any product, so a
+    non-finite operand is never reported as convergence or breakdown.
+    """
 
 
 class SingularReducedSystem(ShiftKrylovError):

@@ -188,61 +188,49 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
     ZeroStartVector, DimensionMismatch, InvalidDimensions
     """
     v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A)
+    norm_scale = _operator_norm_scale(A) if breakdown_tol is None else None
 
     perm = np.arange(n)
     i0 = pivot_select(v, start=0)
     beta = v[i0]
     perm[0], perm[i0] = perm[i0], perm[0]
 
-    # basis_nat holds the vectors in natural coordinates (what the caller
-    # sees); basis_perm holds the same columns with rows in current perm
-    # order, which makes every orthogonalization a single entry lookup
-    # plus an axpy on the trailing rows.
-    basis_nat = np.zeros((n, m + 1), dtype=dtype, order="F")
-    basis_perm = np.zeros((n, m + 1), dtype=dtype, order="F")
-    basis_nat[:, 0] = v / beta
+    basis = np.zeros((n, m + 1), dtype=dtype, order="F")
+    basis[:, 0] = v / beta
     # complex self-division may stray from exact one by an ulp; the pivot
     # entry is one by construction, so write it that way
-    basis_nat[i0, 0] = 1.0
-    basis_perm[:, 0] = basis_nat[perm, 0]
+    basis[i0, 0] = 1.0
     hbar = np.zeros((m + 1, m), dtype=dtype)
 
     steps = m
     breakdown = False
     for j in range(m):
-        u = A @ basis_nat[:, j]
-        up = np.asarray(u, dtype=dtype)[perm]
+        # copy, since an operator may return a view and the loop below
+        # works in place; the fallback scale is taken before it does
+        u = np.array(A @ basis[:, j], dtype=dtype)
+        tol = breakdown_tol
+        if tol is None:
+            scale = norm_scale if norm_scale is not None else float(
+                np.abs(u).max(initial=0.0)
+            )
+            tol = n * _EPS * scale
         for i in range(j + 1):
-            h = up[i]
+            h = u[perm[i]]
             hbar[i, j] = h
             if h != 0:
-                # basis_perm[:, i] is zero above row i, so the leading
-                # rows of up are already final.
-                up[i:] -= h * basis_perm[i:, i]
+                # column i is exactly 0 at perm[:i] and exactly 1 at
+                # perm[i], so earlier pivot entries of u stay exactly 0
+                u -= h * basis[:, i]
         if j + 1 < n:
-            piv_pos = pivot_select(up, start=j + 1)
-            piv = up[piv_pos]
-            tol = breakdown_tol
-            if tol is None:
-                scale = norm_scale if norm_scale is not None else float(
-                    np.abs(u).max(initial=0.0)
-                )
-                tol = n * _EPS * scale
+            piv_pos = pivot_select(u, perm, start=j + 1)
+            piv = u[perm[piv_pos]]
             if abs(piv) > tol:
                 hbar[j + 1, j] = piv
-                lp = up / piv
+                perm[j + 1], perm[piv_pos] = perm[piv_pos], perm[j + 1]
+                basis[:, j + 1] = u / piv
                 # complex self-division is not always exactly one, so pin
                 # the pivot entry to keep the triangular structure exact
-                lp[piv_pos] = 1.0
-                if piv_pos != j + 1:
-                    perm[j + 1], perm[piv_pos] = perm[piv_pos], perm[j + 1]
-                    lp[j + 1], lp[piv_pos] = lp[piv_pos], lp[j + 1]
-                    basis_perm[[j + 1, piv_pos], : j + 1] = basis_perm[
-                        [piv_pos, j + 1], : j + 1
-                    ]
-                basis_perm[:, j + 1] = lp
-                basis_nat[perm, j + 1] = lp
+                basis[perm[j + 1], j + 1] = 1.0
                 continue
         steps = j + 1
         breakdown = True
@@ -250,7 +238,7 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
 
     ncols = steps if breakdown else steps + 1
     return HessenbergDecomposition(
-        basis=basis_nat[:, :ncols],
+        basis=basis[:, :ncols],
         hbar=hbar[: steps + 1, :steps],
         perm=perm,
         beta=beta,
@@ -267,7 +255,7 @@ def run_arnoldi(A, v, m, breakdown_tol=None):
     entries of ``hbar`` are real and positive.
     """
     v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A)
+    norm_scale = _operator_norm_scale(A) if breakdown_tol is None else None
 
     beta = np.linalg.norm(v)
     basis = np.zeros((n, m + 1), dtype=dtype, order="F")

@@ -29,12 +29,12 @@ from .errors import (
     AllShiftsStalled,
     DimensionMismatch,
     InvalidDimensions,
+    NonFiniteInput,
     SingularReducedSystem,
     ZeroStartVector,
 )
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
-from .processes import run_arnoldi, run_hessenberg
-from .sparse import MvpCounter
+from .processes import _EPS, _operator_norm_scale, run_arnoldi, run_hessenberg
 
 __all__ = [
     "SolverConfig",
@@ -206,40 +206,6 @@ def _as_scalar_shift(s):
     return s.real if s.imag == 0.0 else s
 
 
-class _CountedOp:
-    """Wraps an operator with a solve-local product counter.
-
-    Products through ``@`` tick both this counter and, for a
-    :class:`~shiftkrylov.sparse.CsrMatrix`, the matrix's own counter.
-    ``apply_uncounted`` is reserved for exit diagnostics that are not
-    part of the algorithm's cost.
-    """
-
-    def __init__(self, A):
-        self._A = A
-        self.counter = MvpCounter()
-        self.shape = getattr(A, "shape", None)
-        self.dtype = getattr(A, "dtype", np.dtype(np.float64))
-        self._plain_apply = getattr(A, "_apply", None)
-
-    def norm_inf(self):
-        f = getattr(self._A, "norm_inf", None)
-        if callable(f):
-            return f()
-        if isinstance(self._A, np.ndarray):
-            return float(np.abs(self._A).sum(axis=1).max())
-        return None
-
-    def __matmul__(self, x):
-        self.counter.add()
-        return self._A @ x
-
-    def apply_uncounted(self, x):
-        if self._plain_apply is not None:
-            return self._plain_apply(x)
-        return self._A @ x
-
-
 def true_relative_residual(A, sigma, x, b):
     """Relative residual ``||b - (A - sigma I) x|| / ||b||``.
 
@@ -251,13 +217,12 @@ def true_relative_residual(A, sigma, x, b):
         raise DimensionMismatch(
             f"solution of shape {x.shape} does not match right-hand side {b.shape}"
         )
-    sigma = _as_scalar_shift(sigma)
-    r = b - (A @ x - sigma * x)
-    return float(np.linalg.norm(r) / np.linalg.norm(b))
+    return _relative_residual(A.__matmul__, _as_scalar_shift(sigma), x, b, np.linalg.norm(b))
 
 
-def _uncounted_relative_residual(op, sigma, x, b, bnorm):
-    r = b - (op.apply_uncounted(x) - sigma * x)
+def _relative_residual(apply, sigma, x, b, bnorm):
+    """``||b - (apply(x) - sigma x)|| / bnorm`` for one product ``apply``."""
+    r = b - (apply(x) - sigma * x)
     return float(np.linalg.norm(r) / bnorm)
 
 
@@ -287,12 +252,20 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         raise DimensionMismatch(f"right-hand side must be 1-d, got shape {b.shape}")
     if not np.any(b):
         raise ZeroStartVector("right-hand side is identically zero")
-    op = _CountedOp(A)
-    if op.shape is not None and op.shape[1] != b.shape[0]:
+    shape = getattr(A, "shape", None)
+    if shape is not None and shape[1] != b.shape[0]:
         raise DimensionMismatch(
-            f"operator of shape {op.shape} cannot act on length {b.shape[0]}"
+            f"operator of shape {shape} cannot act on length {b.shape[0]}"
         )
+    if not np.all(np.isfinite(b)):
+        raise NonFiniteInput("right-hand side has a non-finite entry")
     n = b.shape[0]
+    # The breakdown threshold depends only on the operator, so its norm is
+    # taken once per solve; without one the runners scale by each product.
+    scale = _operator_norm_scale(A)
+    if scale is not None and not np.isfinite(scale):
+        raise NonFiniteInput("operator has a non-finite entry")
+    breakdown_tol = None if scale is None else n * _EPS * scale
     bnorm = float(np.linalg.norm(b))
     runner = {"hessenberg": run_hessenberg, "arnoldi": run_arnoldi}[process]
     # a basis cannot have more than n vectors; clamp rather than reject so
@@ -302,6 +275,8 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     family = ShiftFamily(shifts)
     nu = len(family)
     histories = [ShiftHistory(shift=s) for s in family.shifts]
+    if not np.all(np.isfinite(family.shifts)):
+        raise NonFiniteInput("a shift is not finite")
 
     if x0 is not None and np.any(x0):
         x0 = np.asarray(x0)
@@ -309,10 +284,13 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             raise DimensionMismatch(
                 f"initial guess of shape {x0.shape} does not match {b.shape}"
             )
-        r0 = b - (op @ x0)
+        if not np.all(np.isfinite(x0)):
+            raise NonFiniteInput("initial guess has a non-finite entry")
+        r0 = b - (A @ x0)
         base = x0
     else:
-        r0 = b.astype(np.result_type(b.dtype, op.dtype, np.float64), copy=True)
+        op_dtype = getattr(A, "dtype", np.float64)
+        r0 = b.astype(np.result_type(b.dtype, op_dtype, np.float64), copy=True)
         base = None
 
     r0norm = float(np.linalg.norm(r0))
@@ -350,7 +328,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     v = r0
     consecutive_all_skipped = 0
     while family.active and report.basis_mvps + m <= cfg.max_mvps:
-        dec = runner(op, v, m)
+        dec = runner(A, v, m, breakdown_tol)
         report.basis_mvps += dec.steps
         k = dec.steps
         H = dec.square_h
@@ -400,7 +378,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             if est <= cfg.tol:
                 if cfg.true_residual_check:
                     report.residual_mvps += 1
-                    tr = _counted_relative_residual(op, sigma, full_solution(i), b, bnorm)
+                    tr = _relative_residual(A.__matmul__, sigma, full_solution(i), b, bnorm)
                     if tr <= cfg.tol:
                         retire(i, tr)
                 else:
@@ -428,7 +406,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             consecutive_all_skipped += 1
             if consecutive_all_skipped >= _STALL_LIMIT:
                 report.wall_time_s = time.perf_counter() - t_start
-                _finalize(op, family, histories, full_solution, b, bnorm)
+                _finalize(A, family, histories, full_solution, b, bnorm)
                 exc = AllShiftsStalled(
                     f"every active shift produced a singular reduced system for "
                     f"{_STALL_LIMIT} consecutive cycles"
@@ -445,24 +423,19 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             break
         v = lnext
 
-    _finalize(op, family, histories, full_solution, b, bnorm)
+    _finalize(A, family, histories, full_solution, b, bnorm)
     report.wall_time_s = time.perf_counter() - t_start
     return [full_solution(i) for i in range(nu)], report
 
 
-def _counted_relative_residual(op, sigma, x, b, bnorm):
-    """Counted true residual through a solver-local operator wrapper."""
-    r = b - (op @ x - sigma * x)
-    return float(np.linalg.norm(r) / bnorm)
-
-
-def _finalize(op, family, histories, full_solution, b, bnorm):
+def _finalize(A, family, histories, full_solution, b, bnorm):
     """Fill outstanding final residuals, outside the product count."""
+    apply = getattr(A, "_apply", A.__matmul__)
     for i, hist in enumerate(histories):
         if hist.converged and np.isfinite(hist.final_relative_residual):
             continue
-        hist.final_relative_residual = _uncounted_relative_residual(
-            op, family.shifts[i], full_solution(i), b, bnorm
+        hist.final_relative_residual = _relative_residual(
+            apply, family.shifts[i], full_solution(i), b, bnorm
         )
 
 

@@ -24,7 +24,7 @@ from .errors import (
     InvalidDimensions,
 )
 
-__all__ = ["MvpCounter", "CsrMatrix", "matvec", "identity"]
+__all__ = ["MvpCounter", "CsrMatrix", "identity"]
 
 
 class MvpCounter:
@@ -66,8 +66,7 @@ class CsrMatrix:
     ----------
     counter : MvpCounter
         Incremented once per matrix-vector product applied through this
-        object.  Shared by all products of this matrix; solvers that need
-        isolated accounting wrap the matrix with their own counter.
+        object.  Shared by all products of this matrix.
     """
 
     def __init__(self, csr):
@@ -196,15 +195,6 @@ class CsrMatrix:
             f"<CsrMatrix {self.shape[0]}x{self.shape[1]}, nnz={self.nnz}, "
             f"dtype={self.dtype}>"
         )
-
-
-def matvec(A, x):
-    """Counted product ``A @ x``.
-
-    Equivalent to ``A @ x`` for a :class:`CsrMatrix`; provided as a named
-    entry point so meter-sensitive call sites read explicitly.
-    """
-    return A @ x
 
 
 def identity(n, dtype=np.float64):

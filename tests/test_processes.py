@@ -8,11 +8,14 @@ from shiftkrylov import (
     IndexOutOfRange,
     InvalidDimensions,
     ZeroStartVector,
+    gen_laplace2d,
+    identity,
     pivot_select,
     run_arnoldi,
     run_hessenberg,
     verify_decomposition,
 )
+from shiftkrylov.processes import _EPS, _check_start, _operator_norm_scale
 
 
 def csr_from_dense(M):
@@ -157,3 +160,118 @@ def test_complex_matrix():
     assert verify_decomposition(A, dec) <= 1e-13 * scale
     L = dec.basis[dec.perm[:7], :]
     assert np.all(np.diag(L) == 1.0)
+
+
+def _reference_run_hessenberg(A, v, m):
+    """The two-copy pivoted Hessenberg loop, kept as a bitwise reference.
+
+    Holds the basis twice, in natural order and with rows in pivot order,
+    and gathers each product into pivot order before eliminating.
+    """
+    v, n, m, dtype = _check_start(A, v, m)
+    norm_scale = _operator_norm_scale(A)
+
+    perm = np.arange(n)
+    i0 = pivot_select(v, start=0)
+    beta = v[i0]
+    perm[0], perm[i0] = perm[i0], perm[0]
+    basis_nat = np.zeros((n, m + 1), dtype=dtype, order="F")
+    basis_perm = np.zeros((n, m + 1), dtype=dtype, order="F")
+    basis_nat[:, 0] = v / beta
+    basis_nat[i0, 0] = 1.0
+    basis_perm[:, 0] = basis_nat[perm, 0]
+    hbar = np.zeros((m + 1, m), dtype=dtype)
+
+    steps = m
+    breakdown = False
+    for j in range(m):
+        u = A @ basis_nat[:, j]
+        up = np.asarray(u, dtype=dtype)[perm]
+        for i in range(j + 1):
+            h = up[i]
+            hbar[i, j] = h
+            if h != 0:
+                up[i:] -= h * basis_perm[i:, i]
+        if j + 1 < n:
+            piv_pos = pivot_select(up, start=j + 1)
+            piv = up[piv_pos]
+            scale = norm_scale if norm_scale is not None else float(
+                np.abs(u).max(initial=0.0)
+            )
+            if abs(piv) > n * _EPS * scale:
+                hbar[j + 1, j] = piv
+                lp = up / piv
+                lp[piv_pos] = 1.0
+                if piv_pos != j + 1:
+                    perm[j + 1], perm[piv_pos] = perm[piv_pos], perm[j + 1]
+                    lp[j + 1], lp[piv_pos] = lp[piv_pos], lp[j + 1]
+                    basis_perm[[j + 1, piv_pos], : j + 1] = basis_perm[
+                        [piv_pos, j + 1], : j + 1
+                    ]
+                basis_perm[:, j + 1] = lp
+                basis_nat[perm, j + 1] = lp
+                continue
+        steps = j + 1
+        breakdown = True
+        break
+
+    ncols = steps if breakdown else steps + 1
+    return basis_nat[:, :ncols], hbar[: steps + 1, :steps], perm, beta, steps, breakdown
+
+
+def assert_matches_reference(A, v, m):
+    dec = run_hessenberg(A, v, m)
+    basis, hbar, perm, beta, steps, breakdown = _reference_run_hessenberg(A, v, m)
+    assert dec.basis.shape == basis.shape
+    assert dec.basis.tobytes() == basis.tobytes()
+    assert dec.hbar.tobytes() == hbar.tobytes()
+    assert_array_equal(dec.perm, perm)
+    assert dec.beta == beta
+    assert (dec.steps, dec.breakdown) == (steps, breakdown)
+    return dec
+
+
+def test_one_basis_loop_matches_two_copy_reference_bitwise():
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        n = int(rng.integers(10, 60))
+        A = random_sparse(rng, n, density=rng.uniform(0.05, 0.4))
+        assert_matches_reference(A, rng.standard_normal(n), int(rng.integers(1, n + 1)))
+
+
+def test_one_basis_loop_matches_reference_on_complex_matrix():
+    rng = np.random.default_rng(102)
+    n = 40
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M *= rng.random((n, n)) < 0.15
+    M += np.diag(4.0 + rng.standard_normal(n))
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert_matches_reference(csr_from_dense(M), v, 15)
+    # a real start vector on a complex operator promotes the basis
+    assert_matches_reference(csr_from_dense(M), v.real, 15)
+
+
+def test_one_basis_loop_matches_reference_on_tied_magnitudes():
+    # the Laplacian with b = ones produces many equal-magnitude candidates,
+    # so the pivot order hinges on the first-max-in-permuted-order rule
+    A = gen_laplace2d(20)
+    dec = assert_matches_reference(A, np.ones(A.shape[0]), 30)
+    assert not dec.breakdown
+    # here one tie has its first maximum in natural order at a different
+    # row than its first maximum in permuted order
+    A = gen_laplace2d(10)
+    dec = assert_matches_reference(A, np.ones(A.shape[0]), 40)
+    assert not dec.breakdown
+
+
+def test_one_basis_loop_matches_reference_on_breakdowns():
+    n = 12
+    dec = assert_matches_reference(identity(n), np.linspace(1.0, 2.0, n), 5)
+    assert dec.breakdown and dec.steps == 1
+    A = csr_from_dense(np.diag([3.0, 1.0, 1.0]))
+    dec = assert_matches_reference(A, np.array([1.0, 0.0, 0.0]), 3)
+    assert dec.breakdown and dec.steps == 1
+    # the Krylov space is exhausted after n steps
+    A = csr_from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    dec = assert_matches_reference(A, np.array([1.0, 2.0]), 2)
+    assert dec.breakdown and dec.steps == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
 import shiftkrylov.solvers as solvers_mod
@@ -8,6 +9,7 @@ from shiftkrylov import (
     CsrMatrix,
     DimensionMismatch,
     InvalidDimensions,
+    NonFiniteInput,
     SingularReducedSystem,
     SolverConfig,
     ZeroStartVector,
@@ -336,3 +338,63 @@ def test_true_relative_residual_counts_one_product():
     assert r == 1.0
     with pytest.raises(DimensionMismatch):
         true_relative_residual(A, 0.0, np.ones(3), b)
+
+
+def test_plain_scipy_operator_matches_csr_matrix():
+    # an operator without norm_inf falls back to the per-product breakdown
+    # scale; away from breakdown the solve is the same, bit for bit
+    A, b = random_system(20)
+    plain = sp.csr_matrix(A.toarray())
+    cfg = SolverConfig(m=10, tol=1e-10)
+    shifts = [0.0, 0.5, 1.0 + 0.5j]
+    for solve in (solve_shifted_hessen, solve_shifted_fom):
+        xs_ref, rep_ref = solve(A, b, shifts, cfg)
+        xs, rep = solve(plain, b, shifts, cfg)
+        assert rep_ref.cycles > 1
+        assert (rep.cycles, rep.total_mvps) == (rep_ref.cycles, rep_ref.total_mvps)
+        for x, x_ref in zip(xs, xs_ref):
+            assert np.array_equal(x, x_ref)
+    x_ref, rep_ref = solve_hessen(A, b, cfg=cfg)
+    x, rep = solve_hessen(plain, b, cfg=cfg)
+    assert (rep.cycles, rep.total_mvps) == (rep_ref.cycles, rep_ref.total_mvps)
+    assert np.array_equal(x, x_ref)
+    assert rep.all_converged
+
+
+def test_nan_in_rhs_is_rejected_before_any_product():
+    # it used to end after one product as a happy breakdown
+    A, b = random_system(21)
+    b[3] = np.nan
+    with pytest.raises(NonFiniteInput):
+        solve_shifted_hessen(A, b, [0.0, 0.5], SolverConfig(m=10, max_mvps=400))
+    assert A.counter.count == 0
+
+
+def test_nan_shift_is_rejected_before_any_product():
+    # it used to spend the whole budget: 40 cycles and 401 products at
+    # m = 10 and max_mvps = 400, returning NaN for that shift
+    A, b = random_system(21)
+    for bad in (np.nan, complex(0.0, np.inf)):
+        with pytest.raises(NonFiniteInput):
+            solve_shifted_hessen(A, b, [0.0, bad], SolverConfig(m=10, max_mvps=400))
+    assert A.counter.count == 0
+
+
+def test_inf_in_initial_guess_is_rejected_before_any_product():
+    # it used to report a breakdown after the initial residual product
+    A, b = random_system(21)
+    x0 = np.zeros_like(b)
+    x0[2] = np.inf
+    with pytest.raises(NonFiniteInput):
+        solve_hessen(A, b, x0=x0, cfg=SolverConfig(m=10, max_mvps=400))
+    assert A.counter.count == 0
+
+
+def test_nan_in_operator_is_rejected_before_any_product():
+    A, b = random_system(21)
+    M = A.toarray()
+    M[4, 4] = np.nan
+    A = csr_from_dense(M)
+    with pytest.raises(NonFiniteInput):
+        solve_shifted_fom(A, b, [0.0])
+    assert A.counter.count == 0
