@@ -35,7 +35,6 @@ from .processes import (
 )
 from .solvers import (
     CycleInfo,
-    ShiftFamily,
     ShiftHistory,
     SolveReport,
     SolverConfig,
@@ -73,7 +72,6 @@ __all__ = [
     "NotConverged",
     "ParseError",
     "QuadratureRule",
-    "ShiftFamily",
     "ShiftHistory",
     "ShiftKrylovError",
     "SingularReducedSystem",

@@ -79,14 +79,20 @@ class SingularReducedSystem(ShiftKrylovError):
     """A reduced Hessenberg system is numerically singular.
 
     Raised by the reduced solves when a post-rotation diagonal entry falls
-    below roundoff relative to the matrix norm.  The restarted solvers
-    catch this per shift and skip the affected shift for the cycle.
+    below roundoff relative to the matrix norm.  ``singular`` masks the
+    singular systems of a stack and ``solution`` holds the others'
+    solutions; the restarted solvers skip only the masked shifts.
     """
+
+    def __init__(self, message, singular=None, solution=None):
+        super().__init__(message)
+        self.singular, self.solution = singular, solution
 
 
 class AllShiftsStalled(ShiftKrylovError):
     """Every active shift produced a singular reduced system for several
-    consecutive cycles, so no restart can make progress."""
+    consecutive cycles, so no restart can make progress.  Carries the
+    family's ``report`` and its solutions ``xs``, converged ones included."""
 
 
 class NotConverged(ShiftKrylovError):

@@ -119,14 +119,14 @@ def pivot_select(u, perm=None, start=0):
         If ``start`` leaves no eligible position.
     """
     u = np.asarray(u)
-    if perm is not None:
-        u = u[np.asarray(perm)]
-    if not 0 <= start < u.shape[0]:
+    n = u.shape[0] if perm is None else len(perm)
+    if not 0 <= start < n:
         raise IndexOutOfRange(
             f"start position {start} leaves no candidate in a vector of "
-            f"length {u.shape[0]}"
+            f"length {n}"
         )
-    return start + int(np.argmax(np.abs(u[start:])))
+    tail = u[start:] if perm is None else u[np.asarray(perm)[start:]]
+    return start + int(np.argmax(np.abs(tail)))
 
 
 def _operator_norm_scale(A):

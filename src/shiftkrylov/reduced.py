@@ -2,9 +2,11 @@
 
 The restarted solvers project each shifted system onto a Krylov subspace
 and solve an m x m upper Hessenberg system per shift and cycle.  These
-systems are solved here by a QR factorization built from m-1 Givens
-rotations followed by back substitution, which costs O(m^2) per system
-instead of the O(m^3) of a general factorization.
+systems are solved here as one (p, m, m) stack by a QR factorization
+built from m-1 steps of Givens rotations, each step rotating the
+augmented rows ``[R | g]`` of every system at once, followed by back
+substitution.  That costs O(m^2) per system instead of the O(m^3) of a
+general factorization.
 
 Entries of ``H`` strictly below the first subdiagonal are never read, so
 callers may pass storage whose lower triangle holds garbage.
@@ -25,57 +27,61 @@ __all__ = [
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
-def _hessenberg_part(H, dtype):
-    """Writable copy of the upper Hessenberg part of ``H``.
-
-    Uses a selection mask, so values below the first subdiagonal are
-    replaced by zero without entering any arithmetic.
-    """
-    H = np.asarray(H)
+def _augmented_stack(H, p, dtype):
+    """(p, m, m+1) stack of augmented rows ``[H | 0]``, with values below
+    the first subdiagonal of ``H`` masked to zero outside any arithmetic."""
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
-    return np.triu(H.astype(dtype, copy=False), k=-1).copy()
+    m = H.shape[0]
+    W = np.zeros((p, m, m + 1), dtype=dtype)
+    W[:, :, :m] = np.triu(H, k=-1)
+    return W
 
 
 def _givens(a, b):
-    """Rotation (c, s) with c real such that it maps (a, b) to (r, 0)."""
-    if b == 0:
-        return 1.0, b * 0.0
-    na = abs(a)
-    nrm = np.hypot(na, abs(b))
-    if na == 0.0:
-        return 0.0, np.conj(b) / abs(b)
-    alpha = a / na
-    return na / nrm, alpha * np.conj(b) / nrm
+    """Rotations (c, s), c real, that map each pair (a, b) to (r, 0)."""
+    na = np.abs(a)
+    nb = np.abs(b)
+    nrm = np.hypot(na, nb)
+    # a zero b needs no rotation; a zero a takes the unit phase 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha = np.where(na == 0, 1.0, a / na)
+        c = np.where(nb == 0, 1.0, na / nrm)
+        s = np.where(nb == 0, 0.0, alpha * np.conj(b) / nrm)
+    return c, s
 
 
-def _qr_solve(R, g):
-    """Solve ``R0 y = g`` in place, where ``R0`` is the Hessenberg matrix
-    stored in ``R`` on entry.  ``R`` and ``g`` are destroyed."""
-    m = R.shape[0]
+def _qr_solve(W):
+    """Solve the (p, m, m+1) stack of augmented Hessenberg rows ``[R | g]``.
+
+    ``W`` is destroyed.  Returns the (p, m) solutions; when some systems
+    are numerically singular, raises :class:`SingularReducedSystem` with
+    their (p,) mask and the solutions, NaN in the masked rows.
+    """
+    p, m = W.shape[:2]
     # Rotations preserve the Frobenius norm, so the singularity threshold
-    # can be fixed from the matrix as given.
-    fro = np.linalg.norm(R)
+    # can be fixed from the matrices as given.
+    fro = np.linalg.norm(W[:, :, :m], axis=(1, 2))
     for k in range(m - 1):
-        c, s = _givens(R[k, k], R[k + 1, k])
-        if s != 0:
-            t1 = R[k, k:].copy()
-            t2 = R[k + 1, k:]
-            R[k, k:] = c * t1 + s * t2
-            R[k + 1, k:] = -np.conj(s) * t1 + c * t2
-            gk = g[k]
-            g[k] = c * gk + s * g[k + 1]
-            g[k + 1] = -np.conj(s) * gk + c * g[k + 1]
-    diag = np.abs(np.diagonal(R))
-    if np.any(diag <= _UNIT_ROUNDOFF * fro):
-        i = int(np.argmin(diag))
-        raise SingularReducedSystem(
-            f"triangular factor has negligible diagonal entry {diag[i]:.3e} "
-            f"at position {i} (matrix norm {fro:.3e})"
-        )
-    y = np.empty(m, dtype=R.dtype)
+        c, s = _givens(W[:, k, k : k + 1], W[:, k + 1, k : k + 1])
+        top = W[:, k, k:].copy()
+        bot = W[:, k + 1, k:]
+        W[:, k, k:] = c * top + s * bot
+        W[:, k + 1, k:] = -np.conj(s) * top + c * bot
+    diag = np.diagonal(W[:, :, :m], axis1=1, axis2=2)
+    singular = np.any(np.abs(diag) <= _UNIT_ROUNDOFF * fro[:, None], axis=1)
+    # singular systems run on unit pivots, and their rows are discarded
+    diag = np.where(singular[:, None], 1.0, diag)
+    g = W[:, :, m]
+    y = np.empty((p, m), dtype=W.dtype)
     for i in range(m - 1, -1, -1):
-        y[i] = (g[i] - R[i, i + 1 :] @ y[i + 1 :]) / R[i, i]
+        y[:, i] = g[:, i] / diag[:, i]
+        g[:, :i] -= W[:, :i, i] * y[:, i, None]
+    if np.any(singular):
+        y[singular] = np.nan
+        raise SingularReducedSystem(
+            f"{int(singular.sum())} of {p} reduced systems are numerically singular", singular, y
+        )
     return y
 
 
@@ -103,51 +109,56 @@ def solve_hessenberg(H, rhs):
     DimensionMismatch
         If ``H`` is not square or ``rhs`` has the wrong length.
     """
-    rhs = np.asarray(rhs)
-    H = np.asarray(H)
-    dtype = np.result_type(H.dtype, rhs.dtype, np.float64)
-    R = _hessenberg_part(H, dtype)
-    if rhs.ndim != 1 or rhs.shape[0] != R.shape[0]:
+    H, rhs = np.asarray(H), np.asarray(rhs)
+    W = _augmented_stack(H, 1, np.result_type(H.dtype, rhs.dtype, np.float64))
+    if rhs.ndim != 1 or rhs.shape[0] != W.shape[1]:
         raise DimensionMismatch(
-            f"right-hand side of shape {rhs.shape} does not match order {R.shape[0]}"
+            f"right-hand side of shape {rhs.shape} does not match order {W.shape[1]}"
         )
-    return _qr_solve(R, rhs.astype(dtype, copy=True))
+    W[0, :, -1] = rhs
+    return _qr_solve(W)[0]
 
 
 def solve_shifted_hessenberg(H, sigma, beta):
     """Solve ``(H - sigma I) y = beta e1`` without modifying ``H``.
 
-    The shift is applied to a copy of the diagonal, so one stored ``H``
-    serves every shift of a family.
+    The shift is applied to copies of the diagonal, so one stored ``H``
+    serves every shift of a family.  Arrays of shifts and scales are
+    solved as one stack.
 
     Parameters
     ----------
     H : (m, m) array_like
         Upper Hessenberg matrix; entries below the first subdiagonal are
         ignored.
-    sigma : scalar
-        Shift, real or complex.
-    beta : scalar
-        Scale of the right-hand side ``beta * e1``.
+    sigma : scalar or (p,) array_like
+        Shifts, real or complex.
+    beta : scalar or (p,) array_like
+        Scales of the right-hand sides ``beta * e1``.
 
     Returns
     -------
-    (m,) ndarray
+    (m,) ndarray, or (p, m) with a row per shift for array input.
 
     Raises
     ------
     SingularReducedSystem
-        If ``H - sigma I`` is numerically singular.
+        If ``H - sigma I`` is numerically singular for some shift; its
+        ``singular`` is the mask of those shifts and its ``solution``
+        holds the other rows' solutions.
+    DimensionMismatch
+        If ``H`` is not square, ``sigma`` is not a scalar or 1-d, or
+        ``beta`` is neither a scalar nor shaped like ``sigma``.
     """
-    H = np.asarray(H)
-    dtype = np.result_type(H.dtype, type(sigma), type(beta), np.float64)
-    R = _hessenberg_part(H, dtype)
-    m = R.shape[0]
-    idx = np.arange(m)
-    R[idx, idx] -= sigma
-    g = np.zeros(m, dtype=dtype)
-    g[0] = beta
-    return _qr_solve(R, g)
+    H, sigma, beta = np.asarray(H), np.asarray(sigma), np.asarray(beta)
+    if sigma.ndim > 1 or beta.shape not in ((), sigma.shape):
+        raise DimensionMismatch(f"shifts of shape {sigma.shape}, scales of shape {beta.shape}")
+    dtype = np.result_type(H.dtype, sigma.dtype, beta.dtype, np.float64)
+    W = _augmented_stack(H, sigma.size, dtype)
+    idx = np.arange(W.shape[1])
+    W[:, idx, idx] -= sigma.reshape(-1, 1)
+    W[:, 0, -1] = beta
+    return _qr_solve(W).reshape(sigma.shape + (-1,))
 
 
 def collinearity_scalar(h_next, y):
@@ -156,9 +167,10 @@ def collinearity_scalar(h_next, y):
     After a reduced solve ``H_m y = beta e1`` the full-space residual is
     ``-h_next * y[-1]`` times the (m+1)-th basis vector, where ``h_next``
     is the subdiagonal entry ``H[m, m-1]`` of the extended Hessenberg
-    matrix.  Returns that scalar.
+    matrix.  Returns that scalar, or one per row for a (p, m) stack of
+    solutions.
     """
     y = np.asarray(y)
-    if y.ndim != 1 or y.size == 0:
-        raise DimensionMismatch("y must be a nonempty vector")
-    return -h_next * y[-1]
+    if y.ndim not in (1, 2) or y.shape[-1] == 0:
+        raise DimensionMismatch("y must be a nonempty vector or a stack of them")
+    return -h_next * y[..., -1]

@@ -6,13 +6,18 @@ Given one matrix A and shifts sigma_1..sigma_nu, all systems
 
 share every Krylov basis built here, because Krylov subspaces are
 invariant under diagonal shifts.  Each restart cycle runs m steps of a
-basis process (pivoted Hessenberg or Arnoldi), then solves one m x m
-reduced system per shift at O(m^2) cost.  The Galerkin residual of every
-shift is a scalar multiple of the same (m+1)-th basis vector, so a
+basis process (pivoted Hessenberg or Arnoldi).  The Galerkin residual of
+every shift is a scalar multiple of the same (m+1)-th basis vector, so a
 restart keeps all residuals collinear with the new start vector and only
 one scalar per shift has to be carried across cycles.  Matrix-vector
 products are therefore paid once per cycle, independent of the number of
 shifts.
+
+The shifts differ only in their m x m reduced systems: each cycle solves
+those of all collinear shifts as one stack and adds their corrections to
+the iterates, one array with a row per shift, in one product with the
+basis.  A shift skipped for a singular reduced system then carries an
+explicit residual vector and is solved on its own.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
@@ -39,7 +44,6 @@ from .processes import _EPS, _operator_norm_scale, run_arnoldi, run_hessenberg
 __all__ = [
     "SolverConfig",
     "ShiftHistory",
-    "ShiftFamily",
     "SolveReport",
     "CycleInfo",
     "solve_hessen",
@@ -72,15 +76,11 @@ class SolverConfig:
     max_mvps : int
         Budget of basis matrix-vector products; a new cycle starts only
         while a full cycle still fits.
-    true_residual_check : bool
-        When True (default), an estimate at or below ``tol`` is confirmed
-        by one true residual evaluation before the shift is retired.
     """
 
     m: int = 30
     tol: float = 1e-8
     max_mvps: int = 4000
-    true_residual_check: bool = True
 
     def validate(self):
         if int(self.m) != self.m or self.m < 1:
@@ -116,37 +116,15 @@ class ShiftHistory:
         )
 
 
-class ShiftFamily:
-    """Active-set bookkeeping for a family of shifts.
-
-    Tracks which shifts still iterate and, for each, the scalar
-    ``beta_coeffs[i]`` such that its residual equals that scalar times
-    the shared pending start vector.  A shift whose residual has lost
-    collinearity (after a skipped cycle) carries an explicit residual
-    vector in ``anchors[i]`` instead.
-    """
-
-    def __init__(self, shifts):
-        shifts = list(shifts)
-        if not shifts:
-            raise InvalidDimensions("at least one shift is required")
-        self.shifts = [_as_scalar_shift(s) for s in shifts]
-        self.active = list(range(len(shifts)))
-        self.beta_coeffs = [1.0] * len(shifts)
-        self.anchors = [None] * len(shifts)
-
-    def __len__(self):
-        return len(self.shifts)
-
-    def retire(self, i):
-        self.active.remove(i)
-
-
 @dataclass
 class CycleInfo:
     """Snapshot handed to the ``on_cycle`` callback after each cycle.
 
     Arrays are live views into solver state; treat them as read-only.
+    ``solutions`` is the (nu, n) array of iterates, row ``i`` for shift
+    ``i`` (the correction to ``x0`` when one was given), updated by one
+    basis product with the stacked reduced solutions.  ``estimates[i]``
+    is None for a shift retired before the cycle.
     """
 
     cycle: int
@@ -272,13 +250,15 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     # the default cycle length works on small matrices
     m = min(cfg.m, n)
 
-    family = ShiftFamily(shifts)
-    nu = len(family)
-    histories = [ShiftHistory(shift=s) for s in family.shifts]
-    if not np.all(np.isfinite(family.shifts)):
+    shifts = [_as_scalar_shift(s) for s in shifts]
+    if not shifts:
+        raise InvalidDimensions("at least one shift is required")
+    sigmas = np.array(shifts)
+    if not np.all(np.isfinite(sigmas)):
         raise NonFiniteInput("a shift is not finite")
+    nu = len(shifts)
 
-    if x0 is not None and np.any(x0):
+    if x0 is not None:
         x0 = np.asarray(x0)
         if x0.shape != b.shape:
             raise DimensionMismatch(
@@ -286,6 +266,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             )
         if not np.all(np.isfinite(x0)):
             raise NonFiniteInput("initial guess has a non-finite entry")
+    if x0 is not None and np.any(x0):
         r0 = b - (A @ x0)
         base = x0
     else:
@@ -294,15 +275,19 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         base = None
 
     r0norm = float(np.linalg.norm(r0))
-    xs = []
-    for s in family.shifts:
-        dtype = np.result_type(r0.dtype, np.asarray(s).dtype)
-        xs.append(np.zeros(n, dtype=dtype))
-    for h in histories:
-        h.estimates.append(r0norm / bnorm)
+    histories = [ShiftHistory(shift=s, estimates=[r0norm / bnorm]) for s in shifts]
+    # Row i is the correction to x0 of shift i.  The residual of an active
+    # shift is coef[i] times the pending start vector, or, once a skipped
+    # cycle has broken collinearity, the explicit vector anchors[i].
+    X = np.zeros((nu, n), dtype=np.result_type(r0.dtype, sigmas.dtype))
+    coef = np.ones(nu, dtype=X.dtype)
+    anchors = [None] * nu
+    active = list(range(nu))
 
-    def full_solution(i):
-        return xs[i] if base is None else base + xs[i]
+    def solution(i):
+        # real shifts on real data keep real solutions in a complex family
+        x = X[i].real if np.isrealobj(shifts[i]) and np.isrealobj(r0) else X[i]
+        return np.ascontiguousarray(x) if base is None else base + x
 
     report = SolveReport(
         solver=solver_name,
@@ -312,93 +297,88 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         shifts=histories,
     )
 
-    def retire(i, final_value):
-        histories[i].converged = True
-        histories[i].final_relative_residual = final_value
-        family.retire(i)
-
-    def note_estimate(hist, est):
-        hist.estimates.append(est)
-        e = hist.estimates
-        if len(e) > _STAGNATION_WINDOW:
-            ref = e[-1 - _STAGNATION_WINDOW]
-            if abs(e[-1] - ref) <= _STAGNATION_RTOL * ref:
-                hist.stagnated = True
-
     v = r0
     consecutive_all_skipped = 0
-    while family.active and report.basis_mvps + m <= cfg.max_mvps:
+    while active and report.basis_mvps + m <= cfg.max_mvps:
         dec = runner(A, v, m, breakdown_tol)
         report.basis_mvps += dec.steps
         k = dec.steps
         H = dec.square_h
+        V = dec.basis[:, :k]
         lnext = dec.last_vector
         lnorm = float(np.linalg.norm(lnext)) if lnext is not None else 0.0
 
-        active_before = tuple(family.active)
-        skipped_now = []
-        cycle_estimates = [None] * nu
+        active_before = tuple(active)
+        coll = np.array([i for i in active_before if anchors[i] is None], dtype=int)
+        skipped = np.zeros(nu, dtype=bool)
+        if coll.size:
+            # one stacked reduced solve and one basis product for every
+            # collinear shift
+            try:
+                Y = solve_shifted_hessenberg(H, sigmas[coll], coef[coll] * dec.beta)
+            except SingularReducedSystem as exc:
+                Y = exc.solution
+                skipped[coll[exc.singular]] = True
+            solved = ~skipped[coll]
+            done, Y = coll[solved], Y[solved]
+            # updating the whole family through a slice avoids a gathered copy
+            X[done if done.size < nu else slice(None)] += Y @ V.T
+            coef[done] = collinearity_scalar(dec.subdiag, Y)
+        for i in active_before:
+            if anchors[i] is None:
+                continue
+            sigma = shifts[i]
+            z = _project_residual(dec, anchors[i], process)
+            try:
+                y = solve_hessenberg(H - sigma * np.eye(k), z)
+            except SingularReducedSystem:
+                skipped[i] = True
+                continue
+            X[i] += V @ y
+            r = anchors[i] - V @ (H @ y - sigma * y)
+            if not dec.breakdown:
+                r = r - dec.subdiag * y[-1] * lnext
+            anchors[i] = r
+
+        estimates = [None] * nu
         for i in active_before:
             hist = histories[i]
             hist.cycles += 1
-            sigma = family.shifts[i]
-            try:
-                if family.anchors[i] is None:
-                    rhs_scale = family.beta_coeffs[i] * dec.beta
-                    y = solve_shifted_hessenberg(H, sigma, rhs_scale)
-                    xs[i] += dec.basis[:, :k] @ y
-                    cnew = collinearity_scalar(dec.subdiag, y)
-                    family.beta_coeffs[i] = cnew
-                    est = float(abs(cnew)) * lnorm / bnorm
-                else:
-                    r = family.anchors[i]
-                    z = _project_residual(dec, r, process)
-                    Hs = np.array(H, dtype=np.result_type(H.dtype, np.asarray(sigma).dtype))
-                    idx = np.arange(k)
-                    Hs[idx, idx] -= sigma
-                    y = solve_hessenberg(Hs, z)
-                    xs[i] += dec.basis[:, :k] @ y
-                    r = r - dec.basis[:, :k] @ (H @ y - sigma * y)
-                    if not dec.breakdown:
-                        r = r - dec.subdiag * y[-1] * lnext
-                    family.anchors[i] = r
-                    est = float(np.linalg.norm(r)) / bnorm
-            except SingularReducedSystem:
-                skipped_now.append(i)
+            if skipped[i]:
                 hist.skipped_cycles += 1
-                if family.anchors[i] is None:
-                    scale = family.beta_coeffs[i] * dec.beta
-                    family.anchors[i] = scale * dec.basis[:, 0]
-                est = float(np.linalg.norm(family.anchors[i])) / bnorm
-                note_estimate(hist, est)
-                cycle_estimates[i] = est
-                continue
-            note_estimate(hist, est)
-            cycle_estimates[i] = est
-            if est <= cfg.tol:
-                if cfg.true_residual_check:
-                    report.residual_mvps += 1
-                    tr = _relative_residual(A.__matmul__, sigma, full_solution(i), b, bnorm)
-                    if tr <= cfg.tol:
-                        retire(i, tr)
-                else:
-                    # Retired on the estimate alone; the reported final
-                    # residual is still filled with the true one at exit,
-                    # outside the product count.
-                    retire(i, np.nan)
+                if anchors[i] is None:
+                    anchors[i] = coef[i] * dec.beta * dec.basis[:, 0]
+            if anchors[i] is None:
+                est = float(abs(coef[i])) * lnorm / bnorm
+            else:
+                est = float(np.linalg.norm(anchors[i])) / bnorm
+            estimates[i] = est
+            e = hist.estimates
+            e.append(est)
+            if len(e) > _STAGNATION_WINDOW:
+                ref = e[-1 - _STAGNATION_WINDOW]
+                hist.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
+            if not skipped[i] and est <= cfg.tol:
+                report.residual_mvps += 1
+                tr = _relative_residual(A.__matmul__, shifts[i], solution(i), b, bnorm)
+                if tr <= cfg.tol:
+                    hist.converged = True
+                    hist.final_relative_residual = tr
+                    active.remove(i)
 
         report.cycles += 1
+        skipped_now = tuple(np.flatnonzero(skipped).tolist())
         if on_cycle is not None:
             on_cycle(
                 CycleInfo(
                     cycle=report.cycles,
                     decomposition=dec,
-                    shifts=list(family.shifts),
+                    shifts=list(shifts),
                     active_before=active_before,
-                    active_after=tuple(family.active),
-                    solutions=xs,
-                    estimates=cycle_estimates,
-                    skipped=tuple(skipped_now),
+                    active_after=tuple(active),
+                    solutions=X,
+                    estimates=estimates,
+                    skipped=skipped_now,
                 )
             )
 
@@ -406,12 +386,13 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             consecutive_all_skipped += 1
             if consecutive_all_skipped >= _STALL_LIMIT:
                 report.wall_time_s = time.perf_counter() - t_start
-                _finalize(A, family, histories, full_solution, b, bnorm)
+                _finalize(A, shifts, histories, solution, b, bnorm)
                 exc = AllShiftsStalled(
                     f"every active shift produced a singular reduced system for "
                     f"{_STALL_LIMIT} consecutive cycles"
                 )
                 exc.report = report
+                exc.xs = [solution(i) for i in range(nu)]
                 raise exc
         else:
             consecutive_all_skipped = 0
@@ -423,20 +404,19 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             break
         v = lnext
 
-    _finalize(A, family, histories, full_solution, b, bnorm)
+    _finalize(A, shifts, histories, solution, b, bnorm)
     report.wall_time_s = time.perf_counter() - t_start
-    return [full_solution(i) for i in range(nu)], report
+    return [solution(i) for i in range(nu)], report
 
 
-def _finalize(A, family, histories, full_solution, b, bnorm):
-    """Fill outstanding final residuals, outside the product count."""
+def _finalize(A, shifts, histories, solution, b, bnorm):
+    """Fill the final residuals of unconverged shifts, outside the product count."""
     apply = getattr(A, "_apply", A.__matmul__)
     for i, hist in enumerate(histories):
-        if hist.converged and np.isfinite(hist.final_relative_residual):
-            continue
-        hist.final_relative_residual = _relative_residual(
-            apply, family.shifts[i], full_solution(i), b, bnorm
-        )
+        if not hist.converged:
+            hist.final_relative_residual = _relative_residual(
+                apply, shifts[i], solution(i), b, bnorm
+            )
 
 
 def solve_hessen(A, b, x0=None, cfg=None, on_cycle=None):

@@ -87,3 +87,38 @@ def test_near_singular_threshold_scales_with_matrix():
 def test_collinearity_scalar():
     assert collinearity_scalar(2.0, np.array([3.0, -4.0])) == 8.0
     assert collinearity_scalar(1.0 + 1.0j, np.array([1.0j])) == (1.0 - 1.0j)
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        np.array([0.0, 0.5, -1.0 + 0.25j, 2.0, 0.3 - 1.5j]),
+        # an exact eigenvalue of H: only its row is singular
+        np.array([0.5, 3.0, -1.0 + 0.25j]),
+    ],
+)
+def test_stacked_solve_matches_row_by_row(sigma):
+    rng = np.random.default_rng(7)
+    m = 12
+    H = np.triu(rng.standard_normal((m, m)), k=-1)
+    H[:, 0] = 0.0
+    H[0, 0] = 3.0  # e1 is an eigenvector for the eigenvalue 3
+    beta = rng.standard_normal(sigma.size)
+    singular = sigma == 3.0
+    if singular.any():
+        with pytest.raises(SingularReducedSystem) as exc:
+            solve_shifted_hessenberg(H, sigma, beta)
+        assert np.array_equal(exc.value.singular, singular)
+        Y = exc.value.solution
+        assert np.all(np.isnan(Y[singular]))
+    else:
+        Y = solve_shifted_hessenberg(H, sigma, beta)
+    assert Y.shape == (sigma.size, m)
+    for i in np.flatnonzero(~singular):
+        # real shifts are compared with a real scalar solve
+        s = sigma[i].real if sigma[i].imag == 0 else sigma[i]
+        y = solve_shifted_hessenberg(H, s, beta[i])
+        assert_allclose(Y[i], y, rtol=1e-13, atol=1e-13 * np.linalg.norm(y))
+    for i in np.flatnonzero(singular):
+        with pytest.raises(SingularReducedSystem):
+            solve_shifted_hessenberg(H, sigma[i], beta[i])

@@ -173,19 +173,6 @@ def test_on_cycle_reporting():
         assert c.decomposition.steps <= 10
 
 
-def test_no_confirmation_products_when_check_disabled():
-    A, b = random_system(9)
-    cfg = SolverConfig(m=20, tol=1e-9, true_residual_check=False)
-    xs, rep = solve_shifted_hessen(A, b, [0.0, -1.0], cfg)
-    assert rep.all_converged
-    assert rep.residual_mvps == 0
-    assert rep.total_mvps == rep.basis_mvps
-    for h in rep.shifts:
-        # final residuals are still reported (filled outside the count)
-        assert np.isfinite(h.final_relative_residual)
-        assert h.final_relative_residual <= 5 * cfg.tol
-
-
 def test_skipped_shift_stays_active_and_tracked(monkeypatch):
     # force one singular reduced system for the second shift in the first
     # cycle; the shift loses collinearity and carries an explicit residual
@@ -197,9 +184,12 @@ def test_skipped_shift_stays_active_and_tracked(monkeypatch):
     state = {"fired": False}
 
     def flaky(H, sigma, beta):
-        if not state["fired"] and sigma == -0.7:
+        target = sigma == -0.7
+        if not state["fired"] and target.any():
             state["fired"] = True
-            raise SingularReducedSystem("injected")
+            raise SingularReducedSystem(
+                "injected", singular=target, solution=real_solver(H, sigma, beta)
+            )
         return real_solver(H, sigma, beta)
 
     monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", flaky)
@@ -225,11 +215,17 @@ def test_skipped_shift_stays_active_and_tracked(monkeypatch):
 def test_all_shifts_stalled(monkeypatch):
     A, b = random_system(11)
 
-    def always_singular(*args, **kwargs):
+    def always_singular(H, sigma, beta):
+        singular = np.ones(len(sigma), dtype=bool)
+        raise SingularReducedSystem(
+            "injected", singular=singular, solution=np.full((len(sigma), len(H)), np.nan)
+        )
+
+    def anchored_singular(H, rhs):
         raise SingularReducedSystem("injected")
 
     monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", always_singular)
-    monkeypatch.setattr(solvers_mod, "solve_hessenberg", always_singular)
+    monkeypatch.setattr(solvers_mod, "solve_hessenberg", anchored_singular)
     with pytest.raises(AllShiftsStalled) as exc:
         solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(m=10))
     rep = exc.value.report
@@ -261,8 +257,13 @@ def test_stagnation_flag_on_frozen_estimate(monkeypatch):
     A, b = random_system(14)
 
     def singular_for_target(H, sigma, beta):
-        if sigma == -0.7:
-            raise SingularReducedSystem("injected")
+        target = sigma == -0.7
+        if target.any():
+            raise SingularReducedSystem(
+                "injected",
+                singular=target,
+                solution=solve_shifted_hessenberg_real(H, sigma, beta),
+            )
         return solve_shifted_hessenberg_real(H, sigma, beta)
 
     def always_singular(H, rhs):
@@ -275,6 +276,8 @@ def test_stagnation_flag_on_frozen_estimate(monkeypatch):
         solve_shifted_hessen(A, b, [0.0, -0.7], SolverConfig(m=15, tol=1e-9))
     rep = exc.value.report
     assert rep.shifts[0].converged
+    # the converged solution survives the abandoned solve
+    assert true_relative_residual(A, 0.0, exc.value.xs[0], b) <= 1e-9
     bad = rep.shifts[1]
     assert not bad.converged
     assert bad.stagnated
@@ -327,6 +330,11 @@ def test_input_validation():
         solve_shifted_hessen(A, b, [])
     with pytest.raises(DimensionMismatch):
         solve_hessen(A, b, x0=np.ones(3))
+    # a zero guess skips the initial residual product; it used to skip the
+    # shape check with it and converge silently
+    for x0 in (np.zeros(3), np.zeros((A.shape[0], 1))):
+        with pytest.raises(DimensionMismatch):
+            solve_hessen(A, b, x0=x0)
 
 
 def test_true_relative_residual_counts_one_product():
