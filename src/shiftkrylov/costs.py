@@ -15,10 +15,10 @@ weighted_arnoldi    2*m*nnz + (5/2)*m*(m+1)*n
 The pivoted Hessenberg process can change only the trailing n - i rows
 when it eliminates with basis vector i (the leading rows are structurally
 zero), so the cubic correction term counts only the rows that can
-change.  The implementation updates whole columns and so also multiplies
-the structural zeros: (m-1)*m*(m+1)/3 flops per cycle beyond the model,
-8990 at m = 30.  All divisions here are exact in integers, so the model
-is evaluated without rounding.
+change.  The code does more: its one ``gemv`` per step also multiplies
+the structural zeros, and its triangular solve for the coefficients
+costs as much again, (m-1)*m*(m+1)/3 flops a cycle each (8990 at m = 30).
+All divisions here are exact in integers, so there is no rounding.
 """
 
 from .errors import InvalidDimensions

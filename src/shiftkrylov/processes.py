@@ -8,8 +8,9 @@ subspace:
     largest remaining component in magnitude as pivot and normalizes the
     new basis vector by it.  With the bookkeeping permutation ``perm``,
     the basis is unit lower trapezoidal after row reordering, so each
-    orthogonalization coefficient is read off a single vector entry
-    instead of an inner product.  One matrix-vector product and about
+    step's coefficients come from the product's pivot entries by one
+    unit lower triangular solve instead of inner products, and its
+    elimination is one ``gemv``.  One matrix-vector product and about
     half the vector work of Arnoldi per step.
 
 ``run_arnoldi``
@@ -25,11 +26,13 @@ which :func:`verify_decomposition` measures in the Frobenius norm.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidDimensions,
+    NonFiniteInput,
     ZeroStartVector,
 )
 
@@ -160,6 +163,10 @@ def _check_start(A, v, m):
 def run_hessenberg(A, v, m, breakdown_tol=None):
     """Run ``m`` steps of the pivoted Hessenberg process.
 
+    Each step solves the pivot rows for its coefficients (``trsv``),
+    eliminates with one ``gemv``, zeroes the pivot rows exactly and takes
+    the largest remaining entry as pivot, the first in pivot order on a tie.
+
     Parameters
     ----------
     A : operator
@@ -185,7 +192,7 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
 
     Raises
     ------
-    ZeroStartVector, DimensionMismatch, InvalidDimensions
+    ZeroStartVector, DimensionMismatch, InvalidDimensions, NonFiniteInput
     """
     v, n, m, dtype = _check_start(A, v, m)
     norm_scale = _operator_norm_scale(A) if breakdown_tol is None else None
@@ -194,6 +201,7 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
     i0 = pivot_select(v, start=0)
     beta = v[i0]
     perm[0], perm[i0] = perm[i0], perm[0]
+    inv = perm.copy()  # a transposition is its own inverse
 
     basis = np.zeros((n, m + 1), dtype=dtype, order="F")
     basis[:, 0] = v / beta
@@ -201,11 +209,15 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
     # entry is one by construction, so write it that way
     basis[i0, 0] = 1.0
     hbar = np.zeros((m + 1, m), dtype=dtype)
+    # pivot rows of the basis, basis[perm[:j+1], :j+1], unit lower triangular
+    lower = np.eye(m + 1, dtype=dtype, order="F")
+    trsv, gemv = get_blas_funcs(("trsv", "gemv"), (basis,))
+    mag = np.empty(n)
 
     steps = m
     breakdown = False
     for j in range(m):
-        # copy, since an operator may return a view and the loop below
+        # copy, since an operator may return a view and the step below
         # works in place; the fallback scale is taken before it does
         u = np.array(A @ basis[:, j], dtype=dtype)
         tol = breakdown_tol
@@ -214,23 +226,30 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
                 np.abs(u).max(initial=0.0)
             )
             tol = n * _EPS * scale
-        for i in range(j + 1):
-            h = u[perm[i]]
-            hbar[i, j] = h
-            if h != 0:
-                # column i is exactly 0 at perm[:i] and exactly 1 at
-                # perm[i], so earlier pivot entries of u stay exactly 0
-                u -= h * basis[:, i]
+        h = trsv(lower[: j + 1, : j + 1], u[perm[: j + 1]], lower=1, diag=1)
+        hbar[: j + 1, j] = h
+        u = gemv(-1.0, basis[:, : j + 1], h, 1.0, u, overwrite_y=1)
+        # the elimination zeroes the pivot rows up to roundoff; make it exact
+        u[perm[: j + 1]] = 0.0
         if j + 1 < n:
-            piv_pos = pivot_select(u, perm, start=j + 1)
-            piv = u[perm[piv_pos]]
+            np.abs(u, out=mag)
+            peak = mag.max()
+            if not np.isfinite(peak):
+                raise NonFiniteInput(f"non-finite pivot candidate at step {j + 1}")
+            # the first maximum in pivot order, as pivot_select picks it
+            ties = np.flatnonzero(mag == peak)
+            row = ties[inv[ties].argmin()]
+            piv = u[row]
             if abs(piv) > tol:
                 hbar[j + 1, j] = piv
-                perm[j + 1], perm[piv_pos] = perm[piv_pos], perm[j + 1]
-                basis[:, j + 1] = u / piv
+                pos = inv[row]
+                perm[j + 1], perm[pos] = row, perm[j + 1]
+                inv[perm[pos]], inv[row] = pos, j + 1
+                np.divide(u, piv, out=basis[:, j + 1])
                 # complex self-division is not always exactly one, so pin
                 # the pivot entry to keep the triangular structure exact
-                basis[perm[j + 1], j + 1] = 1.0
+                basis[row, j + 1] = 1.0
+                lower[j + 1, : j + 1] = basis[row, : j + 1]
                 continue
         steps = j + 1
         breakdown = True
@@ -271,6 +290,8 @@ def run_arnoldi(A, v, m, breakdown_tol=None):
             hbar[i, j] = h
             u -= h * basis[:, i]
         hnext = np.linalg.norm(u)
+        if not np.isfinite(hnext):
+            raise NonFiniteInput(f"non-finite subdiagonal {hnext} at step {j + 1}")
         tol = breakdown_tol
         if tol is None:
             scale = norm_scale if norm_scale is not None else float(

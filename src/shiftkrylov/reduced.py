@@ -60,8 +60,12 @@ def _qr_solve(W):
     """
     p, m = W.shape[:2]
     # Rotations preserve the Frobenius norm, so the singularity threshold
-    # can be fixed from the matrices as given.
-    fro = np.linalg.norm(W[:, :, :m], axis=(1, 2))
+    # can be fixed from the matrices as given.  Each system is scaled by
+    # its largest real or imaginary part, so the squares cannot overflow.
+    parts = W[:, :, :m].view(W.real.dtype)
+    big = np.abs(parts).max(axis=(1, 2), initial=np.finfo(np.float64).tiny)
+    parts = parts / big[:, None, None]
+    fro = big * np.sqrt(np.einsum("pij,pij->p", parts, parts))
     for k in range(m - 1):
         c, s = _givens(W[:, k, k : k + 1], W[:, k + 1, k : k + 1])
         top = W[:, k, k:].copy()

@@ -7,6 +7,7 @@ from shiftkrylov import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidDimensions,
+    NonFiniteInput,
     ZeroStartVector,
     gen_laplace2d,
     identity,
@@ -219,19 +220,26 @@ def _reference_run_hessenberg(A, v, m):
     return basis_nat[:, :ncols], hbar[: steps + 1, :steps], perm, beta, steps, breakdown
 
 
+def relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 def assert_matches_reference(A, v, m):
+    # the blocked step sums each column in another order than the
+    # reference's axpys, so values agree to roundoff; pivots and the
+    # step count are decided far from any tie here and stay exact
     dec = run_hessenberg(A, v, m)
     basis, hbar, perm, beta, steps, breakdown = _reference_run_hessenberg(A, v, m)
-    assert dec.basis.shape == basis.shape
-    assert dec.basis.tobytes() == basis.tobytes()
-    assert dec.hbar.tobytes() == hbar.tobytes()
     assert_array_equal(dec.perm, perm)
     assert dec.beta == beta
     assert (dec.steps, dec.breakdown) == (steps, breakdown)
+    assert dec.basis.shape == basis.shape
+    assert relative_gap(dec.basis, basis) <= 1e-12
+    assert relative_gap(dec.hbar, hbar) <= 1e-12
     return dec
 
 
-def test_one_basis_loop_matches_two_copy_reference_bitwise():
+def test_one_basis_loop_matches_two_copy_reference():
     rng = np.random.default_rng(101)
     for _ in range(20):
         n = int(rng.integers(10, 60))
@@ -252,16 +260,35 @@ def test_one_basis_loop_matches_reference_on_complex_matrix():
 
 
 def test_one_basis_loop_matches_reference_on_tied_magnitudes():
-    # the Laplacian with b = ones produces many equal-magnitude candidates,
-    # so the pivot order hinges on the first-max-in-permuted-order rule
-    A = gen_laplace2d(20)
-    dec = assert_matches_reference(A, np.ones(A.shape[0]), 30)
-    assert not dec.breakdown
-    # here one tie has its first maximum in natural order at a different
-    # row than its first maximum in permuted order
-    A = gen_laplace2d(10)
-    dec = assert_matches_reference(A, np.ones(A.shape[0]), 40)
-    assert not dec.breakdown
+    # the Laplacian with b = ones produces many candidates equal up to an
+    # ulp or two, so the two loops' roundoff breaks some ties differently
+    # and the pivot orders part; both must still be valid pivoted bases
+    # of the same Krylov space.  On the 10 x 10 grid, ones meets only 15
+    # distinct eigenvalues (odd modes, symmetric in x and y), so columns
+    # past the 15th span roundoff, not the Krylov space, and are not compared
+    for A, m, dim in ((gen_laplace2d(20), 30, 31), (gen_laplace2d(10), 40, 15)):
+        v = np.ones(A.shape[0])
+        dec = run_hessenberg(A, v, m)
+        ref_basis = _reference_run_hessenberg(A, v, m)[0]
+        assert not dec.breakdown
+        L = dec.basis[dec.perm[: m + 1], :]
+        assert np.array_equal(np.diag(L), np.ones(m + 1))
+        assert not np.any(np.triu(L, k=1))
+        assert np.abs(dec.basis).max() <= 1.0
+        assert verify_decomposition(A, dec) <= 1e-14 * A.norm_inf() * np.linalg.norm(dec.basis)
+        Q = np.linalg.qr(ref_basis[:, :dim])[0]
+        B = dec.basis[:, :dim]
+        assert relative_gap(Q @ (Q.T @ B), B) <= 1e-10
+
+
+def test_pivot_tie_goes_to_the_first_candidate_in_pivot_order():
+    # after one step the candidates are 2 at row 0 and -2 at row 1; row 1
+    # comes first in pivot order (perm = 3, 1, 2, 0), row 0 in natural order
+    M = np.zeros((4, 4))
+    M[:, 3] = [3.0, -2.0, 0.0, 2.0]
+    M[:, 1] = [1.0, 0.0, 0.0, 0.0]
+    dec = run_hessenberg(csr_from_dense(M), np.array([0.5, 0.0, 0.0, 1.0]), 2)
+    assert_array_equal(dec.perm[:2], [3, 1])
 
 
 def test_one_basis_loop_matches_reference_on_breakdowns():
@@ -275,3 +302,13 @@ def test_one_basis_loop_matches_reference_on_breakdowns():
     A = csr_from_dense(np.array([[2.0, 1.0], [1.0, 2.0]]))
     dec = assert_matches_reference(A, np.array([1.0, 2.0]), 2)
     assert dec.breakdown and dec.steps == 2
+
+
+@pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
+def test_nan_in_operator_is_not_a_breakdown(process):
+    # the NaN product used to end the hessenberg process as a happy
+    # breakdown after one step
+    M = np.eye(5)
+    M[2, 2] = np.nan
+    with pytest.raises(NonFiniteInput):
+        process(csr_from_dense(M), np.arange(1.0, 6.0), 3)

@@ -13,6 +13,7 @@ from shiftkrylov import (
     SingularReducedSystem,
     SolverConfig,
     ZeroStartVector,
+    gen_laplace2d,
     identity,
     solve_hessen,
     solve_shifted_fom,
@@ -406,3 +407,17 @@ def test_nan_in_operator_is_rejected_before_any_product():
     with pytest.raises(NonFiniteInput):
         solve_shifted_fom(A, b, [0.0])
     assert A.counter.count == 0
+
+
+def test_huge_operator_scale_does_not_read_as_singular():
+    # the reduced solve's Frobenius norm overflowed to inf at this scale,
+    # so every reduced system read as singular and the solve stalled
+    A = gen_laplace2d(10)
+    b = np.ones(A.shape[0])
+    _, rep_ref = solve_shifted_hessen(A, b, [0.0])
+    for scale in (1e160, 1e300):
+        huge = csr_from_dense(A.toarray() * scale)
+        xs, rep = solve_shifted_hessen(huge, b, [0.0])
+        assert rep.all_converged
+        assert (rep.cycles, rep.total_mvps) == (rep_ref.cycles, rep_ref.total_mvps)
+        assert true_relative_residual(huge, 0.0, xs[0], b) <= SolverConfig().tol
