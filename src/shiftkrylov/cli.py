@@ -231,28 +231,29 @@ def _cmd_bench(args):
     solvers = [s.strip() for s in defaults.get("solvers", "shessen,sfom").split(",")]
     reps = int(args.reps if args.reps is not None else defaults.get("reps", "3"))
 
-    jobs = []
-    for sec_name in parser.sections():
-        if not sec_name.startswith("problem:"):
-            continue
-        name = sec_name.split(":", 1)[1]
-        A, b, shifts, cfg = _bench_problem(parser[sec_name], defaults)
-        for solver in solvers:
-            jobs.append((name, solver, A, b, shifts, cfg))
-    if not jobs:
+    problems = [
+        (sec_name.split(":", 1)[1], *_bench_problem(parser[sec_name], defaults))
+        for sec_name in parser.sections()
+        if sec_name.startswith("problem:")
+    ]
+    if not problems:
         raise ParseError("config defines no [problem:NAME] sections")
+
+    # the rows of one problem run in order, so they never share its matrix
+    # at the same time; --parallel only overlaps distinct problems
+    def run_rows(problem):
+        name, *system = problem
+        return [_bench_cell(name, solver, *system, reps) for solver in solvers]
 
     if args.parallel:
         with ThreadPoolExecutor() as pool:
-            results = list(
-                pool.map(lambda j: _bench_cell(*j, reps), jobs)
-            )
+            grid = list(pool.map(run_rows, problems))
     else:
-        results = [_bench_cell(*j, reps) for j in jobs]
+        grid = [run_rows(problem) for problem in problems]
 
     rows = []
     any_dagger = False
-    for name, row, report in results:
+    for name, row, report in (cell for cells in grid for cell in cells):
         rows.append({"problem": name, **row})
         any_dagger = any_dagger or not report.all_converged
 

@@ -67,10 +67,15 @@ def attach_costs(report, process=None):
     """Fill ``report.predicted_flops`` from its cycle counts.
 
     The model charges one full set of process steps per cycle plus one
-    ``m^2`` unit per reduced solve (Givens QR and back substitution are
-    both O(m^2)), i.e.
+    ``m^2`` unit per reduced solve, i.e.
 
         cycles * predicted_flops(process, m, n, nnz) + cycles * nu * m**2
+
+    The ``m^2`` unit is what a Givens QR of a Hessenberg system costs.
+    The code instead does a dense Householder QR of each augmented
+    system, about (4/3) m^3 real flops (36 000 at m = 30), which the
+    model leaves out: for 16 shifts on ``gen_laplace2d(40)`` it would add
+    about 30% to the flops of a cycle.
 
     Parameters
     ----------

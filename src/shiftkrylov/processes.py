@@ -100,19 +100,16 @@ class HessenbergDecomposition:
         return f"<HessenbergDecomposition n={n}, steps={self.steps}{tag}>"
 
 
-def pivot_select(u, perm=None, start=0):
-    """Index of the pivot among the trailing entries of a permuted vector.
+def pivot_select(u, start=0):
+    """Index of the pivot among the trailing entries of a vector.
 
-    Scans positions ``start, start+1, ...`` of ``u`` viewed in ``perm``
-    order and returns the first position whose entry has maximal
-    magnitude.  Returns a position in permuted order; the matching
-    natural index is ``perm[i]``.
+    Scans positions ``start, start+1, ...`` of ``u`` and returns the
+    first one whose entry has maximal magnitude.  Applied to a vector
+    stored in pivot order, it returns a position in that order.
 
     Parameters
     ----------
     u : (n,) array_like
-    perm : (n,) array_like of int, optional
-        Permutation; omit when ``u`` is already stored in permuted order.
     start : int
         First eligible position.
 
@@ -122,14 +119,13 @@ def pivot_select(u, perm=None, start=0):
         If ``start`` leaves no eligible position.
     """
     u = np.asarray(u)
-    n = u.shape[0] if perm is None else len(perm)
+    n = u.shape[0]
     if not 0 <= start < n:
         raise IndexOutOfRange(
             f"start position {start} leaves no candidate in a vector of "
             f"length {n}"
         )
-    tail = u[start:] if perm is None else u[np.asarray(perm)[start:]]
-    return start + int(np.argmax(np.abs(tail)))
+    return start + int(np.argmax(np.abs(u[start:])))
 
 
 def _operator_norm_scale(A):
@@ -140,6 +136,16 @@ def _operator_norm_scale(A):
     if isinstance(A, np.ndarray):
         return float(np.abs(A).sum(axis=1).max())
     return None
+
+
+def _breakdown_threshold(breakdown_tol, norm_scale, n, u):
+    """Breakdown threshold of one step, fixed from its product ``u``
+    before any elimination: ``breakdown_tol`` when given, else ``n * eps``
+    times the operator's norm scale, or times ``max |u|`` without one."""
+    if breakdown_tol is not None:
+        return breakdown_tol
+    scale = norm_scale if norm_scale is not None else float(np.abs(u).max(initial=0.0))
+    return n * _EPS * scale
 
 
 def _check_start(A, v, m):
@@ -218,14 +224,9 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
     breakdown = False
     for j in range(m):
         # copy, since an operator may return a view and the step below
-        # works in place; the fallback scale is taken before it does
+        # works in place
         u = np.array(A @ basis[:, j], dtype=dtype)
-        tol = breakdown_tol
-        if tol is None:
-            scale = norm_scale if norm_scale is not None else float(
-                np.abs(u).max(initial=0.0)
-            )
-            tol = n * _EPS * scale
+        tol = _breakdown_threshold(breakdown_tol, norm_scale, n, u)
         h = trsv(lower[: j + 1, : j + 1], u[perm[: j + 1]], lower=1, diag=1)
         hbar[: j + 1, j] = h
         u = gemv(-1.0, basis[:, : j + 1], h, 1.0, u, overwrite_y=1)
@@ -236,7 +237,7 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
             peak = mag.max()
             if not np.isfinite(peak):
                 raise NonFiniteInput(f"non-finite pivot candidate at step {j + 1}")
-            # the first maximum in pivot order, as pivot_select picks it
+            # the first maximum in pivot order, as pivot_select picks it from u[perm]
             ties = np.flatnonzero(mag == peak)
             row = ties[inv[ties].argmin()]
             piv = u[row]
@@ -285,6 +286,7 @@ def run_arnoldi(A, v, m, breakdown_tol=None):
     breakdown = False
     for j in range(m):
         u = np.asarray(A @ basis[:, j], dtype=dtype)
+        tol = _breakdown_threshold(breakdown_tol, norm_scale, n, u)
         for i in range(j + 1):
             h = np.vdot(basis[:, i], u)
             hbar[i, j] = h
@@ -292,12 +294,6 @@ def run_arnoldi(A, v, m, breakdown_tol=None):
         hnext = np.linalg.norm(u)
         if not np.isfinite(hnext):
             raise NonFiniteInput(f"non-finite subdiagonal {hnext} at step {j + 1}")
-        tol = breakdown_tol
-        if tol is None:
-            scale = norm_scale if norm_scale is not None else float(
-                np.abs(u).max(initial=0.0)
-            )
-            tol = n * _EPS * scale
         if j + 1 < n and hnext > tol:
             hbar[j + 1, j] = hnext
             basis[:, j + 1] = u / hnext

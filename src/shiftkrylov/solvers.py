@@ -132,7 +132,7 @@ class CycleInfo:
     shifts: list
     active_before: tuple
     active_after: tuple
-    solutions: list
+    solutions: np.ndarray
     estimates: list
     skipped: tuple
 

@@ -71,6 +71,11 @@ def test_singular_system_raises():
     D = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(SingularReducedSystem):
         solve_shifted_hessenberg(D, 2.0, 1.0)
+    # exactly singular with a unit diagonal: the test must read the
+    # triangular factor, not the diagonal of H
+    H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(SingularReducedSystem):
+        solve_hessenberg(H, np.ones(3))
 
 
 def test_near_singular_threshold_scales_with_matrix():

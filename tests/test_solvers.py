@@ -370,6 +370,19 @@ def test_plain_scipy_operator_matches_csr_matrix():
     assert rep.all_converged
 
 
+def test_plain_scipy_operator_detects_happy_breakdown():
+    # b meets three eigenvalues, so one cycle ends in a breakdown after
+    # three steps, whether or not the operator exposes norm_inf
+    A = sp.csr_matrix(np.diag(np.arange(1.0, 51.0)))
+    b = np.zeros(50)
+    b[:3] = [1.0, 0.7, 0.3]
+    cfg = SolverConfig(m=10, tol=1e-12)
+    for solve in (solve_shifted_hessen, solve_shifted_fom):
+        xs, rep = solve(A, b, [0.0, -0.5], cfg)
+        assert rep.breakdown and rep.all_converged
+        assert (rep.cycles, rep.total_mvps) == (1, 5)
+
+
 def test_nan_in_rhs_is_rejected_before_any_product():
     # it used to end after one product as a happy breakdown
     A, b = random_system(21)
