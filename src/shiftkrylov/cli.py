@@ -18,7 +18,6 @@ import json
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -211,7 +210,7 @@ def _bench_problem(section, defaults):
     return A, b, shifts, cfg
 
 
-def _bench_cell(name, solver, A, b, shifts, cfg, reps):
+def _bench_cell(solver, A, b, shifts, cfg, reps):
     times = []
     xs = report = None
     for _ in range(max(1, reps)):
@@ -219,7 +218,7 @@ def _bench_cell(name, solver, A, b, shifts, cfg, reps):
         times.append(elapsed)
     row = _report_row(report, statistics.median(times))
     row["solver"] = f"{solver}"
-    return name, row, report
+    return row, report
 
 
 def _cmd_bench(args):
@@ -239,23 +238,13 @@ def _cmd_bench(args):
     if not problems:
         raise ParseError("config defines no [problem:NAME] sections")
 
-    # the rows of one problem run in order, so they never share its matrix
-    # at the same time; --parallel only overlaps distinct problems
-    def run_rows(problem):
-        name, *system = problem
-        return [_bench_cell(name, solver, *system, reps) for solver in solvers]
-
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            grid = list(pool.map(run_rows, problems))
-    else:
-        grid = [run_rows(problem) for problem in problems]
-
     rows = []
     any_dagger = False
-    for name, row, report in (cell for cells in grid for cell in cells):
-        rows.append({"problem": name, **row})
-        any_dagger = any_dagger or not report.all_converged
+    for name, *system in problems:
+        for solver in solvers:
+            row, report = _bench_cell(solver, *system, reps)
+            rows.append({"problem": name, **row})
+            any_dagger = any_dagger or not report.all_converged
 
     out = args.out or "-"
     fieldnames = ["problem"] + BENCH_COLUMNS
@@ -361,7 +350,6 @@ def _build_parser():
     b.add_argument("--config", required=True, help="INI file, see README")
     b.add_argument("-o", "--out", help="output CSV ('-' or omit for stdout)")
     b.add_argument("--reps", type=int, help="timing repetitions (median reported)")
-    b.add_argument("--parallel", action="store_true", help="run grid cells in threads")
     b.set_defaults(func=_cmd_bench)
 
     f = sub.add_parser("matfunc", help="apply exp(-A) or E_gamma(-A) to a vector")

@@ -13,17 +13,15 @@ Supported integrands are the exponential ``exp(-t A) u0`` and the
 Mittag-Leffler function ``E_gamma(-t^gamma A) u0`` that propagates
 fractional-in-time diffusion; a rule file makes no reference to ``t``
 because time enters by scaling the operator.  Reference values for
-validation come from a dense eigendecomposition oracle with scalar
-functions evaluated in arbitrary precision.
+validation come from a dense eigendecomposition oracle; the scalar
+Mittag-Leffler function is a double-precision contour integral.
 """
 
 import csv
 from dataclasses import dataclass
 from pathlib import Path
 
-import mpmath
 import numpy as np
-from scipy.special import rgamma
 
 from .errors import (
     DimensionMismatch,
@@ -45,10 +43,11 @@ __all__ = [
 
 _HEADER = ["re_z", "im_z", "re_w", "im_w"]
 
-# Scalar Mittag-Leffler: the power series is summed for |z| up to this
-# radius (in arbitrary precision, because the terms grow hugely before
-# they decay), the asymptotic expansion beyond it.
-_ML_SERIES_RADIUS = 30.0
+# Scalar Mittag-Leffler contour sum: log of its absolute tolerance, and
+# the node count above which that tolerance is relaxed tenfold.
+_ML_LOG_TOL = np.log(1e-15)
+_ML_MAX_NODES = 200
+_LOG_EPS = np.log(np.finfo(float).eps)
 
 
 @dataclass
@@ -299,86 +298,108 @@ def dense_matfunc_oracle(A, u0, func):
     return out
 
 
-def _ml_series(z, gamma):
-    """Power series sum in arbitrary precision.
-
-    For strongly negative arguments the terms peak at magnitudes far
-    beyond the final value, so the working precision is raised with
-    ``|z|**(1/gamma)`` to absorb the cancellation.
-    """
-    az = abs(z)
-    peak_digits = 0.4343 * az ** (1.0 / gamma) / gamma
-    dps = 25 + int(peak_digits + 0.5)
-    # Terms grow until roughly k ~ |z|^(1/gamma)/gamma before decaying,
-    # so the smallness test must not fire earlier.
-    k_min = int(az ** (1.0 / gamma) / gamma) + 8
-    with mpmath.workdps(dps):
-        zz = mpmath.mpmathify(complex(z))
-        # The gamma argument must be formed in working precision: in
-        # double precision its rounding error, amplified by terms that
-        # peak ~10^peak_digits above the result, destroys the final
-        # cancellation.
-        g = mpmath.mpf(gamma)
-        zk = mpmath.mpf(1)
-        s = mpmath.mpf(0)
-        term_scale = mpmath.mpf(10) ** (-dps)
-        k = 0
-        while True:
-            term = zk / mpmath.gamma(g * k + 1)
-            s += term
-            k += 1
-            zk *= zz
-            if k > k_min and abs(term) < term_scale * (1 + abs(s)):
-                break
-            if k > 100000:
-                raise RuntimeError("Mittag-Leffler series did not terminate")
-        return complex(s)
+def _ml_bounded(phi, log_tol):
+    """Garrappa's ``(N, mu, h)`` for a parabola passing between the origin
+    (strength 0) and a pole of strength 1 with ``phi = (Re s + |s|) / 2``,
+    the ``mu`` of the parabola ``mu (1 + iu)^2`` through the pole."""
+    f_max = np.exp(log_tol - _LOG_EPS)  # >= 4.5, so f_min = 1.01 is admissible
+    f_bar = 1.01 + 1.01 / f_max * (f_max - 1.01)
+    sq_right = min(np.sqrt(phi), 2.0 * np.sqrt(log_tol - _LOG_EPS))
+    sq_right = 2.0 * sq_right / (2.0 + 1.0 / f_bar)
+    log_tol -= np.log(f_bar)
+    w = -sq_right**2 / log_tol
+    mu = (sq_right / (2.0 + w)) ** 2
+    h = -2.0 * np.pi / log_tol
+    return np.ceil(np.sqrt(1.0 - log_tol / mu) / h), mu, h
 
 
-def _ml_asymptotic(z, gamma, kmax=170):
-    """Expansion for large ``|z|`` away from the positive real axis:
-    ``E_gamma(z) ~ -sum_{k>=1} z^-k / Gamma(1 - gamma k)``.
-
-    The expansion is divergent; the sum is truncated at its globally
-    smallest term, whose size bounds the error.  A simple
-    first-increase rule would stop too early: ``1/Gamma(1 - gamma k)``
-    passes near poles of Gamma where terms dip almost to zero and grow
-    again.
-    """
-    terms = []
-    zk = 1.0 + 0.0j
-    for k in range(1, kmax + 1):
-        zk /= z
-        terms.append(complex(rgamma(1.0 - gamma * k)) * zk)
-    mags = np.array([abs(t) for t in terms])
-    nonzero = np.flatnonzero(mags > 0.0)
-    if nonzero.size == 0:
-        # gamma = 1: every coefficient vanishes and E_1(z) = e^z is
-        # below roundoff in this regime.
-        return 0.0 + 0.0j
-    kstar = int(nonzero[np.argmin(mags[nonzero])])
-    return -sum(terms[: kstar + 1])
+def _ml_unbounded(phi, p, log_tol):
+    """Garrappa's ``(N, mu, h)`` for a parabola right of the singularity
+    with value ``phi`` and strength ``p`` (0 or 1); ``N`` is inf when
+    roundoff rules the region out."""
+    sq_phi = np.sqrt(phi)
+    phibar = 1.01 * phi if phi > 0 else 0.01
+    sq_bar = np.sqrt(phibar)
+    while True:
+        le = log_tol / phibar
+        n = np.ceil(phibar / np.pi * (1.0 - 1.5 * le + np.sqrt(1.0 - 2.0 * le)))
+        a = np.pi * n / phibar
+        sq_mu = sq_bar * abs(4.0 - a) / abs(7.0 - np.sqrt(1.0 + 12.0 * a))
+        if p == 0 or 1.0 < sq_mu / (sq_bar - sq_phi) < 10.0:
+            break
+        sq_bar = sq_mu / 5.0 + sq_phi
+        phibar = sq_bar**2
+    mu = sq_mu**2
+    h = (-3.0 * a - 2.0 + 2.0 * np.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
+    threshold = log_tol - _LOG_EPS
+    if mu > threshold:
+        # e^s on the contour would exceed the tolerance over roundoff
+        phibar = (p * np.sqrt(mu) / 5.0 + sq_phi) ** 2
+        if phibar >= threshold:
+            return np.inf, 0.0, 0.0
+        w = np.sqrt(_LOG_EPS / (_LOG_EPS - log_tol))
+        u = np.sqrt(-phibar / _LOG_EPS)
+        mu = threshold
+        n = np.ceil(w * log_tol / (2.0 * np.pi) / (u * w - 1.0))
+        h = w / n
+    return n, mu, h
 
 
 def mittag_leffler(z, gamma):
     """Scalar one-parameter Mittag-Leffler function ``E_gamma(z)``.
 
-    ``E_1`` is the exponential.  Accepts real or complex scalars; for
-    ``|z|`` beyond the series radius an asymptotic expansion is used,
-    which assumes ``z`` bounded away from the positive real axis (the
-    regime of spectra ``-t^gamma * lambda`` with ``Re(lambda) > 0``).
+    Inverts its Laplace transform ``s^(gamma-1) / (s^gamma - z)`` at
+    ``t = 1`` by the trapezoidal rule on the parabola
+    ``s = mu (1 + iu)^2``, with ``(mu, h, N)`` chosen as in Garrappa
+    (SIAM J. Numer. Anal. 53, 2015), after Weideman and Trefethen
+    (Math. Comp. 76, 2007), for an absolute error of 1e-15 with at most
+    200 nodes (relaxed tenfold while no contour reaches that).  The
+    residue ``e^s / gamma`` of the pole ``s^gamma = z`` is added when
+    the contour passes left of it.  Double precision throughout.
+
+    Accepts real or complex scalars anywhere in the plane; real input
+    gives real output, and values beyond the float range (large
+    arguments near the positive real axis) overflow to inf.  On the
+    negative real axis the relative error against 30-digit references is
+    below 1e-14 for ``gamma <= 0.95`` and grows towards ``gamma = 1``:
+    about 5e-14 at 0.99 and 5e-13 at 0.999.  ``E_1`` is the exponential.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma={gamma!r} outside (0, 1]")
     z = complex(z)
     if gamma == 1.0:
-        # exactly the exponential; the asymptotic branch below would
-        # return the (identically zero) algebraic part instead
         out = np.exp(z)
-    elif abs(z) <= _ML_SERIES_RADIUS:
-        out = _ml_series(z, gamma)
+    elif z == 0:
+        out = 1.0
     else:
-        out = _ml_asymptotic(z, gamma)
+        # Of the roots |z|^(1/gamma) e^(i(arg z + 2 pi k)/gamma) of
+        # s^gamma = z only k = 0 can lie off the branch cut when gamma < 1.
+        theta = np.angle(z)
+        pole = abs(z) ** (1.0 / gamma) * np.exp(1j * theta / gamma)
+        phi = (pole.real + abs(pole)) / 2.0
+        # a pole with phi ~ 0 sits at the origin and every contour encloses it
+        has_pole = abs(theta) < gamma * np.pi and phi > 1e-15
+        log_tol = _ML_LOG_TOL
+        while True:
+            # (N, mu, h, pole right of the contour) per admissible region
+            if not has_pole:
+                regions = [_ml_unbounded(0.0, 0, log_tol) + (False,)]
+            else:
+                regions = [_ml_bounded(phi, log_tol) + (True,)]
+                if phi < _ML_LOG_TOL - _LOG_EPS:
+                    regions.append(_ml_unbounded(phi, 1, log_tol) + (False,))
+            n, mu, h, residue = min(regions, key=lambda r: r[0])
+            if n <= _ML_MAX_NODES:
+                break
+            log_tol += np.log(10.0)
+        u = h * np.arange(-n, n + 1)
+        s = mu * (1.0 + 1j * u) ** 2
+        ds = 2j * mu * (1.0 + 1j * u)
+        f = np.exp(s) * s ** (gamma - 1.0) / (s**gamma - z) * ds
+        out = h / (2j * np.pi) * f.sum()
+        if residue:
+            # 1/gamma enters the exponent, so an overflow stays inf, not nan
+            out += np.exp(pole - np.log(gamma))
     if z.imag == 0.0:
         return out.real
     return out

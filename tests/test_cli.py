@@ -1,6 +1,5 @@
 import csv
 import json
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from shiftkrylov import (
     save_matrix_market,
     solve_shifted_hessen,
 )
-from shiftkrylov import cli
 from shiftkrylov.cli import main
 
 
@@ -155,42 +153,6 @@ def test_bench_grid(tmp_path):
     assert all(r["dagger_flags"].strip("0") == "" for r in rows)
     for r in rows:
         assert int(r["predicted_flops"]) > 0
-
-    # the parallel path must produce the same grid in the same order
-    out2 = tmp_path / "bench2.csv"
-    assert run("bench", "--config", str(cfgfile), "-o", str(out2), "--parallel") == 0
-    strip = lambda rows: [{k: v for k, v in r.items() if k != "time_ms"} for r in rows]
-    assert strip(read_rows(out)) == strip(read_rows(out2))
-
-
-def test_bench_parallel_keeps_rows_of_a_problem_sequential(tmp_path, monkeypatch):
-    cfgfile = tmp_path / "bench.ini"
-    cfgfile.write_text(
-        "[bench]\nsolvers = shessen, sfom\nm = 10\nreps = 1\nshifts = list:0\n"
-        "[problem:a]\ngenerator = laplace2d\nn = 4\n"
-        "[problem:b]\ngenerator = laplace2d\nn = 5\n"
-    )
-    intervals = {}
-    run_one = cli._run_one
-
-    def timed_run_one(solver, A, *rest):
-        t0 = time.perf_counter()
-        time.sleep(0.05)  # long enough for rows started together to overlap
-        out = run_one(solver, A, *rest)
-        intervals.setdefault(id(A), []).append((solver, t0, time.perf_counter()))
-        return out
-
-    monkeypatch.setattr(cli, "_run_one", timed_run_one)
-    out = tmp_path / "bench.csv"
-    assert run("bench", "--config", str(cfgfile), "-o", str(out), "--parallel") == 0
-    assert [(r["problem"], r["solver"]) for r in read_rows(out)] == [
-        ("a", "shessen"), ("a", "sfom"), ("b", "shessen"), ("b", "sfom")
-    ]
-    assert len(intervals) == 2
-    for cells in intervals.values():
-        (first, _, end), (second, start, _) = sorted(cells, key=lambda c: c[1])
-        assert (first, second) == ("shessen", "sfom")
-        assert end <= start
 
 
 def test_bench_errors(tmp_path):

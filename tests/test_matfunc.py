@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import erfc
+from scipy.special import erfc, wofz
 
+import shiftkrylov
 from shiftkrylov import (
     CsrMatrix,
     DuplicateNodes,
@@ -70,6 +76,44 @@ def test_ml_domain():
         mittag_leffler(-1.0, 0.0)
     with pytest.raises(ValueError):
         mittag_leffler(-1.0, 1.5)
+
+
+def test_ml_near_one_matches_talbot_reference():
+    # 30-digit fixed-Talbot inversion of s^(g-1) / (s^g + x) at t = 1;
+    # near gamma = 1 the function decays slowly past |z| = 30
+    import mpmath
+
+    for g, rtol in ((0.95, 1e-13), (0.99, 1e-13), (0.999, 1e-12)):
+        for x in (20.0, 31.0, 45.0, 100.0):
+            with mpmath.workdps(30):
+                gm = mpmath.mpf(g)
+                ref = mpmath.invertlaplace(
+                    lambda s: s ** (gm - 1) / (s**gm + x), 1, method="talbot"
+                )
+            assert_allclose(mittag_leffler(-x, g), float(ref), rtol=rtol)
+
+
+def test_ml_half_matches_faddeeva_in_the_complex_plane():
+    # E_{1/2}(z) = exp(z^2) erfc(-z) = wofz(-i z); the rings cross the
+    # sector |arg z| < pi/2 where the pole residue enters
+    for r in (0.5, 3.0, 10.0):
+        for t in np.linspace(-np.pi, np.pi, 13):
+            z = r * np.exp(1j * t)
+            assert_allclose(mittag_leffler(z, 0.5), wofz(-1j * z), rtol=1e-13)
+
+
+def test_ml_positive_axis_is_dominated_by_the_pole():
+    # E_g(x) = exp(x^(1/g)) / g + O(1/x) for large positive x
+    assert_allclose(mittag_leffler(31.0, 0.8), np.exp(31.0**1.25) / 0.8, rtol=1e-13)
+
+
+def test_package_import_loads_no_mpmath():
+    code = (
+        "import sys, shiftkrylov; "
+        "assert 'mpmath' not in sys.modules and 'scipy.special' not in sys.modules"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftkrylov.__file__).parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # -- quadrature rules ---------------------------------------------------

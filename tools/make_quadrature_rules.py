@@ -17,7 +17,12 @@ scan plus Nelder-Mead polish of the floored relative error
     max_a  |R(a) - f(-a)| / max(|f(-a)|, 0.01)
 
 over a ∈ {0} ∪ [1e-4, 1e5], then validated on a finer independent grid.
-Everything is deterministic, so rerunning reproduces the shipped files.
+The search has no random element, but the objective is flat near its
+optimum, so the tuned parameters move with the numpy/scipy build and the
+last bits of the reference values.  Rerunning reproduces the validated
+error of each rule to the four digits printed and written in the file
+header; the nodes and weights can differ from the shipped files (by up
+to about 1e-4 relative for ml16_g080).
 
 Usage:  python3 tools/make_quadrature_rules.py [--out DIR]
 """
