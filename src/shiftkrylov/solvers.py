@@ -15,13 +15,28 @@ shifts.
 
 The shifts differ only in their m x m reduced systems: each cycle solves
 those of all collinear shifts as one stack and adds their corrections to
-the iterates, one array with a row per shift, in one product with the
-basis.  A shift skipped for a singular reduced system then carries an
-explicit residual vector and is solved on its own.
+the iterates in one product with the basis.  A shift skipped for a
+singular reduced system then carries an explicit residual vector and is
+solved on its own.
+
+When the operator, the right-hand side and any initial guess are real,
+the shift conj(sigma) has the solution conj(x) when sigma has x.  Each
+shift is then paired, once per solve, with an exactly equal conjugate
+later in the list, and a pair is solved as one class: one row of the
+reduced stack, one residual scalar, one skip/anchor state, with the
+partner's iterate, estimate and history the exact conjugate or copy of
+its representative's.  For the conjugate-symmetric quadrature rules of
+:mod:`shiftkrylov.matfunc` that halves the reduced work.  The iterates
+are stored per class: on real data with complex shifts as one real
+block, row c the real part and row p + c the imaginary part of class c
+(p classes), so the update is one real product with the real basis.
+Complex data, or a family without pairs, uses the same loop with every
+shift its own class.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
-residual evaluation before the shift is retired.
+residual evaluation per shift, a folded partner included, before the
+shift is retired.
 """
 
 import time
@@ -120,11 +135,15 @@ class ShiftHistory:
 class CycleInfo:
     """Snapshot handed to the ``on_cycle`` callback after each cycle.
 
-    Arrays are live views into solver state; treat them as read-only.
-    ``solutions`` is the (nu, n) array of iterates, row ``i`` for shift
-    ``i`` (the correction to ``x0`` when one was given), updated by one
-    basis product with the stacked reduced solutions.  ``estimates[i]``
-    is None for a shift retired before the cycle.
+    ``decomposition`` is the cycle's live basis; treat it as read-only.
+    ``solutions`` is a (nu, n) array of iterates, row ``i`` for shift
+    ``i`` (the correction to ``x0`` when one was given).  The solver
+    stores one row per conjugate class, split into real and imaginary
+    rows on real data (see the module docstring); this per-shift view is
+    assembled for the callback only, so a solve without ``on_cycle``
+    never builds it.  Shift indices are used throughout:
+    ``estimates[i]`` is None for a shift retired before the cycle, and a
+    skipped folded pair lists both of its shifts in ``skipped``.
     """
 
     cycle: int
@@ -139,7 +158,12 @@ class CycleInfo:
 
 @dataclass
 class SolveReport:
-    """Cost and convergence summary of one family solve."""
+    """Cost and convergence summary of one family solve.
+
+    ``breakdown`` is True when the basis became invariant and the solve
+    ended there; ``budget_exhausted`` is True when it stopped with shifts
+    still active because the next full cycle would exceed ``max_mvps``.
+    """
 
     solver: str
     n: int
@@ -151,6 +175,7 @@ class SolveReport:
     residual_mvps: int = 0
     wall_time_s: float = 0.0
     breakdown: bool = False
+    budget_exhausted: bool = False
     predicted_flops: int | None = None
 
     @property
@@ -221,6 +246,33 @@ def _project_residual(dec, r, process):
     return solve_triangular(T, r[dec.perm[:k]], lower=True, unit_diagonal=True)
 
 
+def _conjugate_classes(shifts, fold):
+    """Group a family into classes that share one reduced solve and one row.
+
+    Returns ``(cls, flip)``: the class of every shift, numbered in order of
+    first appearance, and True where a shift's solution is the conjugate
+    of its class's row.  With ``fold`` (real operator, right-hand side and
+    initial guess) a complex shift joins the earliest unpaired class whose
+    shift is exactly its conjugate; otherwise, and for real shifts, every
+    shift is a class of its own.
+    """
+    cls, flip, p = [], [], 0
+    waiting = {}  # conjugate of an unpaired class's shift -> those classes
+    for s in shifts:
+        pairable = fold and isinstance(s, complex)
+        partners = waiting.get(s) if pairable else None
+        if partners:
+            cls.append(partners.pop(0))
+            flip.append(True)
+            continue
+        if pairable:
+            waiting.setdefault(s.conjugate(), []).append(p)
+        cls.append(p)
+        flip.append(False)
+        p += 1
+    return cls, flip
+
+
 def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_name=""):
     t_start = time.perf_counter()
     cfg = cfg if cfg is not None else SolverConfig()
@@ -276,18 +328,38 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
 
     r0norm = float(np.linalg.norm(r0))
     histories = [ShiftHistory(shift=s, estimates=[r0norm / bnorm]) for s in shifts]
-    # Row i is the correction to x0 of shift i.  The residual of an active
-    # shift is coef[i] times the pending start vector, or, once a skipped
-    # cycle has broken collinearity, the explicit vector anchors[i].
-    X = np.zeros((nu, n), dtype=np.result_type(r0.dtype, sigmas.dtype))
-    coef = np.ones(nu, dtype=X.dtype)
-    anchors = [None] * nu
-    active = list(range(nu))
+    # The family is solved in classes: a shift and its exact conjugate
+    # form one class on real data, every other shift a class of its own.
+    # Class c's correction to x0 is row c of X; when real data meet
+    # complex shifts, X is real and row p + c holds the imaginary part.
+    # The residual of an active class is coef[c] times the pending start
+    # vector, or, once a skipped cycle has broken collinearity, the
+    # explicit vector anchors[c].
+    real_data = np.isrealobj(r0)
+    cls, flip = _conjugate_classes(shifts, real_data)
+    p = max(cls) + 1
+    members = [[i for i in range(nu) if cls[i] == c] for c in range(p)]
+    rsig = sigmas[[mem[0] for mem in members]]
+    split = real_data and np.iscomplexobj(sigmas)
+    dtype = np.result_type(r0.dtype, sigmas.dtype)
+    X = np.zeros((2 * p if split else p, n), dtype=np.float64 if split else dtype)
+    coef = np.ones(p, dtype=dtype)
+    anchors = [None] * p
+    active = list(range(p))
+
+    def correction(i):
+        c = cls[i]
+        if not (split and isinstance(shifts[i], complex)):
+            # the class row itself, real for real shifts on real data
+            return X[c]
+        x = X[c] + 1j * X[p + c]
+        return np.conjugate(x, out=x) if flip[i] else x
 
     def solution(i):
-        # real shifts on real data keep real solutions in a complex family
-        x = X[i].real if np.isrealobj(shifts[i]) and np.isrealobj(r0) else X[i]
-        return np.ascontiguousarray(x) if base is None else base + x
+        return correction(i) if base is None else base + correction(i)
+
+    def expand(classes):
+        return tuple(sorted(i for c in classes for i in members[c]))
 
     report = SolveReport(
         solver=solver_name,
@@ -299,7 +371,10 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
 
     v = r0
     consecutive_all_skipped = 0
-    while active and report.basis_mvps + m <= cfg.max_mvps:
+    while active:
+        if report.basis_mvps + m > cfg.max_mvps:
+            report.budget_exhausted = True
+            break
         dec = runner(A, v, m, breakdown_tol)
         report.basis_mvps += dec.steps
         k = dec.steps
@@ -309,80 +384,88 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         lnorm = float(np.linalg.norm(lnext)) if lnext is not None else 0.0
 
         active_before = tuple(active)
-        coll = np.array([i for i in active_before if anchors[i] is None], dtype=int)
-        skipped = np.zeros(nu, dtype=bool)
+        coll = np.array([c for c in active_before if anchors[c] is None], dtype=int)
+        skipped = np.zeros(p, dtype=bool)
         if coll.size:
             # one stacked reduced solve and one basis product for every
-            # collinear shift
+            # collinear class
             try:
-                Y = solve_shifted_hessenberg(H, sigmas[coll], coef[coll] * dec.beta)
+                Y = solve_shifted_hessenberg(H, rsig[coll], coef[coll] * dec.beta)
             except SingularReducedSystem as exc:
                 Y = exc.solution
                 skipped[coll[exc.singular]] = True
             solved = ~skipped[coll]
             done, Y = coll[solved], Y[solved]
-            # updating the whole family through a slice avoids a gathered copy
-            X[done if done.size < nu else slice(None)] += Y @ V.T
             coef[done] = collinearity_scalar(dec.subdiag, Y)
-        for i in active_before:
-            if anchors[i] is None:
+            if split:
+                done, Y = np.concatenate([done, done + p]), np.concatenate([Y.real, Y.imag])
+            # updating the whole block through a slice avoids a gathered copy
+            X[done if done.size < len(X) else slice(None)] += Y @ V.T
+        for c in active_before:
+            if anchors[c] is None:
                 continue
-            sigma = shifts[i]
-            z = _project_residual(dec, anchors[i], process)
+            sigma = shifts[members[c][0]]
+            z = _project_residual(dec, anchors[c], process)
             try:
                 y = solve_hessenberg(H - sigma * np.eye(k), z)
             except SingularReducedSystem:
-                skipped[i] = True
+                skipped[c] = True
                 continue
-            X[i] += V @ y
-            r = anchors[i] - V @ (H @ y - sigma * y)
+            u = V @ y
+            X[c] += u.real if split else u
+            if split:
+                X[p + c] += u.imag
+            r = anchors[c] - V @ (H @ y - sigma * y)
             if not dec.breakdown:
                 r = r - dec.subdiag * y[-1] * lnext
-            anchors[i] = r
+            anchors[c] = r
 
         estimates = [None] * nu
-        for i in active_before:
-            hist = histories[i]
-            hist.cycles += 1
-            if skipped[i]:
-                hist.skipped_cycles += 1
-                if anchors[i] is None:
-                    anchors[i] = coef[i] * dec.beta * dec.basis[:, 0]
-            if anchors[i] is None:
-                est = float(abs(coef[i])) * lnorm / bnorm
+        for c in active_before:
+            if skipped[c] and anchors[c] is None:
+                anchors[c] = coef[c] * dec.beta * dec.basis[:, 0]
+            if anchors[c] is None:
+                est = float(abs(coef[c])) * lnorm / bnorm
             else:
-                est = float(np.linalg.norm(anchors[i])) / bnorm
-            estimates[i] = est
-            e = hist.estimates
-            e.append(est)
-            if len(e) > _STAGNATION_WINDOW:
-                ref = e[-1 - _STAGNATION_WINDOW]
-                hist.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
-            if not skipped[i] and est <= cfg.tol:
-                report.residual_mvps += 1
-                tr = _relative_residual(A.__matmul__, shifts[i], solution(i), b, bnorm)
-                if tr <= cfg.tol:
-                    hist.converged = True
-                    hist.final_relative_residual = tr
-                    active.remove(i)
+                est = float(np.linalg.norm(anchors[c])) / bnorm
+            for i in members[c]:
+                hist = histories[i]
+                hist.cycles += 1
+                hist.skipped_cycles += int(skipped[c])
+                estimates[i] = est
+                e = hist.estimates
+                e.append(est)
+                if len(e) > _STAGNATION_WINDOW:
+                    ref = e[-1 - _STAGNATION_WINDOW]
+                    hist.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
+            if not skipped[c] and est <= cfg.tol:
+                # every shift, a folded partner too, is confirmed by its
+                # own product
+                trs = [_relative_residual(A.__matmul__, shifts[i], solution(i), b, bnorm)
+                       for i in members[c]]
+                report.residual_mvps += len(trs)
+                if max(trs) <= cfg.tol:
+                    for i, tr in zip(members[c], trs):
+                        histories[i].converged = True
+                        histories[i].final_relative_residual = tr
+                    active.remove(c)
 
         report.cycles += 1
-        skipped_now = tuple(np.flatnonzero(skipped).tolist())
         if on_cycle is not None:
             on_cycle(
                 CycleInfo(
                     cycle=report.cycles,
                     decomposition=dec,
                     shifts=list(shifts),
-                    active_before=active_before,
-                    active_after=tuple(active),
-                    solutions=X,
+                    active_before=expand(active_before),
+                    active_after=expand(active),
+                    solutions=np.array([correction(i) for i in range(nu)]),
                     estimates=estimates,
-                    skipped=skipped_now,
+                    skipped=expand(np.flatnonzero(skipped)),
                 )
             )
 
-        if skipped_now and len(skipped_now) == len(active_before):
+        if skipped.sum() == len(active_before):
             consecutive_all_skipped += 1
             if consecutive_all_skipped >= _STALL_LIMIT:
                 report.wall_time_s = time.perf_counter() - t_start

@@ -434,3 +434,139 @@ def test_huge_operator_scale_does_not_read_as_singular():
         assert rep.all_converged
         assert (rep.cycles, rep.total_mvps) == (rep_ref.cycles, rep_ref.total_mvps)
         assert true_relative_residual(huge, 0.0, xs[0], b) <= SolverConfig().tol
+
+
+# -- conjugate folding ----------------------------------------------------
+
+PAIRED = [-1.0 + 0.5j, -0.3, -1.0 - 0.5j, -2.0 - 1.0j, -2.0 + 1.0j]
+
+
+def stack_sizes(monkeypatch):
+    """Record the number of systems in every stacked reduced solve."""
+    real_solver = solvers_mod.solve_shifted_hessenberg
+    sizes = []
+
+    def counting(H, sigma, beta):
+        sizes.append(len(sigma))
+        return real_solver(H, sigma, beta)
+
+    monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", counting)
+    return sizes
+
+
+def test_conjugate_pairs_fold_to_one_row(monkeypatch):
+    A, b = random_system(30)
+    sizes = stack_sizes(monkeypatch)
+    cfg = SolverConfig(m=12, tol=1e-9)
+    xs, rep = solve_shifted_hessen(A, b, PAIRED, cfg)
+    # three classes: two pairs and the real shift
+    assert sizes[0] == 3
+    assert rep.all_converged and rep.cycles > 1
+    assert np.array_equal(xs[2], np.conj(xs[0]))
+    assert np.array_equal(xs[3], np.conj(xs[4]))
+    for i, j in ((0, 2), (4, 3)):
+        hi, hj = rep.shifts[i], rep.shifts[j]
+        assert hi.estimates == hj.estimates
+        assert (hi.cycles, hi.skipped_cycles, hi.stagnated) == (hj.cycles, hj.skipped_cycles,
+                                                                hj.stagnated)
+        assert hi.final_relative_residual == hj.final_relative_residual
+    # every shift, a folded partner too, is confirmed by its own product
+    assert rep.residual_mvps == len(PAIRED)
+    assert np.isrealobj(xs[1])
+    for s, x in zip(PAIRED, xs):
+        assert true_relative_residual(A, s, x, b) <= cfg.tol
+    # a complex right-hand side is not folded: the same family solved one
+    # row per shift is the reference
+    ref, rep_ref = solve_shifted_hessen(A, b.astype(complex), PAIRED, cfg)
+    assert (rep_ref.cycles, rep_ref.total_mvps) == (rep.cycles, rep.total_mvps)
+    for x, x_ref in zip(xs, ref):
+        assert_allclose(x, x_ref, rtol=1e-12, atol=0)
+
+
+def test_shift_one_ulp_off_the_conjugate_is_not_folded(monkeypatch):
+    A, b = random_system(31)
+    sizes = stack_sizes(monkeypatch)
+    near = complex(-1.0, np.nextafter(-0.5, 0.0))
+    shifts = [-1.0 + 0.5j, near]
+    xs, rep = solve_shifted_hessen(A, b, shifts, SolverConfig(m=12, tol=1e-9))
+    assert sizes[0] == 2
+    assert rep.all_converged
+    for s, x in zip(shifts, xs):
+        assert true_relative_residual(A, s, x, b) <= 1e-9
+
+
+def test_complex_data_is_not_folded(monkeypatch):
+    A, b = random_system(32)
+    shifts = [-1.0 + 0.5j, -1.0 - 0.5j]
+    complex_op = csr_from_dense(A.toarray() * (1.0 + 0.1j))
+    sizes = stack_sizes(monkeypatch)
+    for op, rhs in ((A, b * (1.0 - 0.2j)), (complex_op, b)):
+        sizes.clear()
+        xs, rep = solve_shifted_hessen(op, rhs, shifts, SolverConfig(m=12, tol=1e-9))
+        assert sizes[0] == 2
+        assert rep.all_converged
+        for s, x in zip(shifts, xs):
+            assert true_relative_residual(op, s, x, rhs) <= 1e-9
+
+
+def test_singular_folded_pair_skips_and_anchors_both(monkeypatch):
+    A, b = random_system(33)
+    shifts = [-0.4 + 0.3j, 0.0, -0.4 - 0.3j]
+    real_solver = solvers_mod.solve_shifted_hessenberg
+    state = {"fired": False}
+
+    def flaky(H, sigma, beta):
+        target = sigma == shifts[0]
+        if not state["fired"] and target.any():
+            state["fired"] = True
+            raise SingularReducedSystem(
+                "injected", singular=target, solution=real_solver(H, sigma, beta)
+            )
+        return real_solver(H, sigma, beta)
+
+    monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", flaky)
+    drift = []
+
+    def watch(info):
+        assert info.skipped in ((), (0, 2))
+        for i in (0, 2):
+            if i in info.active_before and info.skipped == ():
+                tr = true_relative_residual(A, shifts[i], info.solutions[i], b)
+                drift.append(abs(info.estimates[i] - tr))
+
+    xs, rep = solve_shifted_hessen(
+        A, b, shifts, SolverConfig(m=15, tol=1e-9, max_mvps=600), on_cycle=watch
+    )
+    assert state["fired"]
+    assert [h.skipped_cycles for h in rep.shifts] == [1, 0, 1]
+    assert rep.shifts[0].estimates == rep.shifts[2].estimates
+    assert np.array_equal(xs[2], np.conj(xs[0]))
+    assert drift and max(drift) <= 1e-9
+
+
+def test_on_cycle_sees_every_shift_of_a_folded_family():
+    A, b = random_system(34)
+    seen = []
+
+    def watch(info):
+        assert info.solutions.shape == (len(PAIRED), A.shape[0])
+        for i in info.active_before:
+            tr = true_relative_residual(A, info.shifts[i], info.solutions[i], b)
+            seen.append((info.estimates[i], tr))
+
+    solve_shifted_hessen(A, b, PAIRED, SolverConfig(m=12, tol=1e-9), on_cycle=watch)
+    assert len(seen) > len(PAIRED)
+    for est, tr in seen:
+        assert abs(est - tr) <= 1e-8 * max(1.0, tr)
+
+
+def test_budget_below_one_cycle_is_flagged():
+    A = gen_laplace2d(10)
+    b = np.ones(100)
+    xs, rep = solve_shifted_hessen(A, b, [0, 1], SolverConfig(m=30, max_mvps=20))
+    assert rep.budget_exhausted
+    assert (rep.cycles, rep.total_mvps) == (0, 0)
+    assert not any(h.converged for h in rep.shifts)
+    _, done = solve_shifted_hessen(A, b, [0, 1], SolverConfig(m=30))
+    assert done.all_converged
+    assert not done.budget_exhausted
