@@ -10,8 +10,7 @@ whole action is then computed by :func:`~shiftkrylov.solvers.solve_shifted_hesse
 at the basis cost of a single system.  The packaged rules are
 conjugate-symmetric with nodes in exact conjugate pairs, so for a real
 operator and vector the solver folds each pair into one reduced system
-and one real update: the 16-node rules solve 8 reduced systems per
-cycle.  Every pole system is still confirmed by its own true residual.
+and one update: the 16-node rules solve 8 reduced systems per cycle.  Every pole system is still confirmed by its own true residual.
 
 Supported integrands are the exponential ``exp(-t A) u0`` and the
 Mittag-Leffler function ``E_gamma(-t^gamma A) u0`` that propagates

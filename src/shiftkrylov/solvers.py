@@ -27,11 +27,11 @@ reduced stack, one residual scalar, one skip/anchor state, with the
 partner's iterate, estimate and history the exact conjugate or copy of
 its representative's.  For the conjugate-symmetric quadrature rules of
 :mod:`shiftkrylov.matfunc` that halves the reduced work.  The iterates
-are stored per class: on real data with complex shifts as one real
-block, row c the real part and row p + c the imaginary part of class c
-(p classes), so the update is one real product with the real basis.
-Complex data, or a family without pairs, uses the same loop with every
-shift its own class.
+are one array with a row per class.  On a real basis a complex
+correction is formed as two real products, one for its real and one
+for its imaginary part, rather than one complex product that would
+upcast the basis.  Complex data, or a family without pairs, uses the
+same loop with every shift its own class.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
@@ -138,12 +138,12 @@ class CycleInfo:
     ``decomposition`` is the cycle's live basis; treat it as read-only.
     ``solutions`` is a (nu, n) array of iterates, row ``i`` for shift
     ``i`` (the correction to ``x0`` when one was given).  The solver
-    stores one row per conjugate class, split into real and imaginary
-    rows on real data (see the module docstring); this per-shift view is
-    assembled for the callback only, so a solve without ``on_cycle``
-    never builds it.  Shift indices are used throughout:
-    ``estimates[i]`` is None for a shift retired before the cycle, and a
-    skipped folded pair lists both of its shifts in ``skipped``.
+    stores one row per conjugate class (see the module docstring); this
+    per-shift view is assembled for the callback only, so a solve
+    without ``on_cycle`` never builds it.  Shift indices are used
+    throughout: ``estimates[i]`` is None for a shift retired before the
+    cycle, and a skipped folded pair lists both of its shifts in
+    ``skipped``.
     """
 
     cycle: int
@@ -330,30 +330,25 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     histories = [ShiftHistory(shift=s, estimates=[r0norm / bnorm]) for s in shifts]
     # The family is solved in classes: a shift and its exact conjugate
     # form one class on real data, every other shift a class of its own.
-    # Class c's correction to x0 is row c of X; when real data meet
-    # complex shifts, X is real and row p + c holds the imaginary part.
-    # The residual of an active class is coef[c] times the pending start
-    # vector, or, once a skipped cycle has broken collinearity, the
-    # explicit vector anchors[c].
+    # Class c's correction to x0 is row c of X.  The residual of an active
+    # class is coef[c] times the pending start vector, or, once a skipped
+    # cycle has broken collinearity, the explicit vector anchors[c].
     real_data = np.isrealobj(r0)
     cls, flip = _conjugate_classes(shifts, real_data)
     p = max(cls) + 1
     members = [[i for i in range(nu) if cls[i] == c] for c in range(p)]
     rsig = sigmas[[mem[0] for mem in members]]
-    split = real_data and np.iscomplexobj(sigmas)
-    dtype = np.result_type(r0.dtype, sigmas.dtype)
-    X = np.zeros((2 * p if split else p, n), dtype=np.float64 if split else dtype)
-    coef = np.ones(p, dtype=dtype)
+    X = np.zeros((p, n), dtype=np.result_type(r0.dtype, sigmas.dtype))
+    coef = np.ones(p, dtype=X.dtype)
     anchors = [None] * p
     active = list(range(p))
 
     def correction(i):
-        c = cls[i]
-        if not (split and isinstance(shifts[i], complex)):
-            # the class row itself, real for real shifts on real data
-            return X[c]
-        x = X[c] + 1j * X[p + c]
-        return np.conjugate(x, out=x) if flip[i] else x
+        x = X[cls[i]]
+        if real_data and np.isrealobj(shifts[i]):
+            # real shifts on real data keep real solutions in a complex family
+            return x.real
+        return x.conj() if flip[i] else x
 
     def solution(i):
         return correction(i) if base is None else base + correction(i)
@@ -397,10 +392,14 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             solved = ~skipped[coll]
             done, Y = coll[solved], Y[solved]
             coef[done] = collinearity_scalar(dec.subdiag, Y)
-            if split:
-                done, Y = np.concatenate([done, done + p]), np.concatenate([Y.real, Y.imag])
             # updating the whole block through a slice avoids a gathered copy
-            X[done if done.size < len(X) else slice(None)] += Y @ V.T
+            rows = done if done.size < p else slice(None)
+            if np.isrealobj(V) and np.iscomplexobj(Y):
+                # two real products instead of upcasting the real basis
+                X.real[rows] += Y.real @ V.T
+                X.imag[rows] += Y.imag @ V.T
+            else:
+                X[rows] += Y @ V.T
         for c in active_before:
             if anchors[c] is None:
                 continue
@@ -411,10 +410,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             except SingularReducedSystem:
                 skipped[c] = True
                 continue
-            u = V @ y
-            X[c] += u.real if split else u
-            if split:
-                X[p + c] += u.imag
+            X[c] += V @ y
             r = anchors[c] - V @ (H @ y - sigma * y)
             if not dec.breakdown:
                 r = r - dec.subdiag * y[-1] * lnext

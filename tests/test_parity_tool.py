@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "parity.py"
 
@@ -26,7 +28,7 @@ def test_parity_run_and_compare(tmp_path):
 
     same = _tool("--compare", out.with_suffix(".json"), out.with_suffix(".json"))
     assert same.returncode == 0
-    assert "0 counter or flag differences" in same.stdout
+    assert "0 differences" in same.stdout
 
     # a changed counter is reported and fails the comparison
     inputs[0]["cycles"] += 1
@@ -36,3 +38,13 @@ def test_parity_run_and_compare(tmp_path):
     diff = _tool("--compare", out.with_suffix(".json"), other.with_suffix(".json"))
     assert diff.returncode == 1
     assert "matfunc-exp/1/0: cycles" in diff.stdout
+
+    # a non-finite solution fails the comparison even with equal counters
+    arrays = dict(np.load(out.with_suffix(".npz")))
+    arrays["matfunc-exp/1/0/action"][0] = np.nan
+    nan = tmp_path / "nan"
+    nan.with_suffix(".json").write_text(out.with_suffix(".json").read_text())
+    np.savez(nan.with_suffix(".npz"), **arrays)
+    bad = _tool("--compare", out.with_suffix(".json"), nan.with_suffix(".json"))
+    assert bad.returncode == 1
+    assert "matfunc-exp/1/0/action: non-finite solution" in bad.stdout

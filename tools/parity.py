@@ -10,8 +10,8 @@ changed tree and comparing the two records::
     python3 tools/parity.py --src src --out /tmp/change -n 12
     python3 tools/parity.py --compare /tmp/parent.json /tmp/change.json
 
-A run takes the first ``-n`` timed inputs of each seed (1-3 unless
-``--seeds`` says otherwise) of every workload named by ``--workload``
+A run takes the first ``-n`` timed inputs of each of the seeds 1-3 of
+every workload named by ``--workload``
 (default: ``convdiff-shessen``, ``convdiff-sfom`` and ``matfunc-exp``),
 with ``--inputs NAME=N`` overriding the count of one workload.  The
 inputs, settings and calls are those of ``bench/workloads.py``; nothing
@@ -23,8 +23,8 @@ the action ``f(A) u0`` too.
 
 ``--compare A B`` prints every counter or flag that differs and the
 largest relative solution gap ``||x_A - x_B|| / ||x_A||`` over all
-shifts and inputs.  It exits with status 1 when a counter differs or the
-gap exceeds ``--rtol`` (default 1e-12).
+shifts and inputs.  It exits with status 1 when a counter differs, a
+solution is not finite in either run, or the gap exceeds 1e-12.
 """
 
 import argparse
@@ -36,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_WORKLOADS = ("convdiff-shessen", "convdiff-sfom", "matfunc-exp")
+SEEDS = (1, 2, 3)
+RTOL = 1e-12
 COUNTERS = ("cycles", "basis_mvps", "residual_mvps", "breakdown")
 SHIFT_FLAGS = ("converged", "cycles", "skipped_cycles", "stagnated")
 
@@ -58,7 +60,7 @@ def _record(report):
     return rec
 
 
-def run(src, out, counts, seeds):
+def run(src, out, counts):
     matfunc, workloads = _import_tree(src)
     import numpy as np
 
@@ -76,7 +78,7 @@ def run(src, out, counts, seeds):
         for name, count in counts.items():
             w = workloads.make(name)
             w.setup(tmp)
-            for seed in seeds:
+            for seed in SEEDS:
                 for index, inp in zip(range(count), w.inputs(seed)):
                     out_ = w.call(w.A, inp)
                     key = f"{name}/{seed}/{index}"
@@ -93,7 +95,7 @@ def run(src, out, counts, seeds):
     print(f"wrote {out.with_suffix('.json')} and .npz: {len(records)} inputs")
 
 
-def compare(path_a, path_b, rtol):
+def compare(path_a, path_b):
     import numpy as np
 
     recs, sols = [], []
@@ -115,36 +117,36 @@ def compare(path_a, path_b, rtol):
                 continue
             xa, xb = np.atleast_2d(sols[0][k]), np.atleast_2d(sols[1][k])
             rel = np.linalg.norm(xa - xb, axis=1) / np.linalg.norm(xa, axis=1)
-            if rel.max() > gap:
+            if not np.all(np.isfinite(rel)):
+                diffs.append(f"{k}: non-finite solution")
+            elif rel.max() > gap:
                 gap, where = float(rel.max()), k
     for line in diffs:
         print(line)
-    print(f"{len(a)} inputs; {len(diffs)} counter or flag differences; "
+    print(f"{len(a)} inputs; {len(diffs)} differences in counters, flags or finiteness; "
           f"largest relative solution gap {gap:.2e}" + (f" ({where})" if where else ""))
-    return 1 if diffs or gap > rtol else 0
+    return 1 if diffs or gap > RTOL else 0
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two .json records to compare")
-    ap.add_argument("--rtol", type=float, default=1e-12)
     ap.add_argument("--src", default=str(ROOT / "src"), help="the src/ tree to import")
     ap.add_argument("--out", help="output path; .json and .npz are written next to it")
     ap.add_argument("-n", type=int, default=12, help="inputs per seed and workload")
     ap.add_argument("--inputs", action="append", default=[], metavar="NAME=N",
                     help="inputs per seed for one workload")
     ap.add_argument("--workload", action="append", help="workload name (repeatable)")
-    ap.add_argument("--seeds", default="1,2,3")
     args = ap.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, args.rtol)
+        return compare(*args.compare)
     if not args.out:
         ap.error("give either --compare A B or --out PATH")
     counts = {name: args.n for name in (args.workload or DEFAULT_WORKLOADS)}
     for item in args.inputs:
         name, _, n = item.partition("=")
         counts[name] = int(n)
-    run(args.src, args.out, counts, [int(s) for s in args.seeds.split(",")])
+    run(args.src, args.out, counts)
     return 0
 
 
