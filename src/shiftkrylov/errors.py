@@ -78,10 +78,10 @@ class NonFiniteInput(ShiftKrylovError):
 class SingularReducedSystem(ShiftKrylovError):
     """A reduced Hessenberg system is numerically singular.
 
-    Raised by the reduced solves when a post-rotation diagonal entry falls
-    below roundoff relative to the matrix norm.  ``singular`` masks the
-    singular systems of a stack and ``solution`` holds the others'
-    solutions; the restarted solvers skip only the masked shifts.
+    Raised by the reduced solves when a diagonal entry of the triangular
+    QR factor is at or below roundoff times the matrix norm.  ``singular``
+    masks the singular systems of a stack and ``solution`` holds the
+    others' solutions; the restarted solvers skip only the masked shifts.
     """
 
     def __init__(self, message, singular=None, solution=None):

@@ -3,13 +3,15 @@
 The restarted solvers project each shifted system onto a Krylov subspace
 and solve an m x m upper Hessenberg system per shift and cycle.  These
 systems are solved here as one (p, m, m+1) stack of augmented rows
-``[H - sigma I | g]``: one LAPACK Householder QR of the whole stack, whose
-last column is then ``Q^H g``, and one batched solve with the triangular
-factors.  That is dense O(m^3) work per system done in two library calls,
-in place of O(m^2) Givens rotations done in about 2m array operations.
-It is the faster of the two at the basis sizes used in the package
-(m = 30 by default; no caller in the repository goes above 40); for 16
-complex shifts the two break even near m = 60.
+``[H - sigma I | g]``, with ``g = beta e1`` or a whole right-hand side
+(an unshifted system is the stack with one row and sigma = 0): one
+LAPACK Householder QR of the whole stack, whose last column is then
+``Q^H g``, and one batched solve with the triangular factors.  That is
+dense O(m^3) work per system done in two library calls, in place of
+O(m^2) Givens rotations done in about 2m array operations.  It is the
+faster of the two at the basis sizes used in the package (m = 30 by
+default; no caller in the repository goes above 40); for 16 complex
+shifts the two break even near m = 60.
 
 Entries of ``H`` strictly below the first subdiagonal are never read, so
 callers may pass storage whose lower triangle holds garbage.
@@ -94,24 +96,20 @@ def solve_hessenberg(H, rhs):
         If a diagonal entry of the triangular factor is at or below
         unit roundoff times the Frobenius norm of ``H``.
     DimensionMismatch
-        If ``H`` is not square or ``rhs`` has the wrong length.
+        If ``H`` is not square or ``rhs`` is not a vector of length m.
     """
-    H, rhs = np.asarray(H), np.asarray(rhs)
-    W = _augmented_stack(H, 1, np.result_type(H.dtype, rhs.dtype, np.float64))
-    if rhs.ndim != 1 or rhs.shape[0] != W.shape[1]:
-        raise DimensionMismatch(
-            f"right-hand side of shape {rhs.shape} does not match order {W.shape[1]}"
-        )
-    W[0, :, -1] = rhs
-    return _qr_solve(W)[0]
+    rhs = np.asarray(rhs)
+    if rhs.ndim != 1:
+        raise DimensionMismatch(f"right-hand side must be 1-d, got shape {rhs.shape}")
+    return solve_shifted_hessenberg(H, 0.0, rhs)
 
 
 def solve_shifted_hessenberg(H, sigma, beta):
-    """Solve ``(H - sigma I) y = beta e1`` without modifying ``H``.
+    """Solve ``(H - sigma I) y = beta e1``, or ``= g``, without modifying ``H``.
 
     The shift is applied to copies of the diagonal, so one stored ``H``
-    serves every shift of a family.  Arrays of shifts and scales are
-    solved as one stack.
+    serves every shift of a family.  Arrays of shifts and right-hand
+    sides are solved as one stack.
 
     Parameters
     ----------
@@ -120,8 +118,9 @@ def solve_shifted_hessenberg(H, sigma, beta):
         ignored.
     sigma : scalar or (p,) array_like
         Shifts, real or complex.
-    beta : scalar or (p,) array_like
-        Scales of the right-hand sides ``beta * e1``.
+    beta : scalar, array_like shaped like ``sigma``, or ``sigma.shape + (m,)``
+        Scales of the right-hand sides ``beta * e1``, or whole right-hand
+        sides ``g`` with a row per shift for array input.
 
     Returns
     -------
@@ -135,16 +134,19 @@ def solve_shifted_hessenberg(H, sigma, beta):
         holds the other rows' solutions.
     DimensionMismatch
         If ``H`` is not square, ``sigma`` is not a scalar or 1-d, or
-        ``beta`` is neither a scalar nor shaped like ``sigma``.
+        ``beta`` has none of the shapes above.
     """
     H, sigma, beta = np.asarray(H), np.asarray(sigma), np.asarray(beta)
-    if sigma.ndim > 1 or beta.shape not in ((), sigma.shape):
-        raise DimensionMismatch(f"shifts of shape {sigma.shape}, scales of shape {beta.shape}")
+    if sigma.ndim > 1 or beta.shape not in ((), sigma.shape, sigma.shape + H.shape[-1:]):
+        raise DimensionMismatch(f"shifts of shape {sigma.shape}, right sides {beta.shape}")
     dtype = np.result_type(H.dtype, sigma.dtype, beta.dtype, np.float64)
     W = _augmented_stack(H, sigma.size, dtype)
     idx = np.arange(W.shape[1])
     W[:, idx, idx] -= sigma.reshape(-1, 1)
-    W[:, 0, -1] = beta
+    if beta.ndim > sigma.ndim:
+        W[:, :, -1] = beta
+    else:
+        W[:, 0, -1] = beta
     return _qr_solve(W).reshape(sigma.shape + (-1,))
 
 

@@ -14,10 +14,10 @@ products are therefore paid once per cycle, independent of the number of
 shifts.
 
 The shifts differ only in their m x m reduced systems: each cycle solves
-those of all collinear shifts as one stack and adds their corrections to
+those of all active shifts as one stack and adds their corrections to
 the iterates in one product with the basis.  A shift skipped for a
-singular reduced system then carries an explicit residual vector and is
-solved on its own.
+singular reduced system then carries an explicit residual vector, whose
+projection replaces beta e1 as its right-hand side in the stack.
 
 When the operator, the right-hand side and any initial guess are real,
 the shift conj(sigma) has the solution conj(x) when sigma has x.  Each
@@ -53,6 +53,7 @@ from .errors import (
     SingularReducedSystem,
     ZeroStartVector,
 )
+# bench/tracing.py wraps all three here by name, solve_hessenberg though unused
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
 from .processes import _EPS, _operator_norm_scale, run_arnoldi, run_hessenberg
 
@@ -379,42 +380,39 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         lnorm = float(np.linalg.norm(lnext)) if lnext is not None else 0.0
 
         active_before = tuple(active)
-        coll = np.array([c for c in active_before if anchors[c] is None], dtype=int)
+        rows = np.array(active_before)
+        # one stacked reduced solve for every active class: the right-hand
+        # side of a collinear class is coef * beta * e1, that of an
+        # anchored class the projection of its explicit residual
+        G = np.zeros((rows.size, k), dtype=X.dtype)
+        G[:, 0] = coef[rows] * dec.beta
+        for j, c in enumerate(active_before):
+            if anchors[c] is not None:
+                G[j] = _project_residual(dec, anchors[c], process)
         skipped = np.zeros(p, dtype=bool)
-        if coll.size:
-            # one stacked reduced solve and one basis product for every
-            # collinear class
-            try:
-                Y = solve_shifted_hessenberg(H, rsig[coll], coef[coll] * dec.beta)
-            except SingularReducedSystem as exc:
-                Y = exc.solution
-                skipped[coll[exc.singular]] = True
-            solved = ~skipped[coll]
-            done, Y = coll[solved], Y[solved]
-            coef[done] = collinearity_scalar(dec.subdiag, Y)
-            # updating the whole block through a slice avoids a gathered copy
-            rows = done if done.size < p else slice(None)
-            if np.isrealobj(V) and np.iscomplexobj(Y):
-                # two real products instead of upcasting the real basis
-                X.real[rows] += Y.real @ V.T
-                X.imag[rows] += Y.imag @ V.T
-            else:
-                X[rows] += Y @ V.T
-        for c in active_before:
-            if anchors[c] is None:
-                continue
-            sigma = shifts[members[c][0]]
-            z = _project_residual(dec, anchors[c], process)
-            try:
-                y = solve_hessenberg(H - sigma * np.eye(k), z)
-            except SingularReducedSystem:
-                skipped[c] = True
-                continue
-            X[c] += V @ y
-            r = anchors[c] - V @ (H @ y - sigma * y)
-            if not dec.breakdown:
-                r = r - dec.subdiag * y[-1] * lnext
-            anchors[c] = r
+        try:
+            Y = solve_shifted_hessenberg(H, rsig[rows], G)
+        except SingularReducedSystem as exc:
+            Y = exc.solution
+            skipped[rows[exc.singular]] = True
+        solved = ~skipped[rows]
+        done, Y = rows[solved], Y[solved]
+        # an anchored class never reads its scalar again
+        coef[done] = collinearity_scalar(dec.subdiag, Y)
+        # updating the whole block through a slice avoids a gathered copy
+        upd = done if done.size < p else slice(None)
+        if np.isrealobj(V) and np.iscomplexobj(Y):
+            # two real products instead of upcasting the real basis
+            X.real[upd] += Y.real @ V.T
+            X.imag[upd] += Y.imag @ V.T
+        else:
+            X[upd] += Y @ V.T
+        for c, y in zip(done, Y):
+            if anchors[c] is not None:
+                r = anchors[c] - V @ (H @ y - rsig[c] * y)
+                if not dec.breakdown:
+                    r = r - dec.subdiag * y[-1] * lnext
+                anchors[c] = r
 
         estimates = [None] * nu
         for c in active_before:
@@ -461,20 +459,9 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
                 )
             )
 
-        if skipped.sum() == len(active_before):
-            consecutive_all_skipped += 1
-            if consecutive_all_skipped >= _STALL_LIMIT:
-                report.wall_time_s = time.perf_counter() - t_start
-                _finalize(A, shifts, histories, solution, b, bnorm)
-                exc = AllShiftsStalled(
-                    f"every active shift produced a singular reduced system for "
-                    f"{_STALL_LIMIT} consecutive cycles"
-                )
-                exc.report = report
-                exc.xs = [solution(i) for i in range(nu)]
-                raise exc
-        else:
-            consecutive_all_skipped = 0
+        consecutive_all_skipped = 0 if solved.any() else consecutive_all_skipped + 1
+        if consecutive_all_skipped >= _STALL_LIMIT:
+            break
 
         if dec.breakdown:
             # The subspace became invariant: collinear shifts were solved
@@ -485,7 +472,15 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
 
     _finalize(A, shifts, histories, solution, b, bnorm)
     report.wall_time_s = time.perf_counter() - t_start
-    return [solution(i) for i in range(nu)], report
+    xs = [solution(i) for i in range(nu)]
+    if consecutive_all_skipped >= _STALL_LIMIT:
+        exc = AllShiftsStalled(
+            f"every active shift produced a singular reduced system for "
+            f"{_STALL_LIMIT} consecutive cycles"
+        )
+        exc.report, exc.xs = report, xs
+        raise exc
+    return xs, report
 
 
 def _finalize(A, shifts, histories, solution, b, bnorm):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shiftkrylov import SingularReducedSystem
+from shiftkrylov import DimensionMismatch, SingularReducedSystem
 from shiftkrylov.reduced import (
     collinearity_scalar,
     solve_hessenberg,
@@ -89,26 +89,42 @@ def test_near_singular_threshold_scales_with_matrix():
     assert_allclose(y, [1.0, 1.0])
 
 
+def test_right_hand_side_shape_is_checked():
+    H = np.triu(np.ones((3, 3)), k=-1) + 3.0 * np.eye(3)
+    # a scalar is a scale of e1 only for the shifted solve
+    for rhs in (1.0, np.ones(4), np.ones((1, 3)), np.ones((3, 3))):
+        with pytest.raises(DimensionMismatch):
+            solve_hessenberg(H, rhs)
+    for beta in (np.ones(3), np.ones((2, 4)), np.ones((3, 3)), np.ones((2, 3, 1))):
+        with pytest.raises(DimensionMismatch):
+            solve_shifted_hessenberg(H, np.zeros(2), beta)
+    with pytest.raises(DimensionMismatch):
+        solve_hessenberg(np.ones((3, 4)), np.ones(3))
+
+
 def test_collinearity_scalar():
     assert collinearity_scalar(2.0, np.array([3.0, -4.0])) == 8.0
     assert collinearity_scalar(1.0 + 1.0j, np.array([1.0j])) == (1.0 - 1.0j)
 
 
 @pytest.mark.parametrize(
-    "sigma",
+    "sigma, whole",
     [
-        np.array([0.0, 0.5, -1.0 + 0.25j, 2.0, 0.3 - 1.5j]),
+        (np.array([0.0, 0.5, -1.0 + 0.25j, 2.0, 0.3 - 1.5j]), False),
         # an exact eigenvalue of H: only its row is singular
-        np.array([0.5, 3.0, -1.0 + 0.25j]),
+        (np.array([0.5, 3.0, -1.0 + 0.25j]), False),
+        # whole right-hand sides, a row per shift, in place of beta e1
+        (np.array([0.5, 3.0, -1.0 + 0.25j, 0.0]), True),
     ],
+    ids=["sigma0", "sigma1", "whole_rhs"],
 )
-def test_stacked_solve_matches_row_by_row(sigma):
+def test_stacked_solve_matches_row_by_row(sigma, whole):
     rng = np.random.default_rng(7)
     m = 12
     H = np.triu(rng.standard_normal((m, m)), k=-1)
     H[:, 0] = 0.0
     H[0, 0] = 3.0  # e1 is an eigenvector for the eigenvalue 3
-    beta = rng.standard_normal(sigma.size)
+    beta = rng.standard_normal((sigma.size, m) if whole else sigma.size)
     singular = sigma == 3.0
     if singular.any():
         with pytest.raises(SingularReducedSystem) as exc:

@@ -174,11 +174,18 @@ def test_on_cycle_reporting():
         assert c.decomposition.steps <= 10
 
 
-def test_skipped_shift_stays_active_and_tracked(monkeypatch):
+SOLVERS = pytest.mark.parametrize(
+    "solver", [solve_shifted_hessen, solve_shifted_fom], ids=lambda f: f.__name__
+)
+
+
+@SOLVERS
+def test_skipped_shift_stays_active_and_tracked(monkeypatch, solver):
     # force one singular reduced system for the second shift in the first
     # cycle; the shift loses collinearity and carries an explicit residual
     # from then on.  That residual recurrence must keep agreeing with a
-    # directly evaluated true residual, cycle after cycle.
+    # directly evaluated true residual, cycle after cycle, for both the
+    # pivoted and the orthonormal projection of the residual.
     A, b = random_system(10)
     shifts = [0.0, -0.7]
     real_solver = solvers_mod.solve_shifted_hessenberg
@@ -202,15 +209,46 @@ def test_skipped_shift_stays_active_and_tracked(monkeypatch):
             tr = true_relative_residual(A, -0.7, info.solutions[1], b)
             drift.append(abs(est - tr))
 
-    xs, rep = solve_shifted_hessen(
-        A, b, shifts, SolverConfig(m=15, tol=1e-9, max_mvps=300), on_cycle=watch
-    )
+    xs, rep = solver(A, b, shifts, SolverConfig(m=15, tol=1e-9, max_mvps=300), on_cycle=watch)
     assert rep.shifts[0].converged
     assert rep.shifts[0].skipped_cycles == 0
     assert rep.shifts[1].skipped_cycles == 1
     # the skip itself costs no products: accounting still holds
     assert rep.total_mvps == rep.basis_mvps + rep.residual_mvps
     assert drift and max(drift) <= 1e-9
+
+
+@SOLVERS
+def test_anchored_shift_joins_the_stacked_solve(monkeypatch, solver):
+    # after one injected skip the second shift carries an explicit
+    # residual; it is still solved in the cycle's one stacked reduced
+    # call, next to the collinear shift, and never on its own
+    A, b = random_system(10)
+    real_solver = solvers_mod.solve_shifted_hessenberg
+    real_single = solvers_mod.solve_hessenberg
+    sizes, single = [], []
+
+    def flaky(H, sigma, beta):
+        sizes.append(len(sigma))
+        if len(sizes) == 1:
+            raise SingularReducedSystem(
+                "injected", singular=sigma == -0.7, solution=real_solver(H, sigma, beta)
+            )
+        return real_solver(H, sigma, beta)
+
+    def counting(H, rhs):
+        single.append(len(rhs))
+        return real_single(H, rhs)
+
+    monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", flaky)
+    monkeypatch.setattr(solvers_mod, "solve_hessenberg", counting)
+    xs, rep = solver(A, b, [0.0, -0.7], SolverConfig(m=15, tol=1e-9, max_mvps=300))
+    assert rep.shifts[1].skipped_cycles == 1
+    first = rep.shifts[0]
+    assert first.converged and first.cycles >= 2
+    # one call per cycle; both classes while shift 0 is active
+    assert sizes == [2] * first.cycles + [1] * (rep.cycles - first.cycles)
+    assert single == []
 
 
 def test_all_shifts_stalled(monkeypatch):
