@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 file or parse problem, 2 usage error,
 
 import argparse
 import configparser
+import contextlib
 import csv
 import json
 import statistics
@@ -84,6 +85,17 @@ def _save_vector(path, vec):
         np.savetxt(path, np.column_stack([vec.real, vec.imag]), fmt="%.17g")
     else:
         np.savetxt(path, vec, fmt="%.17g")
+
+
+def _write_csv(out, fieldnames, rows):
+    """Write ``rows`` as CSV to the path ``out``, or to stdout for ``-``."""
+    to_stdout = out == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(out, "wt", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=fieldnames)
+        w.writeheader()
+        w.writerows(rows)
+    if not to_stdout:
+        print(f"wrote {out} ({len(rows)} rows)")
 
 
 def _dagger_string(report):
@@ -168,11 +180,7 @@ def _cmd_solve(args):
             f"final={h.final_relative_residual:.3e}{tag}"
         )
     if args.out:
-        with open(args.out, "wt", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS)
-            w.writeheader()
-            w.writerow(row)
-        print(f"wrote {args.out}")
+        _write_csv(args.out, BENCH_COLUMNS, [row])
     if args.solutions:
         stem = Path(args.solutions)
         for i, x in enumerate(xs):
@@ -203,9 +211,9 @@ def _bench_problem(section, defaults):
     shifts = gen_shifts(get("shifts", "arith:0.001:4"))
     b = _load_vector(get("rhs", "ones"), A.shape[0])
     cfg = SolverConfig(
-        m=int(get("m", "30")),
-        tol=float(get("tol", "1e-8")),
-        max_mvps=int(get("max_mvps", "4000")),
+        m=int(get("m", SolverConfig.m)),
+        tol=float(get("tol", SolverConfig.tol)),
+        max_mvps=int(get("max_mvps", SolverConfig.max_mvps)),
     )
     return A, b, shifts, cfg
 
@@ -216,9 +224,7 @@ def _bench_cell(solver, A, b, shifts, cfg, reps):
     for _ in range(max(1, reps)):
         xs, report, elapsed = _run_one(solver, A, b, shifts, cfg)
         times.append(elapsed)
-    row = _report_row(report, statistics.median(times))
-    row["solver"] = f"{solver}"
-    return row, report
+    return _report_row(report, statistics.median(times)), report
 
 
 def _cmd_bench(args):
@@ -246,18 +252,7 @@ def _cmd_bench(args):
             rows.append({"problem": name, **row})
             any_dagger = any_dagger or not report.all_converged
 
-    out = args.out or "-"
-    fieldnames = ["problem"] + BENCH_COLUMNS
-    if out == "-":
-        w = csv.DictWriter(sys.stdout, fieldnames=fieldnames)
-        w.writeheader()
-        w.writerows(rows)
-    else:
-        with open(out, "wt", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fieldnames)
-            w.writeheader()
-            w.writerows(rows)
-        print(f"wrote {out} ({len(rows)} rows)")
+    _write_csv(args.out or "-", ["problem"] + BENCH_COLUMNS, rows)
     return EXIT_NOCONV if any_dagger else EXIT_OK
 
 
@@ -339,10 +334,10 @@ def _build_parser():
     s.add_argument("--solver", choices=["shessen", "sfom", "hessen"], default="shessen")
     s.add_argument("--shifts", default="arith:0.001:4", help="arith:S:K or list:v1,v2,...")
     s.add_argument("--rhs", default="ones", help="ones | random:SEED | file:PATH")
-    s.add_argument("--m", type=int, default=30)
-    s.add_argument("--tol", type=float, default=1e-8)
-    s.add_argument("--max-mvps", type=int, default=4000)
-    s.add_argument("-o", "--out", help="write a one-row summary CSV")
+    s.add_argument("--m", type=int, default=SolverConfig.m)
+    s.add_argument("--tol", type=float, default=SolverConfig.tol)
+    s.add_argument("--max-mvps", type=int, default=SolverConfig.max_mvps)
+    s.add_argument("-o", "--out", help="write a one-row summary CSV ('-' for stdout)")
     s.add_argument("--solutions", help="write solution vectors to PATH.<i>.txt")
     s.set_defaults(func=_cmd_solve)
 
@@ -358,9 +353,9 @@ def _build_parser():
     f.add_argument("--gamma", type=float, default=1.0, help="fractional order for ml")
     f.add_argument("--quadrature", help="rule CSV; default: packaged 16-node rule")
     f.add_argument("--u0", default="ones", help="ones | random:SEED | file:PATH")
-    f.add_argument("--m", type=int, default=30)
+    f.add_argument("--m", type=int, default=SolverConfig.m)
     f.add_argument("--tol", type=float, default=1e-10)
-    f.add_argument("--max-mvps", type=int, default=4000)
+    f.add_argument("--max-mvps", type=int, default=SolverConfig.max_mvps)
     f.add_argument("--check-dense", action="store_true",
                    help="compare against a dense eigendecomposition (small matrices)")
     f.add_argument("-o", "--out", help="write the result vector")

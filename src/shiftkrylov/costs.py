@@ -21,7 +21,7 @@ costs as much again, (m-1)*m*(m+1)/3 flops a cycle each (8990 at m = 30).
 All divisions here are exact in integers, so there is no rounding.
 """
 
-from .errors import InvalidDimensions
+from .errors import InvalidDimensions, _count
 
 __all__ = ["PROCESS_NAMES", "predicted_flops", "attach_costs"]
 
@@ -47,10 +47,9 @@ def predicted_flops(process, m, n, nnz):
     int
         Exact integer flop count.
     """
-    for name, value, low in (("m", m, 1), ("n", n, max(m, 1)), ("nnz", nnz, 0)):
-        if int(value) != value or value < low:
-            raise InvalidDimensions(f"{name}={value!r} out of range (min {low})")
-    m, n, nnz = int(m), int(n), int(nnz)
+    m = _count(m, 1, InvalidDimensions, f"m={m!r} out of range (min 1)")
+    n = _count(n, m, InvalidDimensions, f"n={n!r} out of range (min {m})")
+    nnz = _count(nnz, 0, InvalidDimensions, f"nnz={nnz!r} out of range (min 0)")
     mvp = 2 * m * nnz
     if process == "hessenberg":
         # (m-1)*m*(m+1) is a product of three consecutive integers and

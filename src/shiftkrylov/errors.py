@@ -5,6 +5,12 @@ so callers can catch one base class at an API boundary.  Conditions that
 are expected outcomes of an iteration (stagnation, a shift exhausting its
 budget) are reported through result objects instead of exceptions; only
 conditions that invalidate the requested operation raise.
+
+Sizes and counts (grid sizes, matrix orders, step counts, budgets) are
+checked by one helper, :func:`_count`, which raises the calling site's
+error class for any value that is not an integer at or above the site's
+minimum, NaN, infinities, None and strings included.  A bad size is
+therefore a package error, never a bare ``ValueError`` or ``TypeError``.
 """
 
 __all__ = [
@@ -113,3 +119,14 @@ class DuplicateNodes(ShiftKrylovError):
 class IllConditionedEigenbasis(ShiftKrylovError):
     """The dense reference factorization has an eigenvector basis too
     ill-conditioned to trust as an oracle."""
+
+
+def _count(value, low, error, message):
+    """``value`` as an int if it equals an integer ``>= low``, else raise ``error(message)``."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(message) from None
+    if count != value or count < low:
+        raise error(message)
+    return count

@@ -13,7 +13,7 @@ families.
 
 import numpy as np
 
-from .errors import InvalidGrid, ParseError
+from .errors import InvalidGrid, ParseError, _count
 from .sparse import CsrMatrix
 
 __all__ = [
@@ -26,9 +26,36 @@ __all__ = [
 
 
 def _check_grid(n):
-    if int(n) != n or n < 1:
-        raise InvalidGrid(f"interior grid size n={n!r} must be a positive integer")
-    return int(n)
+    return _count(n, 1, InvalidGrid, f"interior grid size n={n!r} must be a positive integer")
+
+
+def _stencil(n, dim, diag, fwd_coefs, bwd_coefs):
+    """Nearest-neighbour stencil on the ``n**dim`` interior grid.
+
+    Unknowns are ordered x fastest, so axis ``d`` has stride ``n**d``.
+    Every row holds ``diag`` on the diagonal and, along axis ``d``,
+    ``fwd_coefs[d]`` at its forward and ``bwd_coefs[d]`` at its backward
+    neighbour; neighbours on the Dirichlet boundary are dropped.
+    """
+    N = n**dim
+    idx = np.arange(N)
+    rows = [idx]
+    cols = [idx]
+    vals = [np.full(N, diag)]
+    for axis, (fwd_coef, bwd_coef) in enumerate(zip(fwd_coefs, bwd_coefs)):
+        stride = n**axis
+        coord = (idx // stride) % n
+        fwd = coord < n - 1
+        rows.append(idx[fwd])
+        cols.append(idx[fwd] + stride)
+        vals.append(np.full(fwd.sum(), fwd_coef))
+        bwd = coord > 0
+        rows.append(idx[bwd])
+        cols.append(idx[bwd] - stride)
+        vals.append(np.full(bwd.sum(), bwd_coef))
+    return CsrMatrix.from_triplets(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (N, N)
+    )
 
 
 def gen_convdiff3d(n, eps, beta, r):
@@ -68,32 +95,11 @@ def gen_convdiff3d(n, eps, beta, r):
     h = 1.0 / (n + 1)
     a = eps / h**2
     conv = np.abs(beta) / h
-
-    N = n**3
-    idx = np.arange(N)
-    i = idx % n
-    j = (idx // n) % n
-    k = idx // (n * n)
-
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(N, 6.0 * a - r + conv.sum())]
-    for axis, coord, stride in ((0, i, 1), (1, j, n), (2, k, n * n)):
-        # the neighbour on the inflow side carries the convection term:
-        # backward for beta > 0, forward for beta < 0
-        fwd_coef = -a - (conv[axis] if beta[axis] < 0 else 0.0)
-        bwd_coef = -a - (conv[axis] if beta[axis] > 0 else 0.0)
-        fwd = coord < n - 1
-        rows.append(idx[fwd])
-        cols.append(idx[fwd] + stride)
-        vals.append(np.full(fwd.sum(), fwd_coef))
-        bwd = coord > 0
-        rows.append(idx[bwd])
-        cols.append(idx[bwd] - stride)
-        vals.append(np.full(bwd.sum(), bwd_coef))
-    return CsrMatrix.from_triplets(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (N, N)
-    )
+    # the neighbour on the inflow side carries the convection term:
+    # backward for beta > 0, forward for beta < 0
+    fwd = [-a - (c if b < 0 else 0.0) for b, c in zip(beta, conv)]
+    bwd = [-a - (c if b > 0 else 0.0) for b, c in zip(beta, conv)]
+    return _stencil(n, 3, 6.0 * a - r + conv.sum(), fwd, bwd)
 
 
 def gen_laplace2d(n, scale=1.0):
@@ -113,27 +119,7 @@ def gen_laplace2d(n, scale=1.0):
         raise InvalidGrid(f"scale={scale!r} must be positive")
     h = 1.0 / (n + 1)
     a = scale / h**2
-
-    N = n**2
-    idx = np.arange(N)
-    i = idx % n
-    j = idx // n
-
-    rows = [idx]
-    cols = [idx]
-    vals = [np.full(N, 4.0 * a)]
-    for coord, stride in ((i, 1), (j, n)):
-        fwd = coord < n - 1
-        rows.append(idx[fwd])
-        cols.append(idx[fwd] + stride)
-        vals.append(np.full(fwd.sum(), -a))
-        bwd = coord > 0
-        rows.append(idx[bwd])
-        cols.append(idx[bwd] - stride)
-        vals.append(np.full(bwd.sum(), -a))
-    return CsrMatrix.from_triplets(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), (N, N)
-    )
+    return _stencil(n, 2, 4.0 * a, [-a, -a], [-a, -a])
 
 
 def u0_bump3d(n):

@@ -34,6 +34,7 @@ from .errors import (
     InvalidDimensions,
     NonFiniteInput,
     ZeroStartVector,
+    _count,
 )
 
 __all__ = [
@@ -160,10 +161,12 @@ def _check_start(A, v, m):
         )
     if not np.any(v):
         raise ZeroStartVector("start vector is identically zero")
-    if int(m) != m or not 1 <= m <= n:
-        raise InvalidDimensions(f"step count m={m!r} outside 1..{n}")
+    message = f"step count m={m!r} outside 1..{n}"
+    m = _count(m, 1, InvalidDimensions, message)
+    if m > n:
+        raise InvalidDimensions(message)
     dtype = np.result_type(getattr(A, "dtype", v.dtype), v.dtype, np.float64)
-    return v.astype(dtype, copy=False), n, int(m), dtype
+    return v.astype(dtype, copy=False), n, m, dtype
 
 
 def run_hessenberg(A, v, m, breakdown_tol=None):

@@ -52,10 +52,11 @@ from .errors import (
     NonFiniteInput,
     SingularReducedSystem,
     ZeroStartVector,
+    _count,
 )
 # bench/tracing.py wraps all three here by name, solve_hessenberg though unused
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
-from .processes import _EPS, _operator_norm_scale, run_arnoldi, run_hessenberg
+from .processes import _EPS, _check_start, _operator_norm_scale, run_arnoldi, run_hessenberg
 
 __all__ = [
     "SolverConfig",
@@ -99,12 +100,12 @@ class SolverConfig:
     max_mvps: int = 4000
 
     def validate(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise InvalidDimensions(f"cycle length m={self.m!r} must be a positive integer")
+        _count(self.m, 1, InvalidDimensions,
+               f"cycle length m={self.m!r} must be a positive integer")
         if not self.tol > 0:
             raise InvalidDimensions(f"tolerance {self.tol!r} must be positive")
-        if int(self.max_mvps) != self.max_mvps or self.max_mvps < 0:
-            raise InvalidDimensions(f"max_mvps {self.max_mvps!r} must be a nonnegative integer")
+        _count(self.max_mvps, 0, InvalidDimensions,
+               f"max_mvps {self.max_mvps!r} must be a nonnegative integer")
 
 
 @dataclass
@@ -221,6 +222,8 @@ def true_relative_residual(A, sigma, x, b):
         raise DimensionMismatch(
             f"solution of shape {x.shape} does not match right-hand side {b.shape}"
         )
+    if not np.any(b):
+        raise ZeroStartVector("right-hand side is identically zero")
     return _relative_residual(A.__matmul__, _as_scalar_shift(sigma), x, b, np.linalg.norm(b))
 
 
@@ -279,18 +282,11 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
     b = np.asarray(b)
-    if b.ndim != 1:
-        raise DimensionMismatch(f"right-hand side must be 1-d, got shape {b.shape}")
-    if not np.any(b):
-        raise ZeroStartVector("right-hand side is identically zero")
-    shape = getattr(A, "shape", None)
-    if shape is not None and shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"operator of shape {shape} cannot act on length {b.shape[0]}"
-        )
+    # b passes the checks of every cycle's start vector, and is the first
+    # start vector when there is no initial guess
+    r0, n, _, _ = _check_start(A, b, 1)
     if not np.all(np.isfinite(b)):
         raise NonFiniteInput("right-hand side has a non-finite entry")
-    n = b.shape[0]
     # The breakdown threshold depends only on the operator, so its norm is
     # taken once per solve; without one the runners scale by each product.
     scale = _operator_norm_scale(A)
@@ -323,8 +319,6 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         r0 = b - (A @ x0)
         base = x0
     else:
-        op_dtype = getattr(A, "dtype", np.float64)
-        r0 = b.astype(np.result_type(b.dtype, op_dtype, np.float64), copy=True)
         base = None
 
     r0norm = float(np.linalg.norm(r0))

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidDimensions,
+    _count,
 )
 
 __all__ = ["MvpCounter", "CsrMatrix", "identity"]
@@ -101,10 +102,8 @@ class CsrMatrix:
         DimensionMismatch
             If the triplet arrays differ in length.
         """
-        nrows, ncols = shape
-        if int(nrows) != nrows or int(ncols) != ncols or nrows <= 0 or ncols <= 0:
-            raise InvalidDimensions(f"shape must be positive integers, got {shape!r}")
-        nrows, ncols = int(nrows), int(ncols)
+        message = f"shape must be positive integers, got {shape!r}"
+        nrows, ncols = (_count(d, 1, InvalidDimensions, message) for d in shape)
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         vals = np.asarray(vals).ravel()
@@ -199,8 +198,6 @@ class CsrMatrix:
 
 def identity(n, dtype=np.float64):
     """Identity matrix of order ``n`` in CSR form."""
-    if int(n) != n or n <= 0:
-        raise InvalidDimensions(f"order must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _count(n, 1, InvalidDimensions, f"order must be a positive integer, got {n!r}")
     idx = np.arange(n)
     return CsrMatrix.from_triplets(idx, idx, np.ones(n, dtype=dtype), (n, n))

@@ -15,7 +15,7 @@ from shiftkrylov import (
     save_matrix_market,
     solve_shifted_hessen,
 )
-from shiftkrylov.cli import main
+from shiftkrylov.cli import BENCH_COLUMNS, main
 
 
 def run(*argv):
@@ -82,6 +82,18 @@ def test_solve_roundtrip_and_report(tmp_path, capsys):
     r1, r2 = read_rows(out)[0], read_rows(out2)[0]
     r1.pop("time_ms"), r2.pop("time_ms")
     assert r1 == r2
+
+
+def test_solve_csv_to_stdout(tmp_path, capsys, monkeypatch):
+    p = gen_matrix(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert run("solve", "--matrix", str(p), "--m", "20", "-o", "-") == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index(",".join(BENCH_COLUMNS))
+    row = dict(zip(BENCH_COLUMNS, lines[header + 1].split(",")))
+    assert row["solver"] == "shessen" and row["dagger_flags"] == "0000"
+    assert not (tmp_path / "-").exists()
 
 
 def test_solve_solver_choices(tmp_path):

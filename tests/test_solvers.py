@@ -387,6 +387,22 @@ def test_true_relative_residual_counts_one_product():
         true_relative_residual(A, 0.0, np.ones(3), b)
 
 
+def test_true_relative_residual_rejects_zero_right_hand_side():
+    A, b = random_system(13)
+    zeros = np.zeros_like(b)
+    with pytest.raises(ZeroStartVector):
+        true_relative_residual(A, 0.0, zeros, zeros)
+
+
+def test_non_square_operator_is_rejected_before_any_product():
+    # a nonzero initial guess costs a product for the initial residual;
+    # the operator's shape is checked before it
+    A = CsrMatrix.from_triplets(np.arange(8), np.arange(8), np.ones(8), (9, 8))
+    with pytest.raises(DimensionMismatch):
+        solve_hessen(A, np.ones(8), x0=np.ones(8))
+    assert A.counter.count == 0
+
+
 def test_plain_scipy_operator_matches_csr_matrix():
     # an operator without norm_inf falls back to the per-product breakdown
     # scale; away from breakdown the solve is the same, bit for bit
