@@ -46,10 +46,9 @@ __all__ = [
 
 _HEADER = ["re_z", "im_z", "re_w", "im_w"]
 
-# Scalar Mittag-Leffler contour sum: log of its absolute tolerance, and
-# the node count above which that tolerance is relaxed tenfold.
+# Scalar Mittag-Leffler contour sum: log of its absolute tolerance.
 _ML_LOG_TOL = np.log(1e-15)
-_ML_MAX_NODES = 200
+_FLOAT_MAX = float(np.finfo(float).max)
 _LOG_EPS = np.log(np.finfo(float).eps)
 
 
@@ -355,10 +354,10 @@ def mittag_leffler(z, gamma):
     ``t = 1`` by the trapezoidal rule on the parabola
     ``s = mu (1 + iu)^2``, with ``(mu, h, N)`` chosen as in Garrappa
     (SIAM J. Numer. Anal. 53, 2015), after Weideman and Trefethen
-    (Math. Comp. 76, 2007), for an absolute error of 1e-15 with at most
-    200 nodes (relaxed tenfold while no contour reaches that).  The
-    residue ``e^s / gamma`` of the pole ``s^gamma = z`` is added when
-    the contour passes left of it.  Double precision throughout.
+    (Math. Comp. 76, 2007), for an absolute error of 1e-15; no contour
+    needs more than ``2N + 1 = 361`` nodes.  The residue ``e^s / gamma``
+    of the pole ``s^gamma = z`` is added when the contour passes left of
+    it.  Double precision throughout.
 
     Accepts real or complex scalars anywhere in the plane; real input
     gives real output, and values beyond the float range (large
@@ -378,23 +377,25 @@ def mittag_leffler(z, gamma):
         # Of the roots |z|^(1/gamma) e^(i(arg z + 2 pi k)/gamma) of
         # s^gamma = z only k = 0 can lie off the branch cut when gamma < 1.
         theta = np.angle(z)
-        pole = abs(z) ** (1.0 / gamma) * np.exp(1j * theta / gamma)
-        phi = (pole.real + abs(pole)) / 2.0
-        # a pole with phi ~ 0 sits at the origin and every contour encloses it
-        has_pole = abs(theta) < gamma * np.pi and phi > 1e-15
-        log_tol = _ML_LOG_TOL
-        while True:
-            # (N, mu, h, pole right of the contour) per admissible region
-            if not has_pole:
-                regions = [_ml_unbounded(0.0, 0, log_tol) + (False,)]
-            else:
-                regions = [_ml_bounded(phi, log_tol) + (True,)]
-                if phi < _ML_LOG_TOL - _LOG_EPS:
-                    regions.append(_ml_unbounded(phi, 1, log_tol) + (False,))
-            n, mu, h, residue = min(regions, key=lambda r: r[0])
-            if n <= _ML_MAX_NODES:
-                break
-            log_tol += np.log(10.0)
+        has_pole = abs(theta) < gamma * np.pi
+        if has_pole:
+            # |z|^(1/gamma) may overflow; a pole that far out has a residue
+            # of 0 to the left and inf to the right and no longer moves the
+            # contour, so its modulus is capped at the largest float
+            with np.errstate(over="ignore"):
+                radius = min(np.float64(abs(z)) ** (1.0 / gamma), _FLOAT_MAX)
+                pole = radius * np.exp(1j * theta / gamma)
+                phi = (pole.real + abs(pole)) / 2.0
+            # a pole with phi ~ 0 sits at the origin and every contour encloses it
+            has_pole = phi > 1e-15
+        # (N, mu, h, pole right of the contour) per admissible region
+        if not has_pole:
+            regions = [_ml_unbounded(0.0, 0, _ML_LOG_TOL) + (False,)]
+        else:
+            regions = [_ml_bounded(phi, _ML_LOG_TOL) + (True,)]
+            if phi < _ML_LOG_TOL - _LOG_EPS:
+                regions.append(_ml_unbounded(phi, 1, _ML_LOG_TOL) + (False,))
+        n, mu, h, residue = min(regions, key=lambda r: r[0])
         u = h * np.arange(-n, n + 1)
         s = mu * (1.0 + 1j * u) ** 2
         ds = 2j * mu * (1.0 + 1j * u)

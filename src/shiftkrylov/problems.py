@@ -36,7 +36,11 @@ def _stencil(n, dim, diag, fwd_coefs, bwd_coefs):
     Every row holds ``diag`` on the diagonal and, along axis ``d``,
     ``fwd_coefs[d]`` at its forward and ``bwd_coefs[d]`` at its backward
     neighbour; neighbours on the Dirichlet boundary are dropped.
+    Non-finite coefficients, from non-finite parameters or an overflow,
+    raise :class:`InvalidGrid`.
     """
+    if not np.all(np.isfinite([diag, *fwd_coefs, *bwd_coefs])):
+        raise InvalidGrid(f"the coefficients give a non-finite stencil (diagonal {float(diag)})")
     N = n**dim
     idx = np.arange(N)
     rows = [idx]

@@ -21,9 +21,15 @@ Both return a :class:`HessenbergDecomposition` satisfying
     A @ basis[:, :k] == basis @ hbar        (up to roundoff)
 
 which :func:`verify_decomposition` measures in the Frobenius norm.
+
+The runners differ only in how a step builds its next vector.  Both copy
+each product before working on it in place, so an operator may return a
+view, even of its argument; both break down on a candidate not above
+:func:`_breakdown_threshold`; and both hand their m-step buffers to
+:class:`HessenbergDecomposition`, which trims them to the k steps done.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
@@ -52,6 +58,9 @@ _EPS = float(np.finfo(np.float64).eps)
 class HessenbergDecomposition:
     """Result of ``k`` steps of a Hessenberg-type process.
 
+    Construction trims ``basis`` and ``hbar`` to the shapes below, so a
+    run may pass its m-step buffers; a trimmed result is kept as it is.
+
     Attributes
     ----------
     basis : (n, k+1) or (n, k) ndarray
@@ -77,6 +86,11 @@ class HessenbergDecomposition:
     beta: complex
     steps: int
     breakdown: bool = False
+
+    def __post_init__(self):
+        k = self.steps
+        self.basis = self.basis[:, : k if self.breakdown else k + 1]
+        self.hbar = self.hbar[: k + 1, :k]
 
     @property
     def square_h(self):
@@ -139,14 +153,13 @@ def _operator_norm_scale(A):
     return None
 
 
-def _breakdown_threshold(breakdown_tol, norm_scale, n, u):
+def _breakdown_threshold(norm_scale, n, u):
     """Breakdown threshold of one step, fixed from its product ``u``
-    before any elimination: ``breakdown_tol`` when given, else ``n * eps``
-    times the operator's norm scale, or times ``max |u|`` without one."""
-    if breakdown_tol is not None:
-        return breakdown_tol
-    scale = norm_scale if norm_scale is not None else float(np.abs(u).max(initial=0.0))
-    return n * _EPS * scale
+    before any elimination: ``n * eps`` times the operator's norm scale,
+    or times ``max |u|`` without one."""
+    if norm_scale is None:
+        norm_scale = float(np.abs(u).max(initial=0.0))
+    return n * _EPS * norm_scale
 
 
 def _check_start(A, v, m):
@@ -169,7 +182,7 @@ def _check_start(A, v, m):
     return v.astype(dtype, copy=False), n, m, dtype
 
 
-def run_hessenberg(A, v, m, breakdown_tol=None):
+def run_hessenberg(A, v, m, norm_scale=None):
     """Run ``m`` steps of the pivoted Hessenberg process.
 
     Each step solves the pivot rows for its coefficients (``trsv``),
@@ -186,11 +199,13 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
         Nonzero start vector.
     m : int
         Requested steps, ``1 <= m <= n``.
-    breakdown_tol : float, optional
-        Candidates whose magnitude does not exceed this are treated as
-        zero (invariant subspace).  Default ``n * eps * ||A||_inf``, with
-        the norm of the current product as fallback scale when the
-        operator does not expose a norm.
+    norm_scale : float, optional
+        The operator's infinity-norm ``||A||_inf``, for a caller that has
+        already measured it; by default the run measures it once.  A step
+        whose pivot candidate does not exceed ``n * eps * norm_scale`` is
+        a breakdown (invariant subspace).  When the operator exposes no
+        norm and none is given, the largest entry of each step's product
+        stands in for it.
 
     Returns
     -------
@@ -204,7 +219,7 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
     ZeroStartVector, DimensionMismatch, InvalidDimensions, NonFiniteInput
     """
     v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A) if breakdown_tol is None else None
+    norm_scale = _operator_norm_scale(A) if norm_scale is None else norm_scale
 
     perm = np.arange(n)
     i0 = pivot_select(v, start=0)
@@ -226,10 +241,8 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
     steps = m
     breakdown = False
     for j in range(m):
-        # copy, since an operator may return a view and the step below
-        # works in place
         u = np.array(A @ basis[:, j], dtype=dtype)
-        tol = _breakdown_threshold(breakdown_tol, norm_scale, n, u)
+        tol = _breakdown_threshold(norm_scale, n, u)
         h = trsv(lower[: j + 1, : j + 1], u[perm[: j + 1]], lower=1, diag=1)
         hbar[: j + 1, j] = h
         u = gemv(-1.0, basis[:, : j + 1], h, 1.0, u, overwrite_y=1)
@@ -259,26 +272,19 @@ def run_hessenberg(A, v, m, breakdown_tol=None):
         breakdown = True
         break
 
-    ncols = steps if breakdown else steps + 1
-    return HessenbergDecomposition(
-        basis=basis[:, :ncols],
-        hbar=hbar[: steps + 1, :steps],
-        perm=perm,
-        beta=beta,
-        steps=steps,
-        breakdown=breakdown,
-    )
+    return HessenbergDecomposition(basis, hbar, perm, beta, steps, breakdown)
 
 
-def run_arnoldi(A, v, m, breakdown_tol=None):
+def run_arnoldi(A, v, m, norm_scale=None):
     """Run ``m`` steps of modified Gram-Schmidt Arnoldi.
 
-    Same contract as :func:`run_hessenberg` with an orthonormal basis:
-    ``beta = ||v||_2``, ``perm`` is the identity, and the subdiagonal
-    entries of ``hbar`` are real and positive.
+    Same contract as :func:`run_hessenberg`, ``norm_scale`` included, with
+    an orthonormal basis: ``beta = ||v||_2``, ``perm`` is the identity, the
+    subdiagonal entries of ``hbar`` are real and positive, and the
+    breakdown candidate is the norm of the orthogonalized product.
     """
     v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A) if breakdown_tol is None else None
+    norm_scale = _operator_norm_scale(A) if norm_scale is None else norm_scale
 
     beta = np.linalg.norm(v)
     basis = np.zeros((n, m + 1), dtype=dtype, order="F")
@@ -288,8 +294,8 @@ def run_arnoldi(A, v, m, breakdown_tol=None):
     steps = m
     breakdown = False
     for j in range(m):
-        u = np.asarray(A @ basis[:, j], dtype=dtype)
-        tol = _breakdown_threshold(breakdown_tol, norm_scale, n, u)
+        u = np.array(A @ basis[:, j], dtype=dtype)
+        tol = _breakdown_threshold(norm_scale, n, u)
         for i in range(j + 1):
             h = np.vdot(basis[:, i], u)
             hbar[i, j] = h
@@ -305,15 +311,7 @@ def run_arnoldi(A, v, m, breakdown_tol=None):
             breakdown = True
             break
 
-    ncols = steps if breakdown else steps + 1
-    return HessenbergDecomposition(
-        basis=basis[:, :ncols],
-        hbar=hbar[: steps + 1, :steps],
-        perm=np.arange(n),
-        beta=beta,
-        steps=steps,
-        breakdown=breakdown,
-    )
+    return HessenbergDecomposition(basis, hbar, np.arange(n), beta, steps, breakdown)
 
 
 def verify_decomposition(A, dec):

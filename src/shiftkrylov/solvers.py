@@ -56,7 +56,7 @@ from .errors import (
 )
 # bench/tracing.py wraps all three here by name, solve_hessenberg though unused
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
-from .processes import _EPS, _check_start, _operator_norm_scale, run_arnoldi, run_hessenberg
+from .processes import _check_start, _operator_norm_scale, run_arnoldi, run_hessenberg
 
 __all__ = [
     "SolverConfig",
@@ -287,12 +287,12 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     r0, n, _, _ = _check_start(A, b, 1)
     if not np.all(np.isfinite(b)):
         raise NonFiniteInput("right-hand side has a non-finite entry")
-    # The breakdown threshold depends only on the operator, so its norm is
-    # taken once per solve; without one the runners scale by each product.
-    scale = _operator_norm_scale(A)
-    if scale is not None and not np.isfinite(scale):
+    # The operator's norm is taken once per solve: it rejects a non-finite
+    # operator here and scales every cycle's breakdown threshold, so the
+    # runners need not measure it again.
+    norm_scale = _operator_norm_scale(A)
+    if norm_scale is not None and not np.isfinite(norm_scale):
         raise NonFiniteInput("operator has a non-finite entry")
-    breakdown_tol = None if scale is None else n * _EPS * scale
     bnorm = float(np.linalg.norm(b))
     runner = {"hessenberg": run_hessenberg, "arnoldi": run_arnoldi}[process]
     # a basis cannot have more than n vectors; clamp rather than reject so
@@ -365,7 +365,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         if report.basis_mvps + m > cfg.max_mvps:
             report.budget_exhausted = True
             break
-        dec = runner(A, v, m, breakdown_tol)
+        dec = runner(A, v, m, norm_scale)
         report.basis_mvps += dec.steps
         k = dec.steps
         H = dec.square_h

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import erfc, wofz
+from scipy.special import erfc, rgamma, wofz
 
 import shiftkrylov
 from shiftkrylov import (
@@ -75,6 +75,21 @@ def test_ml_domain():
         mittag_leffler(-1.0, 0.0)
     with pytest.raises(ValueError):
         mittag_leffler(-1.0, 1.5)
+
+
+def test_ml_small_gamma_far_from_the_origin():
+    # |z|^(1/gamma) used to overflow and raise before the pole was decided.
+    # Away from the pole's sector the asymptotic series
+    # -sum_k z^-k / Gamma(1 - gamma k) converges fast; a pole far to the
+    # left adds nothing, one far to the right overflows to inf
+    cases = ((-1e4, 0.01), (-1e40, 0.1), (-1e300, 0.5), (2000j, 0.01),
+             (1e4 * np.exp(0.02j), 0.01))
+    for z, g in cases:
+        ref = -sum(z**-k * rgamma(1.0 - g * k) for k in range(1, 30))
+        assert_allclose(mittag_leffler(z, g), ref, rtol=1e-13)
+    with np.errstate(over="ignore"):
+        assert mittag_leffler(1e4, 0.01) == np.inf
+        assert mittag_leffler(1e300, 0.5) == np.inf
 
 
 def test_ml_near_one_matches_talbot_reference():

@@ -39,6 +39,15 @@ def test_parity_run_and_compare(tmp_path):
     assert diff.returncode == 1
     assert "matfunc-exp/1/0: cycles" in diff.stdout
 
+    # so is a flipped report flag
+    inputs[0]["cycles"] -= 1
+    inputs[1]["budget_exhausted"] = not inputs[1]["budget_exhausted"]
+    other.with_suffix(".json").write_text(json.dumps({"inputs": inputs}))
+    flag = _tool("--compare", out.with_suffix(".json"), other.with_suffix(".json"))
+    assert flag.returncode == 1
+    assert "matfunc-exp/1/1: budget_exhausted False != True" in flag.stdout
+    assert "cycles" not in flag.stdout
+
     # a non-finite solution fails the comparison even with equal counters
     arrays = dict(np.load(out.with_suffix(".npz")))
     arrays["matfunc-exp/1/0/action"][0] = np.nan

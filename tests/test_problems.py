@@ -99,6 +99,15 @@ def test_grid_validation():
         gen_convdiff3d(2, 1.0, (0, 0), 0.0)
     with pytest.raises(InvalidGrid):
         gen_laplace2d(-3)
+    # non-finite coefficients, given or from an overflow, used to give
+    # matrices with NaN or inf entries
+    for args in ((1.0, (np.nan, 0, 0), 0.0), (1.0, (0, 0, 0), np.inf),
+                 (np.inf, (0, 0, 0), 0.0), (1e308, (0, 0, 0), 0.0)):
+        with pytest.raises(InvalidGrid):
+            gen_convdiff3d(4, *args)
+    for scale in (np.inf, 1e308):
+        with pytest.raises(InvalidGrid):
+            gen_laplace2d(4, scale)
 
 
 def test_profiles():

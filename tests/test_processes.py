@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from shiftkrylov import (
     CsrMatrix,
     DimensionMismatch,
+    HessenbergDecomposition,
     IndexOutOfRange,
     InvalidDimensions,
     NonFiniteInput,
@@ -322,3 +323,56 @@ def test_breakdown_without_operator_norm(process):
     dec = process(sp.csr_matrix(M), v, 10)
     assert ref.breakdown and ref.steps == 3
     assert dec.breakdown and dec.steps == 3
+
+
+class ReturnsItsArgument:
+    """The identity of order 6 as an operator whose product is a view: it
+    returns its argument, the basis column itself."""
+
+    shape = (6, 6)
+    dtype = np.dtype(np.float64)
+
+    def __matmul__(self, x):
+        return x
+
+
+@pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
+def test_operator_returning_its_argument(process):
+    # a step working in place on the product used to overwrite the basis
+    # column it multiplied, zeroing Arnoldi's start vector
+    v = np.arange(1.0, 7.0)
+    dec = process(ReturnsItsArgument(), v, 3)
+    assert np.array_equal(dec.basis[:, 0], v / dec.beta)
+    assert dec.breakdown and dec.steps == 1
+    assert dec.hbar[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
+def test_norm_scale_is_the_operator_norm(process):
+    # passing the operator's own norm is the default, bit for bit
+    rng = np.random.default_rng(104)
+    n = 40
+    A = random_sparse(rng, n)
+    v = rng.standard_normal(n)
+    ref = process(A, v, 12)
+    dec = process(A, v, 12, A.norm_inf())
+    for name in ("basis", "hbar", "perm"):
+        assert np.array_equal(getattr(dec, name), getattr(ref, name))
+    assert (dec.beta, dec.steps, dec.breakdown) == (ref.beta, ref.steps, ref.breakdown)
+    # the threshold is n * eps * norm_scale: twice the scale that makes it
+    # the first subdiagonal ends the run there; half the one that makes it
+    # the smallest subdiagonal ends no step
+    sub = np.abs(np.diag(ref.hbar, -1)) / (n * _EPS)
+    assert process(A, v, 12, 2.0 * sub[0]).steps == 1
+    dec = process(A, v, 12, 0.5 * sub.min())
+    assert dec.steps == 12 and not dec.breakdown
+
+
+def test_decomposition_trims_its_buffers():
+    basis, hbar, perm = np.ones((5, 4)), np.ones((4, 3)), np.arange(5)
+    dec = HessenbergDecomposition(basis, hbar, perm, 1.0, 2)
+    assert dec.basis.shape == (5, 3) and dec.hbar.shape == (3, 2)
+    dec = HessenbergDecomposition(basis, hbar, perm, 1.0, 2, breakdown=True)
+    assert dec.basis.shape == (5, 2) and dec.hbar.shape == (3, 2)
+    again = HessenbergDecomposition(dec.basis, dec.hbar, perm, 1.0, 2, breakdown=True)
+    assert again.basis.shape == (5, 2) and again.hbar.shape == (3, 2)

@@ -437,6 +437,36 @@ def test_plain_scipy_operator_detects_happy_breakdown():
         assert (rep.cycles, rep.total_mvps) == (1, 5)
 
 
+class ReturnsItsArgument:
+    """The identity of order 6 as an operator whose product is a view: it
+    returns its argument, the basis column itself."""
+
+    shape = (6, 6)
+    dtype = np.dtype(np.float64)
+
+    def __matmul__(self, x):
+        return x
+
+
+def test_operator_returning_its_argument_solves():
+    # Arnoldi used to subtract in place from its own start column, so sfom
+    # ended 0/2 converged at true residual 1
+    b = np.arange(1.0, 7.0)
+    shifts = [0.5, -1.0]
+    for solve in (solve_shifted_hessen, solve_shifted_fom):
+        starts = []
+
+        def on_cycle(info):
+            dec = info.decomposition
+            starts.append(np.array_equal(dec.basis[:, 0], b / dec.beta))
+
+        xs, rep = solve(ReturnsItsArgument(), b, shifts, on_cycle=on_cycle)
+        assert starts == [True]
+        assert rep.all_converged and rep.cycles == 1
+        for x, s in zip(xs, shifts):
+            assert np.array_equal(x, b / (1.0 - s))
+
+
 def test_nan_in_rhs_is_rejected_before_any_product():
     # it used to end after one product as a happy breakdown
     A, b = random_system(21)

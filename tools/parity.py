@@ -16,10 +16,11 @@ every workload named by ``--workload``
 with ``--inputs NAME=N`` overriding the count of one workload.  The
 inputs, settings and calls are those of ``bench/workloads.py``; nothing
 under ``bench/`` is written.  ``OUT.json`` holds, per input, the
-family's cycles, basis and residual products, breakdown flag and each
-shift's converged/cycles/skipped/stagnated; ``OUT.npz`` holds the
-family's solutions, one (nu, n) array per input, and for ``matfunc-exp``
-the action ``f(A) u0`` too.
+family's cycles, basis and residual products, breakdown and
+budget-exhausted flags and each shift's
+converged/cycles/skipped/stagnated; ``OUT.npz`` holds the family's
+solutions, one (nu, n) array per input, and for ``matfunc-exp`` the
+action ``f(A) u0`` too.
 
 ``--compare A B`` prints every counter or flag that differs and the
 largest relative solution gap ``||x_A - x_B|| / ||x_A||`` over all
@@ -38,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_WORKLOADS = ("convdiff-shessen", "convdiff-sfom", "matfunc-exp")
 SEEDS = (1, 2, 3)
 RTOL = 1e-12
-COUNTERS = ("cycles", "basis_mvps", "residual_mvps", "breakdown")
+COUNTERS = ("cycles", "basis_mvps", "residual_mvps", "breakdown", "budget_exhausted")
 SHIFT_FLAGS = ("converged", "cycles", "skipped_cycles", "stagnated")
 
 
