@@ -250,12 +250,18 @@ def run_hessenberg(A, v, m, norm_scale=None):
         u[perm[: j + 1]] = 0.0
         if j + 1 < n:
             np.abs(u, out=mag)
-            peak = mag.max()
+            # argmax picks a nan or inf entry over any finite one, so the
+            # peak alone carries the non-finite check
+            row = int(mag.argmax())
+            peak = mag[row]
             if not np.isfinite(peak):
                 raise NonFiniteInput(f"non-finite pivot candidate at step {j + 1}")
-            # the first maximum in pivot order, as pivot_select picks it from u[perm]
-            ties = np.flatnonzero(mag == peak)
-            row = ties[inv[ties].argmin()]
+            # the first maximum is unique unless the entries after it reach
+            # the peak; on a tie, take the first maximum in pivot order, as
+            # pivot_select picks it from u[perm]
+            if mag[row + 1:].max(initial=0.0) == peak:
+                ties = np.flatnonzero(mag == peak)
+                row = ties[inv[ties].argmin()]
             piv = u[row]
             if abs(piv) > tol:
                 hbar[j + 1, j] = piv

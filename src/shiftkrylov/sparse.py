@@ -164,8 +164,14 @@ class CsrMatrix:
         return self._csr @ x
 
     def __matmul__(self, x):
-        y = self._apply(x)
-        self.counter.add()
+        # _apply inlined: this is the hot path of every basis step
+        x = np.asarray(x)
+        if x.ndim != 1 or x.shape[0] != self._csr.shape[1]:
+            raise DimensionMismatch(
+                f"matrix of shape {self.shape} cannot multiply vector of shape {x.shape}"
+            )
+        y = self._csr @ x
+        self.counter.count += 1
         return y
 
     # -- derived matrices and scalars -------------------------------------

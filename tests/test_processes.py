@@ -289,6 +289,43 @@ def test_pivot_tie_goes_to_the_first_candidate_in_pivot_order():
     assert_array_equal(dec.perm[:2], [3, 1])
 
 
+def test_planted_ties_follow_pivot_select_in_pivot_order():
+    # a row copied up to sign, with the start entry copied alike, keeps
+    # its product entries equal in magnitude to the source's at every
+    # step, so the pivot scan meets exact ties; on real data every tied
+    # maximum of a normalized candidate column is exactly 1 in magnitude,
+    # so each step's choice can be replayed from the decomposition
+    rng = np.random.default_rng(7)
+    n = 40
+    tie_steps = not_first_natural = 0
+    for _ in range(30):
+        M = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+        M += np.diag(rng.standard_normal(n) + 4.0)
+        v = rng.standard_normal(n)
+        for src in rng.choice(n, 6, replace=False):
+            for dst in rng.choice(n, 2, replace=False):
+                if dst != src:
+                    sign = rng.choice([-1.0, 1.0])
+                    M[dst] = sign * M[src]
+                    v[dst] = sign * v[src]
+        dec = run_hessenberg(csr_from_dense(M), v, 20)
+        assert not dec.breakdown
+        perm = np.arange(n)
+        perm[0], perm[dec.perm[0]] = dec.perm[0], 0
+        for j in range(dec.steps):
+            cand = dec.basis[:, j + 1]
+            row = dec.perm[j + 1]
+            pos = int(np.flatnonzero(perm == row)[0])
+            assert pivot_select(cand[perm], start=j + 1) == pos
+            ties = np.flatnonzero(np.abs(cand) == 1.0)
+            tie_steps += ties.size > 1
+            not_first_natural += ties[0] != row
+            perm[j + 1], perm[pos] = row, perm[j + 1]
+    # the planted ties are met, and often enough the first maximum in
+    # natural order is not the first in pivot order
+    assert tie_steps >= 50 and not_first_natural >= 20
+
+
 def test_one_basis_loop_matches_reference_on_breakdowns():
     n = 12
     dec = assert_matches_reference(identity(n), np.linspace(1.0, 2.0, n), 5)
