@@ -354,7 +354,9 @@ def _build_parser():
     f.add_argument("--quadrature", help="rule CSV; default: packaged 16-node rule")
     f.add_argument("--u0", default="ones", help="ones | random:SEED | file:PATH")
     f.add_argument("--m", type=int, default=SolverConfig.m)
-    f.add_argument("--tol", type=float, default=1e-10)
+    f.add_argument("--tol", type=float, default=1e-10,
+                   help="a pole of weight w_j must reach the relative residual "
+                        "tol * max(1, ||w||_1 / (nu |w_j|)), capped at 1")
     f.add_argument("--max-mvps", type=int, default=SolverConfig.max_mvps)
     f.add_argument("--check-dense", action="store_true",
                    help="compare against a dense eigendecomposition (small matrices)")

@@ -12,6 +12,13 @@ conjugate-symmetric with nodes in exact conjugate pairs, so for a real
 operator and vector the solver folds each pair into one reduced system
 and one update: the 16-node rules solve 8 reduced systems per cycle.  Every pole system is still confirmed by its own true residual.
 
+The action is the weighted sum ``sum_j w_j x_j``, so a pole's error
+counts only in proportion to ``|w_j|``, and the weights of a rule span
+many decades (``6.1e-7`` to ``4.1`` for the packaged exponential rule).
+Each pole system is therefore held to its own tolerance, looser for a
+light pole and never tighter than the requested one; see
+:func:`eval_rational_action`.
+
 Supported integrands are the exponential ``exp(-t A) u0`` and the
 Mittag-Leffler function ``E_gamma(-t^gamma A) u0`` that propagates
 fractional-in-time diffusion; a rule file makes no reference to ``t``
@@ -21,7 +28,7 @@ Mittag-Leffler function is a double-precision contour integral.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +202,23 @@ def packaged_rule_path(kind, gamma=None):
     raise ValueError(f"unknown rule kind {kind!r}")
 
 
+def _pole_tolerances(weights, tol):
+    """Per-pole tolerances for the weighted sum of a rule's pole solutions.
+
+    ``tol_j = tol * max(1, ||w||_1 / (nu |w_j|))``, capped at 1 (the
+    relative residual of the zero vector) unless ``tol`` itself is
+    larger, so a pole of weight zero gets a finite tolerance.  A rule
+    whose weights are all zero keeps the scalar ``tol``.
+    """
+    aw = np.abs(weights)
+    total = aw.sum()
+    if total == 0:
+        return tol
+    with np.errstate(divide="ignore"):
+        share = tol * total / (aw.size * aw)
+    return np.maximum(tol, np.minimum(share, 1.0))
+
+
 def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     """Apply the rational approximation of ``f(A)`` to a vector.
 
@@ -202,6 +226,27 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     pivoted Hessenberg solver and combines ``sum_j w_j x_j``.  When the
     rule is conjugate-symmetric and the data real, the exact imaginary
     part is zero and a real vector is returned.
+
+    A scalar tolerance ``tol`` is shared out over the poles by weight:
+    pole ``j`` must reach the relative residual
+
+        tol_j = tol * max(1, ||w||_1 / (nu |w_j|)),
+
+    capped at 1, the relative residual of the zero vector, when ``tol``
+    is below 1.  A pole lighter than the mean weight may spend its equal
+    share ``tol ||w||_1 / nu`` of the weighted residual.  No pole is
+    asked for less than ``tol``, and the restart vector does not depend
+    on which poles are still active, so a solve takes no more cycles than
+    under a uniform ``tol``.  The price is the a-priori bound on the
+    weighted residual sum,
+
+        sum_j |w_j| tol_j <= tol * sum_j max(|w_j|, ||w||_1 / nu)
+                          <= 2 tol ||w||_1,
+
+    with equality on the left unless the cap applies, against
+    ``tol ||w||_1`` for a uniform ``tol``: 1.6 times that on the packaged
+    exponential rule.  A per-pole array ``cfg.tol`` is used as given, and
+    a rule whose weights are all zero keeps the scalar ``tol``.
 
     Parameters
     ----------
@@ -217,18 +262,23 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     Raises
     ------
     NotConverged
-        If any shifted system missed the tolerance; ``.shifts`` lists
-        the failing shifts.
+        If any pole system missed its own tolerance ``tol_j``;
+        ``.shifts`` lists the failing shifts.
     """
     if cfg is None:
         cfg = SolverConfig(tol=1e-10)
+    cfg.validate()
+    if np.ndim(cfg.tol) == 0:
+        cfg = replace(cfg, tol=_pole_tolerances(rule.weights, cfg.tol))
     shifts = [-z for z in rule.nodes]
     xs, report = solve_shifted_hessen(A, u0, shifts, cfg)
-    bad = [h.shift for h in report.shifts if not h.converged]
+    bad = [i for i, h in enumerate(report.shifts) if not h.converged]
     if bad:
+        missed = np.broadcast_to(cfg.tol, rule.nu)[bad]
         raise NotConverged(
-            f"{len(bad)} of {rule.nu} pole systems missed tolerance {cfg.tol}",
-            shifts=bad,
+            f"{len(bad)} of {rule.nu} pole systems missed their own tolerance "
+            f"(tol_j from {missed.min():.3g} to {missed.max():.3g})",
+            shifts=[report.shifts[i].shift for i in bad],
         )
     acc = np.zeros(xs[0].shape[0], dtype=np.complex128)
     for w, x in zip(rule.weights, xs):

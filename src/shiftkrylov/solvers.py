@@ -36,7 +36,8 @@ same loop with every shift its own class.
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
 residual evaluation per shift, a folded partner included, before the
-shift is retired.
+shift is retired.  The tolerance may be given per shift; a folded pair
+is then held to the smaller of its two values.
 """
 
 import time
@@ -88,22 +89,31 @@ class SolverConfig:
     ----------
     m : int
         Basis size per restart cycle.
-    tol : float
-        Convergence threshold on the relative residual ||b - (A - sigma I) x|| / ||b||.
+    tol : float or (nu,) array_like
+        Convergence threshold on the relative residual
+        ||b - (A - sigma I) x|| / ||b||: one positive finite value shared
+        by every shift, or one per shift, in the order of the shifts.  A
+        folded conjugate pair (see the module docstring) is held to the
+        smaller of its two values.
     max_mvps : int
         Budget of basis matrix-vector products; a new cycle starts only
         while a full cycle still fits.
     """
 
     m: int = 30
-    tol: float = 1e-8
+    tol: float | np.ndarray = 1e-8
     max_mvps: int = 4000
 
     def validate(self):
         _count(self.m, 1, InvalidDimensions,
                f"cycle length m={self.m!r} must be a positive integer")
-        if not self.tol > 0:
-            raise InvalidDimensions(f"tolerance {self.tol!r} must be positive")
+        tol = np.asarray(self.tol)
+        if (tol.dtype.kind not in "iuf" or tol.ndim > 1 or tol.size == 0
+                or not np.all((tol > 0) & (tol < np.inf))):
+            raise InvalidDimensions(
+                f"tolerance {self.tol!r} must be positive and finite, a scalar "
+                f"or a 1-d array with one value per shift"
+            )
         _count(self.max_mvps, 0, InvalidDimensions,
                f"max_mvps {self.max_mvps!r} must be a nonnegative integer")
 
@@ -306,6 +316,9 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     if not np.all(np.isfinite(sigmas)):
         raise NonFiniteInput("a shift is not finite")
     nu = len(shifts)
+    tols = np.asarray(cfg.tol, dtype=float) if np.ndim(cfg.tol) else None
+    if tols is not None and tols.size != nu:
+        raise DimensionMismatch(f"{tols.size} tolerances given for {nu} shifts")
 
     if x0 is not None:
         x0 = np.asarray(x0)
@@ -333,6 +346,12 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     p = max(cls) + 1
     members = [[i for i in range(nu) if cls[i] == c] for c in range(p)]
     rsig = sigmas[[mem[0] for mem in members]]
+    # a class is held to the scalar tolerance, or to the smallest of its
+    # members' per-shift values
+    if tols is None:
+        class_tol = [cfg.tol] * p
+    else:
+        class_tol = [float(tols[mem].min()) for mem in members]
     X = np.zeros((p, n), dtype=np.result_type(r0.dtype, sigmas.dtype))
     coef = np.ones(p, dtype=X.dtype)
     anchors = [None] * p
@@ -426,13 +445,13 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
                 if len(e) > _STAGNATION_WINDOW:
                     ref = e[-1 - _STAGNATION_WINDOW]
                     hist.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
-            if not skipped[c] and est <= cfg.tol:
+            if not skipped[c] and est <= class_tol[c]:
                 # every shift, a folded partner too, is confirmed by its
                 # own product
                 trs = [_relative_residual(A.__matmul__, shifts[i], solution(i), b, bnorm)
                        for i in members[c]]
                 report.residual_mvps += len(trs)
-                if max(trs) <= cfg.tol:
+                if max(trs) <= class_tol[c]:
                     for i, tr in zip(members[c], trs):
                         histories[i].converged = True
                         histories[i].final_relative_residual = tr

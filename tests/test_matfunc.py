@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +16,16 @@ from shiftkrylov import (
     IllConditionedEigenbasis,
     NotConverged,
     ParseError,
+    QuadratureRule,
     SolverConfig,
     dense_matfunc_oracle,
     eval_rational_action,
+    gen_laplace2d,
     load_quadrature,
     mittag_leffler,
     packaged_rule_path,
 )
+from shiftkrylov.matfunc import _pole_tolerances
 
 
 def csr_from_dense(M):
@@ -272,3 +276,134 @@ def test_dense_oracle_paths():
     J = csr_from_dense(np.array([[1.0, 1.0], [1e-300, 1.0]]))
     with pytest.raises(IllConditionedEigenbasis):
         dense_matfunc_oracle(J, np.array([1.0, 0.0]), np.exp)
+
+
+# -- per-pole tolerances ------------------------------------------------
+
+PACKAGED_RULES = [("exp", None), ("ml", 0.6), ("ml", 0.8), ("ml", 0.9)]
+
+
+def packaged_rule(kind, gamma):
+    return load_quadrature(packaged_rule_path(kind, gamma), kind=kind, gamma=gamma or 1.0)
+
+
+def test_pole_tolerances_keep_the_a_priori_bound():
+    tol = 1e-10
+    for kind, gamma in PACKAGED_RULES:
+        w = np.abs(packaged_rule(kind, gamma).weights)
+        tols = _pole_tolerances(w, tol)
+        # no pole is asked for less than tol, and the heaviest for exactly tol
+        assert tols.min() == tol == tols[w.argmax()]
+        assert tols.max() < 1.0
+        share = w.sum() / w.size
+        assert_allclose(tols, tol * np.maximum(1.0, share / w), rtol=1e-15)
+        bound = (w * tols).sum()
+        assert_allclose(bound, tol * np.maximum(w, share).sum(), rtol=1e-13)
+        assert bound <= 2.0 * tol * w.sum()
+    # on the exponential rule the bound is about 1.6 times the uniform one
+    w = np.abs(packaged_rule("exp", None).weights)
+    ratio = (w * _pole_tolerances(w, tol)).sum() / (tol * w.sum())
+    assert 1.55 <= ratio <= 1.65
+
+
+def test_every_pole_meets_its_own_tolerance():
+    A = gen_laplace2d(20)
+    u0 = np.random.default_rng(3).standard_normal(A.shape[0])
+    rule = packaged_rule("exp", None)
+    y, rep = eval_rational_action(A, u0, rule, return_report=True)
+    tols = _pole_tolerances(rule.weights, 1e-10)
+    assert rep.all_converged
+    for h, tol_j in zip(rep.shifts, tols):
+        assert h.final_relative_residual <= tol_j
+    # the light poles stop above the uniform tolerance; the sum keeps its
+    # accuracy against the dense oracle
+    assert max(h.final_relative_residual for h in rep.shifts) > 1e-10
+    ref = dense_matfunc_oracle(A, u0, lambda lam: np.exp(-lam))
+    assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(u0)
+
+
+def test_pole_tolerances_never_add_cycles():
+    A = gen_laplace2d(20)
+    n = A.shape[0]
+    saved = 0
+    for kind, gamma in PACKAGED_RULES:
+        rule = packaged_rule(kind, gamma)
+        for u0 in (np.ones(n), np.random.default_rng(1).standard_normal(n)):
+            _, rep = eval_rational_action(A, u0, rule, return_report=True)
+            uniform = SolverConfig(tol=np.full(rule.nu, 1e-10))
+            _, rep_uniform = eval_rational_action(A, u0, rule, uniform, return_report=True)
+            assert rep.cycles <= rep_uniform.cycles
+            saved += rep_uniform.cycles - rep.cycles
+    assert saved > 0
+
+
+def test_zero_weights_give_finite_tolerances(monkeypatch):
+    import shiftkrylov.matfunc as matfunc
+
+    A = gen_laplace2d(12)
+    u0 = np.random.default_rng(4).standard_normal(A.shape[0])
+    rule = packaged_rule("exp", None)
+    # silence one conjugate pair of nodes
+    z = rule.nodes[0]
+    pair = np.flatnonzero((rule.nodes == z) | (rule.nodes == z.conjugate()))
+    assert pair.size == 2
+    weights = rule.weights.copy()
+    weights[pair] = 0.0
+    muted = QuadratureRule(rule.nodes, weights, "exp", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tols = _pole_tolerances(muted.weights, 1e-10)
+        y = eval_rational_action(A, u0, muted)
+    assert np.all(np.isfinite(tols)) and np.all(tols[pair] == 1.0)
+    keep = np.setdiff1d(np.arange(rule.nu), pair)
+    sub = QuadratureRule(rule.nodes[keep], rule.weights[keep], "exp", 1.0)
+    assert np.all(np.isfinite(y))
+    assert np.linalg.norm(y - eval_rational_action(A, u0, sub)) <= 1e-10 * np.linalg.norm(u0)
+
+    # a rule of zero weights keeps the uniform scalar tolerance
+    seen = []
+    inner = matfunc.solve_shifted_hessen
+
+    def spy(A, b, shifts, cfg=None, on_cycle=None):
+        seen.append(cfg.tol)
+        return inner(A, b, shifts, cfg, on_cycle)
+
+    monkeypatch.setattr(matfunc, "solve_shifted_hessen", spy)
+    silent = QuadratureRule(rule.nodes, np.zeros(rule.nu, complex), "exp", 1.0)
+    assert _pole_tolerances(silent.weights, 1e-10) == 1e-10
+    assert not np.any(eval_rational_action(A, u0, silent))
+    assert seen == [1e-10]
+
+
+def test_family_solve_is_looked_up_in_matfunc(monkeypatch):
+    # the benchmark's tracing and tools/parity.py intercept the family
+    # solve under this name
+    import shiftkrylov.matfunc as matfunc
+
+    calls, results = [], []
+    inner = matfunc.solve_shifted_hessen
+
+    def spy(A, b, shifts, cfg=None, on_cycle=None):
+        calls.append((shifts, cfg))
+        results.append(inner(A, b, shifts, cfg, on_cycle))
+        return results[-1]
+
+    monkeypatch.setattr(matfunc, "solve_shifted_hessen", spy)
+    A = gen_laplace2d(10)
+    rule = packaged_rule("ml", 0.8)
+    _, rep = eval_rational_action(A, np.ones(100), rule, return_report=True)
+    assert len(calls) == 1
+    shifts, cfg = calls[0]
+    assert_allclose(shifts, -rule.nodes, rtol=0)
+    assert_allclose(cfg.tol, _pole_tolerances(rule.weights, 1e-10), rtol=0)
+    assert results[0][1] is rep
+
+
+def test_not_converged_names_the_own_tolerances():
+    A = laplace1d(80)
+    rule = packaged_rule("exp", None)
+    with pytest.raises(NotConverged, match="own tolerance") as exc:
+        eval_rational_action(A, np.ones(80), rule, SolverConfig(m=4, tol=1e-12, max_mvps=12))
+    tols = _pole_tolerances(rule.weights, 1e-12)
+    missed = [tols[list(-rule.nodes).index(s)] for s in exc.value.shifts]
+    assert f"{min(missed):.3g}" in str(exc.value)

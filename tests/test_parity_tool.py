@@ -48,6 +48,25 @@ def test_parity_run_and_compare(tmp_path):
     assert "matfunc-exp/1/1: budget_exhausted False != True" in flag.stdout
     assert "cycles" not in flag.stdout
 
+    # a record from a tool version without a counter or a shift flag
+    # reports it as a difference instead of failing with a KeyError, and
+    # a record with fewer shifts is not cut to the shorter list unnoticed
+    inputs[1]["budget_exhausted"] = not inputs[1]["budget_exhausted"]
+    del inputs[0]["budget_exhausted"]
+    del inputs[1]["shifts"][3]["stagnated"]
+    inputs[2]["shifts"].pop()
+    other.with_suffix(".json").write_text(json.dumps({"inputs": inputs}))
+    for pair in ((out, other), (other, out)):
+        old = _tool("--compare", *(p.with_suffix(".json") for p in pair))
+        assert old.returncode == 1, old.stderr
+        assert "Traceback" not in old.stderr
+        assert "matfunc-exp/1/0: budget_exhausted" in old.stdout
+        assert "matfunc-exp/1/1 shift 3: stagnated" in old.stdout
+        assert "matfunc-exp/2/0: 16 != 15 shifts" in old.stdout or \
+            "matfunc-exp/2/0: 15 != 16 shifts" in old.stdout
+        assert "3 differences" in old.stdout
+    assert "matfunc-exp/1/0: budget_exhausted missing != False" in old.stdout
+
     # a non-finite solution fails the comparison even with equal counters
     arrays = dict(np.load(out.with_suffix(".npz")))
     arrays["matfunc-exp/1/0/action"][0] = np.nan

@@ -654,3 +654,83 @@ def test_budget_below_one_cycle_is_flagged():
     _, done = solve_shifted_hessen(A, b, [0, 1], SolverConfig(m=30))
     assert done.all_converged
     assert not done.budget_exhausted
+
+
+# -- tolerances -----------------------------------------------------------
+
+
+def test_non_finite_or_non_positive_tolerance_is_rejected():
+    # an infinite tolerance used to retire every shift after one cycle:
+    # on laplace2d(20) both shifts read converged at true residuals 0.77
+    # and 0.70
+    A = gen_laplace2d(20)
+    b = np.ones(A.shape[0])
+    for tol in (np.inf, -np.inf, np.nan, 0.0, -1e-8, "1e-8", None):
+        with pytest.raises(InvalidDimensions):
+            SolverConfig(tol=tol).validate()
+        with pytest.raises(InvalidDimensions):
+            solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(tol=tol))
+    assert A.counter.count == 0
+
+
+def test_per_shift_tolerance_validation():
+    A, b = random_system(40)
+    bad = ([[1e-8, 1e-8]], [[1e-8], [1e-8]], [], [1e-8, np.inf], [1e-8, np.nan],
+           [1e-8, 0.0], np.array([1e-8, -1e-8]), [1e-8, "x"], [1e-8, 1j])
+    for tol in bad:
+        with pytest.raises(InvalidDimensions):
+            SolverConfig(tol=tol).validate()
+        with pytest.raises(InvalidDimensions):
+            solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(tol=tol))
+    SolverConfig(tol=[1e-8, 1e-6]).validate()
+    SolverConfig(tol=np.array([1e-8])).validate()
+    # the length is checked against the family when the solve starts
+    for tol, shifts in (([1e-8, 1e-6], [0.0]), ([1e-8], [0.0, -1.0]),
+                        (np.full(4, 1e-8), PAIRED)):
+        with pytest.raises(DimensionMismatch):
+            solve_shifted_hessen(A, b, shifts, SolverConfig(tol=tol))
+        with pytest.raises(DimensionMismatch):
+            solve_shifted_fom(A, b, shifts, SolverConfig(tol=tol))
+    assert A.counter.count == 0
+
+
+def test_uniform_per_shift_tolerance_is_the_scalar_run():
+    A, b = random_system(41)
+    for solver in (solve_shifted_hessen, solve_shifted_fom):
+        xs, rep = solver(A, b, PAIRED, SolverConfig(m=12, tol=1e-9))
+        ys, rep_arr = solver(A, b, PAIRED, SolverConfig(m=12, tol=np.full(5, 1e-9)))
+        assert (rep_arr.cycles, rep_arr.total_mvps) == (rep.cycles, rep.total_mvps)
+        for x, y, h, g in zip(xs, ys, rep.shifts, rep_arr.shifts):
+            assert np.array_equal(x, y)
+            assert h.estimates == g.estimates
+            assert h.final_relative_residual == g.final_relative_residual
+
+
+def test_each_shift_meets_its_own_tolerance():
+    A, b = random_system(42)
+    shifts = [0.0, -0.5, -1.0]
+    tols = [1e-4, 1e-8, 1e-12]
+    for solver in (solve_shifted_hessen, solve_shifted_fom):
+        xs, rep = solver(A, b, shifts, SolverConfig(m=8, tol=tols))
+        assert rep.all_converged
+        for s, x, h, tol in zip(shifts, xs, rep.shifts, tols):
+            assert h.final_relative_residual <= tol
+            assert true_relative_residual(A, s, x, b) <= tol
+        # the loosest shift retires first, the tightest last
+        cycles = [h.cycles for h in rep.shifts]
+        assert cycles[0] < cycles[1] < cycles[2] == rep.cycles
+
+
+def test_folded_pair_takes_the_smaller_tolerance(monkeypatch):
+    A, b = random_system(43)
+    sizes = stack_sizes(monkeypatch)
+    # shift 0 alone would stop at 1e-4; its folded partner, shift 2, asks 1e-11
+    tols = [1e-4, 1e-9, 1e-11, 1e-9, 1e-9]
+    xs, rep = solve_shifted_hessen(A, b, PAIRED, SolverConfig(m=12, tol=tols))
+    assert sizes[0] == 3
+    assert rep.all_converged
+    assert np.array_equal(xs[2], np.conj(xs[0]))
+    assert rep.shifts[0].cycles == rep.shifts[2].cycles
+    for i in (0, 2):
+        assert rep.shifts[i].final_relative_residual <= 1e-11
+        assert true_relative_residual(A, PAIRED[i], xs[i], b) <= 1e-11

@@ -24,8 +24,10 @@ action ``f(A) u0`` too.
 
 ``--compare A B`` prints every counter or flag that differs and the
 largest relative solution gap ``||x_A - x_B|| / ||x_A||`` over all
-shifts and inputs.  It exits with status 1 when a counter differs, a
-solution is not finite in either run, or the gap exceeds 1e-12.
+shifts and inputs.  A counter or flag that only one record has, as
+between records of two versions of this tool, is a difference too.  It
+exits with status 1 when a counter differs, a solution is not finite in
+either run, or the gap exceeds 1e-12.
 """
 
 import argparse
@@ -96,6 +98,13 @@ def run(src, out, counts):
     print(f"wrote {out.with_suffix('.json')} and .npz: {len(records)} inputs")
 
 
+def _differ(where, ra, rb, names):
+    """One line per name whose value differs between, or is missing from,
+    the two records."""
+    pairs = ((name, ra.get(name, "missing"), rb.get(name, "missing")) for name in names)
+    return [f"{where}: {name} {x} != {y}" for name, x, y in pairs if x != y]
+
+
 def compare(path_a, path_b):
     import numpy as np
 
@@ -109,10 +118,11 @@ def compare(path_a, path_b):
     gap, where = 0.0, None
     for key in sorted(set(a) & set(b)):
         ra, rb = a[key], b[key]
-        diffs += [f"{key}: {c} {ra[c]} != {rb[c]}" for c in COUNTERS if ra[c] != rb[c]]
+        diffs += _differ(key, ra, rb, COUNTERS)
+        if len(ra["shifts"]) != len(rb["shifts"]):
+            diffs.append(f"{key}: {len(ra['shifts'])} != {len(rb['shifts'])} shifts")
         for i, (sa, sb) in enumerate(zip(ra["shifts"], rb["shifts"])):
-            diffs += [f"{key} shift {i}: {f} {sa[f]} != {sb[f]}" for f in SHIFT_FLAGS
-                      if sa[f] != sb[f]]
+            diffs += _differ(f"{key} shift {i}", sa, sb, SHIFT_FLAGS)
         for k in (key, key + "/action"):
             if k not in sols[0]:
                 continue
