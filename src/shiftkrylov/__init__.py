@@ -31,6 +31,7 @@ from .processes import (
     pivot_select,
     run_arnoldi,
     run_hessenberg,
+    thick_restart,
     verify_decomposition,
 )
 from .solvers import (
@@ -96,6 +97,7 @@ __all__ = [
     "predicted_flops",
     "run_arnoldi",
     "run_hessenberg",
+    "thick_restart",
     "save_matrix_market",
     "solve_hessen",
     "solve_hessenberg",

@@ -26,6 +26,7 @@ import numpy as np
 from .costs import attach_costs
 from .errors import (
     IllConditionedEigenbasis,
+    InvalidDimensions,
     NotConverged,
     ParseError,
     ShiftKrylovError,
@@ -98,6 +99,20 @@ def _write_csv(out, fieldnames, rows):
         print(f"wrote {out} ({len(rows)} rows)")
 
 
+def _solver_config(args):
+    """The solver settings of the options, checked before any file is read.
+
+    A bad value is a usage error, so it leaves as ``ValueError`` (exit 2)
+    and not as the package error that a bad file raises (exit 1).
+    """
+    cfg = SolverConfig(m=args.m, tol=args.tol, max_mvps=args.max_mvps)
+    try:
+        cfg.validate()
+    except InvalidDimensions as exc:
+        raise ValueError(str(exc)) from None
+    return cfg
+
+
 def _dagger_string(report):
     return "".join("1" if bad else "0" for bad in report.dagger_flags)
 
@@ -160,10 +175,10 @@ def _run_one(solver, A, b, shifts, cfg):
 
 
 def _cmd_solve(args):
+    cfg = _solver_config(args)
     A = load_matrix_market(args.matrix)
     shifts = gen_shifts(args.shifts)
     b = _load_vector(args.rhs, A.shape[0])
-    cfg = SolverConfig(m=args.m, tol=args.tol, max_mvps=args.max_mvps)
     xs, report, elapsed = _run_one(args.solver, A, b, shifts, cfg)
 
     row = _report_row(report, elapsed)
@@ -260,6 +275,7 @@ def _cmd_bench(args):
 
 
 def _cmd_matfunc(args):
+    cfg = _solver_config(args)
     A = load_matrix_market(args.matrix)
     if args.quadrature:
         rule = load_quadrature(args.quadrature, kind=args.kind, gamma=args.gamma)
@@ -270,7 +286,6 @@ def _cmd_matfunc(args):
             gamma=args.gamma,
         )
     u0 = _load_vector(args.u0, A.shape[0])
-    cfg = SolverConfig(m=args.m, tol=args.tol, max_mvps=args.max_mvps)
     t0 = time.perf_counter()
     y, report = eval_rational_action(A, u0, rule, cfg, return_report=True)
     elapsed = (time.perf_counter() - t0) * 1e3

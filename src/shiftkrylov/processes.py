@@ -27,12 +27,20 @@ each product before working on it in place, so an operator may return a
 view, even of its argument; both break down on a candidate not above
 :func:`_breakdown_threshold`; and both hand their m-step buffers to
 :class:`HessenbergDecomposition`, which trims them to the k steps done.
+
+:func:`thick_restart` turns an m-step pivoted decomposition into a
+j-step one that keeps the j Ritz values of smallest modulus (a
+Krylov-Schur restart) and whose start vector is the old decomposition's
+last basis vector; ``run_hessenberg(A, v, m, start=seed)`` continues it
+at column j + 1.  The leading (j+1) x j block of its ``hbar`` is full,
+so the extended matrix is Hessenberg only from column j + 1 on, but the
+basis stays unit lower trapezoidal under ``perm``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -48,6 +56,7 @@ __all__ = [
     "pivot_select",
     "run_hessenberg",
     "run_arnoldi",
+    "thick_restart",
     "verify_decomposition",
 ]
 
@@ -68,16 +77,24 @@ class HessenbergDecomposition:
         process broke down (the subspace became invariant).
     hbar : (k+1, k) ndarray
         Extended Hessenberg matrix; its last row is zero on breakdown.
+        A run continued from a thick restart of j columns is full in its
+        leading (j+1, j) block and Hessenberg from column j + 1 on; its
+        last row is zero but for ``hbar[k, k-1]``, as after a plain start.
     perm : (n,) ndarray of int
         Pivot bookkeeping permutation.  ``basis[perm[:k], :k]`` is unit
         lower triangular for the pivoted process; the identity for
         Arnoldi.
     beta : scalar
         Normalization of the start vector: ``v == beta * basis[:, 0]``.
+        For a thick restart of j columns, the start vector's coefficient
+        ``g[j]`` on the first column built after the kept ones.
     steps : int
-        Number of completed steps ``k``.
+        Number of completed steps ``k``, kept columns included.
     breakdown : bool
         True when the process terminated with ``hbar[k, k-1] == 0``.
+    g : ndarray, optional
+        Start coordinates: ``v == basis[:, :g.size] @ g``.  Defaults to
+        ``[beta]``; a thick restart of j columns has j + 1.
     """
 
     basis: np.ndarray
@@ -86,11 +103,14 @@ class HessenbergDecomposition:
     beta: complex
     steps: int
     breakdown: bool = False
+    g: np.ndarray = None
 
     def __post_init__(self):
         k = self.steps
         self.basis = self.basis[:, : k if self.breakdown else k + 1]
         self.hbar = self.hbar[: k + 1, :k]
+        if self.g is None:
+            self.g = np.array([self.beta])
 
     @property
     def square_h(self):
@@ -182,7 +202,7 @@ def _check_start(A, v, m):
     return v.astype(dtype, copy=False), n, m, dtype
 
 
-def run_hessenberg(A, v, m, norm_scale=None):
+def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     """Run ``m`` steps of the pivoted Hessenberg process.
 
     Each step solves the pivot rows for its coefficients (``trsv``),
@@ -206,6 +226,14 @@ def run_hessenberg(A, v, m, norm_scale=None):
         a breakdown (invariant subspace).  When the operator exposes no
         norm and none is given, the largest entry of each step's product
         stands in for it.
+    start : HessenbergDecomposition, optional
+        A j-step decomposition of ``v`` by ``A`` to continue, with
+        ``1 <= j < m`` and no breakdown, such as :func:`thick_restart`
+        returns.  Its basis, ``hbar``, ``perm``, ``beta`` and ``g`` are
+        taken as they are and the run goes on at column j + 1, so it
+        pays ``m - j`` products and returns an m-step decomposition of
+        ``v`` with the same start coordinates.  ``v`` is then only
+        checked, not read.
 
     Returns
     -------
@@ -220,27 +248,41 @@ def run_hessenberg(A, v, m, norm_scale=None):
     """
     v, n, m, dtype = _check_start(A, v, m)
     norm_scale = _operator_norm_scale(A) if norm_scale is None else norm_scale
-
-    perm = np.arange(n)
-    i0 = pivot_select(v, start=0)
-    beta = v[i0]
-    perm[0], perm[i0] = perm[i0], perm[0]
-    inv = perm.copy()  # a transposition is its own inverse
+    if start is not None:
+        dtype = np.result_type(dtype, start.basis.dtype)
 
     basis = np.zeros((n, m + 1), dtype=dtype, order="F")
-    basis[:, 0] = v / beta
-    # complex self-division may stray from exact one by an ulp; the pivot
-    # entry is one by construction, so write it that way
-    basis[i0, 0] = 1.0
     hbar = np.zeros((m + 1, m), dtype=dtype)
     # pivot rows of the basis, basis[perm[:j+1], :j+1], unit lower triangular
     lower = np.eye(m + 1, dtype=dtype, order="F")
+    if start is None:
+        first, g = 0, None
+        perm = np.arange(n)
+        i0 = pivot_select(v, start=0)
+        beta = v[i0]
+        perm[0], perm[i0] = perm[i0], perm[0]
+        basis[:, 0] = v / beta
+        # complex self-division may stray from exact one by an ulp; the pivot
+        # entry is one by construction, so write it that way
+        basis[i0, 0] = 1.0
+    else:
+        first, g, beta = start.steps, start.g, start.beta
+        if start.breakdown or not 1 <= first < m or start.basis.shape[0] != n:
+            raise InvalidDimensions(
+                f"cannot continue {start!r} to {m} steps on vectors of length {n}"
+            )
+        perm = start.perm.copy()
+        basis[:, : first + 1] = start.basis
+        hbar[: first + 1, :first] = start.hbar
+        lower[: first + 1, : first + 1] = start.basis[perm[: first + 1]]
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
     trsv, gemv = get_blas_funcs(("trsv", "gemv"), (basis,))
     mag = np.empty(n)
 
     steps = m
     breakdown = False
-    for j in range(m):
+    for j in range(first, m):
         u = np.array(A @ basis[:, j], dtype=dtype)
         tol = _breakdown_threshold(norm_scale, n, u)
         h = trsv(lower[: j + 1, : j + 1], u[perm[: j + 1]], lower=1, diag=1)
@@ -278,7 +320,109 @@ def run_hessenberg(A, v, m, norm_scale=None):
         breakdown = True
         break
 
-    return HessenbergDecomposition(basis, hbar, perm, beta, steps, breakdown)
+    return HessenbergDecomposition(basis, hbar, perm, beta, steps, breakdown, g)
+
+
+def thick_restart(dec, k):
+    """Krylov-Schur restart of a pivoted decomposition, for ``start=``.
+
+    With ``H = dec.square_h`` and ``b`` the last row of ``dec.hbar``,
+    ``A V = V H + v b^T`` for the m-step basis ``V`` and its last column
+    ``v``.  A real Schur form ``H Q = Q T`` (complex for complex ``H``)
+    with the k Ritz values of smallest modulus leading gives the Krylov
+    decomposition ``A W0 = W0 T_k + v (b^T Q_k)`` with ``W0 = V Q_k``.  A
+    conjugate pair is kept whole, so k may become k + 1.
+
+    ``W0 = P L U`` by partial pivoting, and ``W = W0 U^{-1}`` is taken as
+    ``P L``: unit lower trapezoidal under the pivot rows, as the process
+    keeps its basis.  Eliminating ``v`` on those rows,
+    ``c = L_piv^{-1} v[piv]``, leaves a remainder whose largest entry
+    ``s`` (the first in pivot order on a tie) is its pivot; with ``w``
+    the remainder divided by ``s``,
+
+        A W = W (U T_k U^{-1} + c b_hat^T) + s w b_hat^T,
+        b_hat^T = b^T Q_k U^{-1},
+
+    and ``v = W c + s w``.  Returns that k-step decomposition, with
+    ``g = [c; s]`` and ``beta = s``.  Because the decomposition is one of
+    ``A`` alone, ``A - sigma I`` has it too with ``T_k - sigma I``, so a
+    residual ``coef * v`` of any shift is ``coef * [c; s]`` in the new
+    basis.  No products are taken.
+
+    Returns None, for a plain restart from ``v``, when the Schur form or
+    its reordering fails, when ties of modulus leave no block of fewer
+    than m columns, when ``U`` has a diagonal entry at or below
+    ``n * eps * max |U|``, or when ``v`` lies in the span of ``W`` to
+    within the breakdown threshold ``n * eps * max |v|``.
+
+    Parameters
+    ----------
+    dec : HessenbergDecomposition
+        A pivoted decomposition without breakdown.
+    k : int
+        Ritz values to keep, ``1 <= k < dec.steps``.
+
+    Raises
+    ------
+    InvalidDimensions
+        If ``dec`` broke down or ``k`` is out of range.
+    """
+    m = dec.steps
+    message = f"cannot keep {k!r} of the {m} columns of {dec!r}"
+    k = _count(k, 1, InvalidDimensions, message)
+    if dec.breakdown or k >= m:
+        raise InvalidDimensions(message)
+    H = dec.square_h
+    v = dec.last_vector
+    n = v.shape[0]
+    gees, trsen = get_lapack_funcs(("gees", "trsen"), (H,))
+    # real gees returns the Ritz values as (wr, wi), complex gees as w
+    T, _, *ritz, Q, _, info = gees(lambda *ritz: None, H)
+    if info:
+        return None
+    mod = np.hypot(*ritz) if len(ritz) == 2 else np.abs(ritz[0])
+    order = np.sort(mod)
+    # a conjugate pair, like any exact tie of modulus, is kept whole
+    while k < m and order[k] == order[k - 1]:
+        k += 1
+    if k >= m:
+        return None
+    T, Q, *_, info = trsen((mod <= order[k - 1]).astype(np.int32), T, Q, job="N")
+    if info:
+        return None
+    lu, piv = lu_factor(dec.basis[:, :m] @ Q[:, :k], overwrite_a=True, check_finite=False)
+    U = np.triu(lu[:k])
+    if np.abs(np.diagonal(U)).min() <= _breakdown_threshold(None, n, U):
+        return None
+    perm = np.arange(n)
+    for i, p in enumerate(piv):
+        perm[i], perm[p] = perm[p], perm[i]
+    # W = P L in natural row order, pinned to exact zeros and ones on its
+    # pivot rows
+    lu[:k] = np.tril(lu[:k], -1) + np.eye(k)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    W = lu[inv]
+    c = solve_triangular(lu[:k], v[perm[:k]], lower=True, unit_diagonal=True,
+                         check_finite=False)
+    u = v - W @ c
+    u[perm[:k]] = 0.0
+    pos = pivot_select(u[perm], start=k)
+    s = u[perm[pos]]
+    if not abs(s) > _breakdown_threshold(None, n, v):
+        return None
+    perm[k], perm[pos] = perm[pos], perm[k]
+    w = u / s
+    w[perm[k]] = 1.0
+    # b_hat^T = b^T Q_k U^{-1} and U T_k U^{-1}, by solves with U^T
+    bhat = solve_triangular(U, dec.hbar[m] @ Q[:, :k], trans="T", check_finite=False)
+    hbar = np.empty((k + 1, k), dtype=lu.dtype)
+    UTU = solve_triangular(U, (U @ T[:k, :k]).T, trans="T", check_finite=False).T
+    hbar[:k] = UTU + np.outer(c, bhat)
+    hbar[k] = s * bhat
+    return HessenbergDecomposition(
+        np.column_stack((W, w)), hbar, perm, s, k, g=np.append(c, s)
+    )
 
 
 def run_arnoldi(A, v, m, norm_scale=None):

@@ -1,8 +1,9 @@
-"""Direct solution of small upper Hessenberg systems.
+"""Direct solution of small reduced systems.
 
 The restarted solvers project each shifted system onto a Krylov subspace
-and solve an m x m upper Hessenberg system per shift and cycle.  These
-systems are solved here as one (p, m, m+1) stack of augmented rows
+and solve an m x m reduced system per shift and cycle: upper Hessenberg
+after a plain restart, full in its leading block after a thick one.
+These systems are solved here as one (p, m, m+1) stack of augmented rows
 ``[H - sigma I | g]``, with ``g = beta e1`` or a whole right-hand side
 (an unshifted system is the stack with one row and sigma = 0): one
 LAPACK Householder QR of the whole stack, whose last column is then
@@ -13,8 +14,11 @@ faster of the two at the basis sizes used in the package (m = 30 by
 default; no caller in the repository goes above 40); for 16 complex
 shifts the two break even near m = 60.
 
-Entries of ``H`` strictly below the first subdiagonal are never read, so
-callers may pass storage whose lower triangle holds garbage.
+The two entry points read ``H`` differently.  :func:`solve_hessenberg`
+takes an upper Hessenberg ``H`` and never reads its entries strictly
+below the first subdiagonal, so a caller may pass storage whose lower
+triangle holds garbage.  :func:`solve_shifted_hessenberg`, the solvers'
+stacked solve, reads all of ``H``, as a thick restart needs.
 """
 
 import numpy as np
@@ -32,15 +36,9 @@ __all__ = [
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
-def _augmented_stack(H, p, dtype):
-    """(p, m, m+1) stack of augmented rows ``[H | 0]``, with values below
-    the first subdiagonal of ``H`` masked to zero outside any arithmetic."""
+def _check_square(H):
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
-    m = H.shape[0]
-    W = np.zeros((p, m, m + 1), dtype=dtype)
-    W[:, :, :m] = np.triu(H, k=-1)
-    return W
 
 
 def _qr_solve(W):
@@ -98,10 +96,12 @@ def solve_hessenberg(H, rhs):
     DimensionMismatch
         If ``H`` is not square or ``rhs`` is not a vector of length m.
     """
-    rhs = np.asarray(rhs)
+    H, rhs = np.asarray(H), np.asarray(rhs)
     if rhs.ndim != 1:
         raise DimensionMismatch(f"right-hand side must be 1-d, got shape {rhs.shape}")
-    return solve_shifted_hessenberg(H, 0.0, rhs)
+    _check_square(H)
+    # the entries below the first subdiagonal are masked outside any arithmetic
+    return solve_shifted_hessenberg(np.triu(H, k=-1), 0.0, rhs)
 
 
 def solve_shifted_hessenberg(H, sigma, beta):
@@ -114,8 +114,8 @@ def solve_shifted_hessenberg(H, sigma, beta):
     Parameters
     ----------
     H : (m, m) array_like
-        Upper Hessenberg matrix; entries below the first subdiagonal are
-        ignored.
+        The reduced matrix, read in full: upper Hessenberg after a plain
+        restart, with a full leading block after a thick one.
     sigma : scalar or (p,) array_like
         Shifts, real or complex.
     beta : scalar, array_like shaped like ``sigma``, or ``sigma.shape + (m,)``
@@ -139,9 +139,12 @@ def solve_shifted_hessenberg(H, sigma, beta):
     H, sigma, beta = np.asarray(H), np.asarray(sigma), np.asarray(beta)
     if sigma.ndim > 1 or beta.shape not in ((), sigma.shape, sigma.shape + H.shape[-1:]):
         raise DimensionMismatch(f"shifts of shape {sigma.shape}, right sides {beta.shape}")
+    _check_square(H)
     dtype = np.result_type(H.dtype, sigma.dtype, beta.dtype, np.float64)
-    W = _augmented_stack(H, sigma.size, dtype)
-    idx = np.arange(W.shape[1])
+    m = H.shape[0]
+    W = np.zeros((sigma.size, m, m + 1), dtype=dtype)
+    W[:, :, :m] = H
+    idx = np.arange(m)
     W[:, idx, idx] -= sigma.reshape(-1, 1)
     if beta.ndim > sigma.ndim:
         W[:, :, -1] = beta
@@ -153,10 +156,11 @@ def solve_shifted_hessenberg(H, sigma, beta):
 def collinearity_scalar(h_next, y):
     """Coefficient of the next basis vector in the Galerkin residual.
 
-    After a reduced solve ``H_m y = beta e1`` the full-space residual is
+    After a reduced solve ``(H_m - sigma I) y = g``, with ``g`` the start
+    vector's coordinates in the basis, the full-space residual is
     ``-h_next * y[-1]`` times the (m+1)-th basis vector, where ``h_next``
-    is the subdiagonal entry ``H[m, m-1]`` of the extended Hessenberg
-    matrix.  Returns that scalar, or one per row for a (p, m) stack of
+    is the entry ``H[m, m-1]`` of the extended matrix, the only nonzero
+    of its last row also after a thick restart.  Returns that scalar, or one per row for a (p, m) stack of
     solutions.
     """
     y = np.asarray(y)

@@ -17,7 +17,8 @@ The shifts differ only in their m x m reduced systems: each cycle solves
 those of all active shifts as one stack and adds their corrections to
 the iterates in one product with the basis.  A shift skipped for a
 singular reduced system then carries an explicit residual vector, whose
-projection replaces beta e1 as its right-hand side in the stack.
+projection replaces the shared start coordinates (below) as its
+right-hand side in the stack.
 
 When the operator, the right-hand side and any initial guess are real,
 the shift conj(sigma) has the solution conj(x) when sigma has x.  Each
@@ -32,6 +33,27 @@ correction is formed as two real products, one for its real and one
 for its imaginary part, rather than one complex product that would
 upcast the basis.  Complex data, or a family without pairs, uses the
 same loop with every shift its own class.
+
+A thick restart (``SolverConfig.keep``, pivoted Hessenberg only) keeps
+wanted spectral information across cycles instead of throwing the basis
+away.  At the end of a cycle ``A V = V H + v b^T``, with ``v`` the last
+basis vector and every active residual a multiple ``coef * v``.  A
+Krylov-Schur step (:func:`~shiftkrylov.processes.thick_restart`) takes
+the real Schur form of ``H`` with its k Ritz values of smallest modulus
+leading (a conjugate pair kept whole, so k may become k + 1) and
+rebuilds the process's unit lower trapezoidal basis from ``V Q_k`` by
+one pivoted LU factorization.  It eliminates ``v`` on the new pivot
+rows, so ``v = W c + s w`` with ``w`` the first new basis vector, and
+the next cycle continues the process from column k + 1, paying m - k
+products instead of m.  The leading block of the next cycle's ``H`` is
+then full, not Hessenberg, which the stacked reduced solve reads as it
+is.  The decomposition is one of ``A`` alone, so it serves every shift:
+the right-hand side of each collinear class is ``coef`` times the start
+coordinates ``g = [c; s]`` that the decomposition carries (``beta e1``
+after a plain restart), padded with zeros, and its new residual is again
+a multiple of the new last vector.  The Ritz selection ignores the shifts, so the
+products stay independent of the number of shifts.  ``keep = 0`` is the
+plain restart.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
@@ -57,7 +79,13 @@ from .errors import (
 )
 # bench/tracing.py wraps all three here by name, solve_hessenberg though unused
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
-from .processes import _check_start, _operator_norm_scale, run_arnoldi, run_hessenberg
+from .processes import (
+    _check_start,
+    _operator_norm_scale,
+    run_arnoldi,
+    run_hessenberg,
+    thick_restart,
+)
 
 __all__ = [
     "SolverConfig",
@@ -97,12 +125,23 @@ class SolverConfig:
         smaller of its two values.
     max_mvps : int
         Budget of basis matrix-vector products; a new cycle starts only
-        while a full cycle still fits.
+        while it still fits: m products after a plain restart, m - k
+        after a thick restart that kept k columns.
+    keep : int or None
+        Ritz values kept by the thick restart (see the module
+        docstring), ``0 <= keep < m``; clamped to ``m - 1`` when ``m`` is
+        clamped to the order of the operator.  None, the default, means
+        0 in the solvers, which is the plain restart, and ``m // 3`` in
+        :func:`~shiftkrylov.matfunc.eval_rational_action`.  Only the
+        pivoted Hessenberg solvers take ``keep > 0``;
+        :func:`solve_shifted_fom` rejects it, because its Arnoldi basis is
+        not orthonormal enough to keep.
     """
 
     m: int = 30
     tol: float | np.ndarray = 1e-8
     max_mvps: int = 4000
+    keep: int | None = None
 
     def validate(self):
         _count(self.m, 1, InvalidDimensions,
@@ -116,6 +155,10 @@ class SolverConfig:
             )
         _count(self.max_mvps, 0, InvalidDimensions,
                f"max_mvps {self.max_mvps!r} must be a nonnegative integer")
+        if self.keep is not None:
+            message = f"keep={self.keep!r} must be None or an integer in 0..m-1={self.m - 1}"
+            if _count(self.keep, 0, InvalidDimensions, message) >= self.m:
+                raise InvalidDimensions(message)
 
 
 @dataclass
@@ -174,7 +217,9 @@ class SolveReport:
 
     ``breakdown`` is True when the basis became invariant and the solve
     ended there; ``budget_exhausted`` is True when it stopped with shifts
-    still active because the next full cycle would exceed ``max_mvps``.
+    still active because the next cycle would exceed ``max_mvps``.
+    ``keep`` is the number of Ritz values the thick restart was asked to
+    keep, after clamping; 0 for the plain restart.
     """
 
     solver: str
@@ -189,6 +234,7 @@ class SolveReport:
     breakdown: bool = False
     budget_exhausted: bool = False
     predicted_flops: int | None = None
+    keep: int = 0
 
     @property
     def total_mvps(self):
@@ -291,6 +337,11 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     t_start = time.perf_counter()
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
+    if process == "arnoldi" and cfg.keep:
+        raise InvalidDimensions(
+            f"keep={cfg.keep} needs the pivoted Hessenberg process; the Arnoldi "
+            f"basis here is not orthonormal enough for a thick restart"
+        )
     b = np.asarray(b)
     # b passes the checks of every cycle's start vector, and is the first
     # start vector when there is no initial guess
@@ -308,6 +359,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     # a basis cannot have more than n vectors; clamp rather than reject so
     # the default cycle length works on small matrices
     m = min(cfg.m, n)
+    keep = min(cfg.keep or 0, m - 1)
 
     shifts = [_as_scalar_shift(s) for s in shifts]
     if not shifts:
@@ -376,16 +428,24 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         nnz=getattr(A, "nnz", 0),
         m=m,
         shifts=histories,
+        keep=keep,
     )
 
     v = r0
+    dec = seed = None
     consecutive_all_skipped = 0
     while active:
-        if report.basis_mvps + m > cfg.max_mvps:
+        if keep and dec is not None:
+            seed = thick_restart(dec, keep)
+        kept = 0 if seed is None else seed.steps
+        if report.basis_mvps + m - kept > cfg.max_mvps:
             report.budget_exhausted = True
             break
-        dec = runner(A, v, m, norm_scale)
-        report.basis_mvps += dec.steps
+        if seed is None:
+            dec = runner(A, v, m, norm_scale)
+        else:
+            dec = runner(A, v, m, norm_scale, start=seed)
+        report.basis_mvps += dec.steps - kept
         k = dec.steps
         H = dec.square_h
         V = dec.basis[:, :k]
@@ -395,10 +455,11 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         active_before = tuple(active)
         rows = np.array(active_before)
         # one stacked reduced solve for every active class: the right-hand
-        # side of a collinear class is coef * beta * e1, that of an
-        # anchored class the projection of its explicit residual
+        # side of a collinear class is coef times the start coordinates,
+        # that of an anchored class the projection of its explicit residual
+        g = dec.g
         G = np.zeros((rows.size, k), dtype=X.dtype)
-        G[:, 0] = coef[rows] * dec.beta
+        G[:, : g.size] = coef[rows, None] * g
         for j, c in enumerate(active_before):
             if anchors[c] is not None:
                 G[j] = _project_residual(dec, anchors[c], process)
@@ -430,7 +491,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         estimates = [None] * nu
         for c in active_before:
             if skipped[c] and anchors[c] is None:
-                anchors[c] = coef[c] * dec.beta * dec.basis[:, 0]
+                anchors[c] = dec.basis[:, : g.size] @ (coef[c] * g)
             if anchors[c] is None:
                 est = float(abs(coef[c])) * lnorm / bnorm
             else:

@@ -207,3 +207,18 @@ def test_matfunc_dense_check_skips_on_bad_eigenbasis(tmp_path, capsys):
     assert run("matfunc", "--matrix", str(p), "--kind", "exp", "--check-dense") == 0
     text = capsys.readouterr().out
     assert "skipping dense check" in text
+
+
+def test_bad_option_values_are_usage_errors_before_any_file_is_read(tmp_path):
+    p = gen_matrix(tmp_path)
+    assert run("matfunc", "--matrix", str(p), "--tol", "inf") == 2
+    assert run("solve", "--matrix", str(p), "--tol", "0") == 2
+    # checked before the matrix is opened: a missing file does not mask it
+    missing = str(tmp_path / "nope.mtx")
+    assert run("matfunc", "--matrix", missing, "--m", "0") == 2
+    assert run("solve", "--matrix", missing, "--tol", "-1") == 2
+    # a malformed matrix file with valid options is still a file problem
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 nope\n")
+    assert run("matfunc", "--matrix", str(bad)) == 1
+    assert run("solve", "--matrix", str(bad)) == 1

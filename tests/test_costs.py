@@ -8,6 +8,7 @@ from shiftkrylov import (
     PROCESS_NAMES,
     SolverConfig,
     attach_costs,
+    gen_laplace2d,
     predicted_flops,
     solve_shifted_fom,
     solve_shifted_hessen,
@@ -94,3 +95,21 @@ def test_attach_costs_uses_report_dimensions():
     # explicit process choice overrides the solver-name inference
     attach_costs(rep, process="weighted_arnoldi")
     assert rep.predicted_flops > rep.cycles * per_cycle
+
+
+def test_attach_costs_charges_the_steps_a_thick_restart_runs():
+    # a continued cycle runs steps k+1..m, each costing what it costs in a
+    # fresh cycle, and forms the kept block V Q_k with 2 n m k flops
+    A = gen_laplace2d(12)
+    b = np.random.default_rng(2).standard_normal(A.shape[0])
+    xs, rep = solve_shifted_hessen(A, b, [0.0, -0.5], SolverConfig(m=10, tol=1e-10, keep=4))
+    assert rep.keep == 4 and rep.cycles >= 3
+    attach_costs(rep)
+    m, n, k, nu = rep.m, rep.n, rep.keep, len(rep.shifts)
+    steps = [2 * rep.nnz + 2 * j * n - j * (j - 1) for j in range(1, m + 1)]
+    continued = sum(steps[k:]) + 2 * n * m * k
+    assert rep.predicted_flops == (
+        sum(steps) + (rep.cycles - 1) * continued + rep.cycles * nu * m**2
+    )
+    # and each continued cycle ran m - k products
+    assert rep.basis_mvps == m + (rep.cycles - 1) * (m - k)

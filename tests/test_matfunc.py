@@ -323,18 +323,24 @@ def test_every_pole_meets_its_own_tolerance():
 
 
 def test_pole_tolerances_never_add_cycles():
+    # the restart vector does not depend on which poles are active, with or
+    # without the default thick restart; under the plain restart the
+    # looser light poles also save cycles here, while under the thick one
+    # the family converges in too few cycles for that on this operator
     A = gen_laplace2d(20)
     n = A.shape[0]
-    saved = 0
+    saved = {0: 0, None: 0}
     for kind, gamma in PACKAGED_RULES:
         rule = packaged_rule(kind, gamma)
         for u0 in (np.ones(n), np.random.default_rng(1).standard_normal(n)):
-            _, rep = eval_rational_action(A, u0, rule, return_report=True)
-            uniform = SolverConfig(tol=np.full(rule.nu, 1e-10))
-            _, rep_uniform = eval_rational_action(A, u0, rule, uniform, return_report=True)
-            assert rep.cycles <= rep_uniform.cycles
-            saved += rep_uniform.cycles - rep.cycles
-    assert saved > 0
+            for keep in saved:
+                cfg = SolverConfig(tol=1e-10, keep=keep)
+                _, rep = eval_rational_action(A, u0, rule, cfg, return_report=True)
+                uniform = SolverConfig(tol=np.full(rule.nu, 1e-10), keep=keep)
+                _, rep_uniform = eval_rational_action(A, u0, rule, uniform, return_report=True)
+                assert rep.cycles <= rep_uniform.cycles
+                saved[keep] += rep_uniform.cycles - rep.cycles
+    assert saved[0] > 0
 
 
 def test_zero_weights_give_finite_tolerances(monkeypatch):

@@ -11,11 +11,13 @@ from shiftkrylov import (
     InvalidDimensions,
     NonFiniteInput,
     ZeroStartVector,
+    gen_convdiff3d,
     gen_laplace2d,
     identity,
     pivot_select,
     run_arnoldi,
     run_hessenberg,
+    thick_restart,
     verify_decomposition,
 )
 from shiftkrylov.processes import _EPS, _check_start, _operator_norm_scale
@@ -413,3 +415,125 @@ def test_decomposition_trims_its_buffers():
     assert dec.basis.shape == (5, 2) and dec.hbar.shape == (3, 2)
     again = HessenbergDecomposition(dec.basis, dec.hbar, perm, 1.0, 2, breakdown=True)
     assert again.basis.shape == (5, 2) and again.hbar.shape == (3, 2)
+
+
+# -- thick restart ----------------------------------------------------------
+
+
+def thick_cases():
+    """A symmetric operator (real Ritz values) and a convection-dominated
+    one (complex pairs among the smallest), with m = 30 decompositions."""
+    rng = np.random.default_rng(5)
+    lap = gen_laplace2d(20)
+    conv = gen_convdiff3d(9, 1.0, (0.0, 111.8, 223.6), 400.0)
+    for A in (lap, conv):
+        v = rng.standard_normal(A.shape[0])
+        yield A, v, run_hessenberg(A, v, 30)
+
+
+def assert_exact_unit_lower(dec, cols):
+    T = dec.basis[dec.perm[:cols], :cols]
+    assert_array_equal(np.diag(T), 1.0)
+    assert_array_equal(np.triu(T, 1), 0.0)
+
+
+@pytest.mark.parametrize("k", [5, 10])
+def test_thick_restart_keeps_the_decomposition_and_the_basis_structure(k):
+    for A, _, dec in thick_cases():
+        fro = np.linalg.norm(A.values)
+        seed = thick_restart(dec, k)
+        # a conjugate pair is kept whole
+        assert seed.steps in (k, k + 1)
+        assert seed.basis.shape == (A.shape[0], seed.steps + 1)
+        assert verify_decomposition(A, seed) <= 1e-12 * fro
+        assert_exact_unit_lower(seed, seed.steps + 1)
+        # the old last vector is the seed's start vector, in g coordinates
+        v = dec.last_vector
+        assert seed.g.size == seed.steps + 1 and seed.g[-1] == seed.beta
+        assert_allclose(seed.basis @ seed.g, v, rtol=0, atol=1e-13 * np.abs(v).max())
+        # continuing pays m - k products and keeps every guarantee
+        A.counter.reset()
+        cont = run_hessenberg(A, v, 30, start=seed)
+        assert A.counter.count == 30 - seed.steps
+        assert cont.steps == 30 and not cont.breakdown
+        assert verify_decomposition(A, cont) <= 1e-12 * fro
+        assert_exact_unit_lower(cont, 31)
+        assert_array_equal(cont.g, seed.g)
+        # Hessenberg after the kept block: the last row couples one column
+        assert_array_equal(cont.hbar[30, :29], 0.0)
+        assert_array_equal(np.tril(cont.hbar[:, seed.steps:], -seed.steps - 2), 0.0)
+
+
+def test_thick_restart_keeps_real_data_real():
+    for A, v, dec in thick_cases():
+        seed = thick_restart(dec, 10)
+        cont = run_hessenberg(A, dec.last_vector, 30, start=seed)
+        for d in (seed, cont):
+            assert d.basis.dtype == np.float64 and d.hbar.dtype == np.float64
+
+
+def test_thick_restart_of_a_complex_decomposition():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+    A = csr_from_dense(M * (rng.random((60, 60)) < 0.2) + 6.0 * np.eye(60))
+    dec = run_hessenberg(A, rng.standard_normal(60) + 0j, 20)
+    seed = thick_restart(dec, 6)
+    assert seed.steps == 6 and seed.basis.dtype == np.complex128
+    cont = run_hessenberg(A, dec.last_vector, 20, start=seed)
+    assert verify_decomposition(A, cont) <= 1e-12 * np.linalg.norm(A.values)
+    assert_exact_unit_lower(cont, 21)
+
+
+def test_continuing_a_fresh_run_is_the_longer_run():
+    # the start contract: a j-step decomposition continued to m steps is
+    # bitwise the m-step run
+    rng = np.random.default_rng(12)
+    A = random_sparse(rng, 120)
+    v = rng.standard_normal(120)
+    full = run_hessenberg(A, v, 25)
+    for j in (1, 12, 24):
+        cont = run_hessenberg(A, v, 25, start=run_hessenberg(A, v, j))
+        assert_array_equal(cont.basis, full.basis)
+        assert_array_equal(cont.hbar, full.hbar)
+        assert_array_equal(cont.perm, full.perm)
+        assert cont.beta == full.beta and cont.steps == full.steps
+
+
+def test_start_that_cannot_be_continued_is_rejected():
+    rng = np.random.default_rng(13)
+    A = random_sparse(rng, 40)
+    v = rng.standard_normal(40)
+    dec = run_hessenberg(A, v, 10)
+    for m in (10, 5):
+        with pytest.raises(InvalidDimensions):
+            run_hessenberg(A, v, m, start=dec)
+    broken = run_hessenberg(identity(40), v, 5)
+    assert broken.breakdown
+    with pytest.raises(InvalidDimensions):
+        run_hessenberg(identity(40), v, 10, start=broken)
+
+
+def rotation_blocks(n=40):
+    """Block diagonal 2 x 2 rotations and scalings: every eigenvalue, and
+    every Ritz value of a short run, is one of a conjugate pair."""
+    M = np.zeros((n, n))
+    for i in range(0, n, 2):
+        M[i : i + 2, i : i + 2] = [[1.0 + i, -0.5 - i], [0.5 + i, 1.0 + i]]
+    return csr_from_dense(M)
+
+
+def test_thick_restart_keeps_pairs_whole_or_falls_back():
+    A = rotation_blocks()
+    dec = run_hessenberg(A, np.random.default_rng(0).standard_normal(40), 8)
+    for k in range(1, 7):
+        seed = thick_restart(dec, k)
+        assert seed.steps == k + k % 2
+        ritz = np.linalg.eigvals(seed.square_h)
+        assert_allclose(np.sort_complex(ritz), np.sort_complex(ritz.conj()), atol=1e-12)
+    # the pair at the cut would keep all 8 columns: a plain restart instead
+    assert thick_restart(dec, 7) is None
+    for k in (0, 8, 2.5):
+        with pytest.raises(InvalidDimensions):
+            thick_restart(dec, k)
+    with pytest.raises(InvalidDimensions):
+        thick_restart(run_hessenberg(identity(40), np.ones(40), 5), 1)

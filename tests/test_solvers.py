@@ -19,6 +19,7 @@ from shiftkrylov import (
     solve_shifted_fom,
     solve_shifted_hessen,
     true_relative_residual,
+    verify_decomposition,
 )
 
 
@@ -734,3 +735,144 @@ def test_folded_pair_takes_the_smaller_tolerance(monkeypatch):
     for i in (0, 2):
         assert rep.shifts[i].final_relative_residual <= 1e-11
         assert true_relative_residual(A, PAIRED[i], xs[i], b) <= 1e-11
+
+
+# -- thick restart --------------------------------------------------------
+
+
+def test_keep_is_validated_before_any_product():
+    A, b = random_system(50)
+    for keep in (-1, 12, 13, 2.5, "3", True + 0.5):
+        with pytest.raises(InvalidDimensions):
+            SolverConfig(m=12, keep=keep).validate()
+        with pytest.raises(InvalidDimensions):
+            solve_shifted_hessen(A, b, [0.0], SolverConfig(m=12, keep=keep))
+    # the Arnoldi basis is not kept across a restart
+    with pytest.raises(InvalidDimensions):
+        solve_shifted_fom(A, b, [0.0], SolverConfig(m=12, keep=3))
+    assert A.counter.count == 0
+    SolverConfig(m=12, keep=11).validate()
+    SolverConfig(m=12, keep=0).validate()
+    solve_shifted_fom(A, b, [0.0], SolverConfig(m=12, keep=0))
+
+
+def test_keep_is_clamped_with_the_cycle_length():
+    # m = 30 is clamped to n = 8, so keep = 20 becomes 7
+    A, b = random_system(51, n=8, density=0.5)
+    xs, rep = solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(m=30, keep=20))
+    assert (rep.m, rep.keep) == (8, 7)
+    assert rep.all_converged
+
+
+def test_keep_zero_is_the_plain_restart():
+    A, b = random_system(52)
+    runs = [solve_shifted_hessen(A, b, PAIRED, SolverConfig(m=8, tol=1e-10, keep=keep))
+            for keep in (None, 0)]
+    (xa, ra), (xb, rb) = runs
+    assert ra.cycles > 2 and ra.keep == rb.keep == 0
+    assert (ra.cycles, ra.basis_mvps) == (rb.cycles, rb.basis_mvps)
+    for u, v in zip(xa, xb):
+        assert np.array_equal(u, v)
+
+
+def thick_family():
+    """laplace2d(20) with a normal right-hand side and four complex shifts
+    in conjugate pairs: several cycles at m = 20."""
+    A = gen_laplace2d(20)
+    b = np.random.default_rng(53).standard_normal(A.shape[0])
+    return A, b, [-0.5 + 2.0j, -0.5 - 2.0j, 1.0 + 0.5j, 1.0 - 0.5j]
+
+
+def test_thick_restart_keeps_every_residual_collinear():
+    A, b, shifts = thick_family()
+    fro = np.linalg.norm(A.values)
+    off, gaps, identity_err, dtypes = [], [], [], set()
+
+    def watch(info):
+        dec = info.decomposition
+        identity_err.append(verify_decomposition(A, dec) / fro)
+        dtypes.add(dec.basis.dtype)
+        lhat = dec.last_vector / np.linalg.norm(dec.last_vector)
+        bnorm = np.linalg.norm(b)
+        for i in info.active_before:
+            x = info.solutions[i]
+            r = b - (A._apply(x) - info.shifts[i] * x)
+            # measured against |b|: the part off the start vector is a
+            # roundoff floor, large next to a residual near tol
+            off.append(np.linalg.norm(r - lhat * (lhat.conj() @ r)) / bnorm)
+            gaps.append(abs(info.estimates[i] - np.linalg.norm(r) / bnorm))
+
+    cfg = SolverConfig(m=20, tol=1e-10, keep=6)
+    xs, rep = solve_shifted_hessen(A, b, shifts, cfg, on_cycle=watch)
+    assert rep.all_converged and rep.cycles >= 3 and rep.keep == 6
+    # every cycle after the first is continued from the kept block
+    assert rep.basis_mvps == 20 + (rep.cycles - 1) * 14
+    assert max(identity_err) <= 1e-12
+    assert max(off) <= 1e-13
+    assert max(gaps) <= 1e-13
+    # a real operator and right-hand side keep a real basis
+    assert dtypes == {np.dtype(np.float64)}
+    for s, x in zip(shifts, xs):
+        assert true_relative_residual(A, s, x, b) <= 1e-10
+
+
+def test_thick_restart_takes_fewer_products():
+    A, b, shifts = thick_family()
+    _, plain = solve_shifted_hessen(A, b, shifts, SolverConfig(m=20, tol=1e-10))
+    _, thick = solve_shifted_hessen(A, b, shifts, SolverConfig(m=20, tol=1e-10, keep=6))
+    assert plain.all_converged and thick.all_converged
+    assert thick.basis_mvps < plain.basis_mvps
+
+
+def test_thick_restart_products_do_not_depend_on_the_number_of_shifts():
+    from shiftkrylov.matfunc import QuadratureRule
+    from shiftkrylov import eval_rational_action, load_quadrature, packaged_rule_path
+
+    A = gen_laplace2d(20)
+    u0 = np.random.default_rng(54).standard_normal(A.shape[0])
+    rule = load_quadrature(packaged_rule_path("exp"), kind="exp")
+    by_height = np.argsort(np.abs(rule.nodes.imag) + 1e-9 * (rule.nodes.imag < 0))
+    counts = set()
+    for nu in (4, 8, 16):
+        keep = np.sort(by_height[:nu])
+        sub = QuadratureRule(rule.nodes[keep], rule.weights[keep], "exp", 1.0)
+        _, rep = eval_rational_action(A, u0, sub, SolverConfig(m=30, tol=1e-10),
+                                      return_report=True)
+        # the matfunc default keeps m // 3 and a restart is taken
+        assert rep.keep == 10 and rep.cycles >= 2
+        counts.add(rep.basis_mvps)
+    assert len(counts) == 1
+
+
+def test_budget_counts_the_products_of_a_continued_cycle():
+    # a fresh cycle costs m = 10 products and a continued one 10 - 5; a
+    # budget of 17 fits one continued cycle after the first but not a
+    # fresh one, which the plain restart shows
+    A = laplace1d(60)
+    b = np.ones(60)
+    _, plain = solve_shifted_hessen(A, b, [0.0], SolverConfig(m=10, tol=1e-14, max_mvps=17))
+    assert (plain.cycles, plain.basis_mvps) == (1, 10) and plain.budget_exhausted
+    _, thick = solve_shifted_hessen(
+        A, b, [0.0], SolverConfig(m=10, tol=1e-14, max_mvps=17, keep=5)
+    )
+    assert (thick.cycles, thick.basis_mvps) == (2, 15)
+    assert thick.budget_exhausted and not thick.all_converged
+
+
+def test_thick_restart_that_cannot_keep_is_the_plain_restart():
+    # every Ritz value of this operator is one of a conjugate pair, so
+    # keep = m - 1 would split the pair at the cut and every restart falls
+    # back to the plain one, in results and in counted products
+    n = 40
+    M = np.zeros((n, n))
+    for i in range(0, n, 2):
+        M[i : i + 2, i : i + 2] = [[1.0 + i, -0.5 - i], [0.5 + i, 1.0 + i]]
+    A = csr_from_dense(M)
+    b = np.random.default_rng(55).standard_normal(n)
+    runs = [solve_shifted_hessen(A, b, [0.0, -0.5], SolverConfig(m=8, tol=1e-10, keep=keep))
+            for keep in (0, 7)]
+    (xa, ra), (xb, rb) = runs
+    assert ra.cycles >= 2 and rb.keep == 7
+    assert (ra.cycles, ra.basis_mvps) == (rb.cycles, rb.basis_mvps) == (ra.cycles, 8 * ra.cycles)
+    for u, v in zip(xa, xb):
+        assert np.array_equal(u, v)
