@@ -65,18 +65,18 @@ def predicted_flops(process, m, n, nnz):
 def attach_costs(report, process=None):
     """Fill ``report.predicted_flops`` from its cycle counts.
 
-    The model charges one full set of process steps for the first cycle
-    and, with ``k = report.keep``, the steps ``k + 1 .. m`` plus the
-    ``2 n m k`` flops of the kept block ``V Q_k`` for every later one,
-    plus one ``m^2`` unit per reduced solve, i.e.
+    The model charges every cycle for the steps it ran.  A cycle that
+    continued from a thick restart keeping ``k = report.kept[i]`` columns
+    ran steps ``k + 1 .. m`` and formed the kept block ``V Q_k`` with
+    ``2 n m k`` flops; a fresh cycle has ``k = 0``.  Each reduced solve
+    adds one ``m^2`` unit, so
 
-        P(m) + (cycles - 1) * (P(m) - P(k) + 2 n m k) + cycles * nu * m**2
+        sum_i (P(m) - P(k_i) + 2 n m k_i) + cycles * nu * m**2
 
-    with ``P(j) = predicted_flops(process, j, n, nnz)`` and ``P(0) = 0``,
-    so ``k = 0`` charges ``P(m)`` per cycle.  A restart that kept k + 1
-    columns to hold a conjugate pair together, or fell back to a plain
-    restart, is still charged as one that kept k; the Schur form and the
-    LU factorization of the kept block, O(m^3 + n k^2), are left out.
+    with ``P(j) = predicted_flops(process, j, n, nnz)`` and ``P(0) = 0``:
+    ``cycles * P(m)`` for a solve that never kept a column.  The Schur
+    form and the LU factorization of the kept block, O(m^3 + n k^2), are
+    left out.
 
     The ``m^2`` unit is what a Givens QR of a Hessenberg system costs.
     The code instead does a dense Householder QR of each augmented
@@ -95,11 +95,10 @@ def attach_costs(report, process=None):
     """
     if process is None:
         process = "arnoldi" if report.solver == "sfom" else "hessenberg"
-    nu, m, n, k = len(report.shifts), report.m, report.n, report.keep
+    nu, m, n = len(report.shifts), report.m, report.n
     per_cycle = predicted_flops(process, m, n, report.nnz)
     # a cycle after a thick restart skips the first k steps but forms V Q_k
-    saved = predicted_flops(process, k, n, report.nnz) - 2 * n * m * k if k else 0
-    report.predicted_flops = (
-        report.cycles * (per_cycle + nu * m**2) - max(report.cycles - 1, 0) * saved
-    )
+    saved = sum(predicted_flops(process, k, n, report.nnz) - 2 * n * m * k
+                for k in report.kept if k)
+    report.predicted_flops = report.cycles * (per_cycle + nu * m**2) - saved
     return report

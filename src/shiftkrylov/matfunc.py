@@ -248,11 +248,10 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     exponential rule.  A per-pole array ``cfg.tol`` is used as given, and
     a rule whose weights are all zero keeps the scalar ``tol``.
 
-    The family is solved with a thick restart that keeps
-    ``cfg.keep = m // 3`` Ritz values when ``cfg.keep`` is None (see
-    :class:`~shiftkrylov.solvers.SolverConfig`): on 2-D Laplacians with
-    the packaged rules it needs 60-90% fewer products than the plain
-    restart, which ``keep=0`` asks for.
+    The family is solved by :func:`~shiftkrylov.solvers.solve_shifted_hessen`,
+    whose thick restart keeps ``m // 3`` Ritz values: on 2-D Laplacians
+    with the packaged rules it needs 60-90% fewer products than the plain
+    restart.
 
     Parameters
     ----------
@@ -261,7 +260,7 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     rule : QuadratureRule
     cfg : SolverConfig, optional
         Defaults to a tight tolerance (1e-10) so the solver error stays
-        below the quadrature error, and to ``keep = m // 3``.
+        below the quadrature error.
     return_report : bool
         Also return the family :class:`~shiftkrylov.solvers.SolveReport`.
 
@@ -276,8 +275,6 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     cfg.validate()
     if np.ndim(cfg.tol) == 0:
         cfg = replace(cfg, tol=_pole_tolerances(rule.weights, cfg.tol))
-    if cfg.keep is None:
-        cfg = replace(cfg, keep=cfg.m // 3)
     shifts = [-z for z in rule.nodes]
     xs, report = solve_shifted_hessen(A, u0, shifts, cfg)
     bad = [i for i, h in enumerate(report.shifts) if not h.converged]

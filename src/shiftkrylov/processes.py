@@ -84,33 +84,35 @@ class HessenbergDecomposition:
         Pivot bookkeeping permutation.  ``basis[perm[:k], :k]`` is unit
         lower triangular for the pivoted process; the identity for
         Arnoldi.
-    beta : scalar
-        Normalization of the start vector: ``v == beta * basis[:, 0]``.
-        For a thick restart of j columns, the start vector's coefficient
-        ``g[j]`` on the first column built after the kept ones.
+    g : ndarray
+        Start coordinates: ``v == basis[:, :g.size] @ g``.  A fresh run
+        has one, the normalization :attr:`beta` of its start vector (a
+        scalar given here is taken as it); a thick restart of j columns
+        has j + 1.
     steps : int
         Number of completed steps ``k``, kept columns included.
     breakdown : bool
         True when the process terminated with ``hbar[k, k-1] == 0``.
-    g : ndarray, optional
-        Start coordinates: ``v == basis[:, :g.size] @ g``.  Defaults to
-        ``[beta]``; a thick restart of j columns has j + 1.
     """
 
     basis: np.ndarray
     hbar: np.ndarray
     perm: np.ndarray
-    beta: complex
+    g: np.ndarray
     steps: int
     breakdown: bool = False
-    g: np.ndarray = None
 
     def __post_init__(self):
         k = self.steps
         self.basis = self.basis[:, : k if self.breakdown else k + 1]
         self.hbar = self.hbar[: k + 1, :k]
-        if self.g is None:
-            self.g = np.array([self.beta])
+        self.g = np.atleast_1d(self.g)
+
+    @property
+    def beta(self):
+        """``g[0]``: for a fresh run the normalization of its start
+        vector, ``v == beta * basis[:, 0]``."""
+        return self.g[0]
 
     @property
     def square_h(self):
@@ -229,8 +231,7 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     start : HessenbergDecomposition, optional
         A j-step decomposition of ``v`` by ``A`` to continue, with
         ``1 <= j < m`` and no breakdown, such as :func:`thick_restart`
-        returns.  Its basis, ``hbar``, ``perm``, ``beta`` and ``g`` are
-        taken as they are and the run goes on at column j + 1, so it
+        returns.  Its basis, ``hbar``, ``perm`` and ``g`` are taken as they are and the run goes on at column j + 1, so it
         pays ``m - j`` products and returns an m-step decomposition of
         ``v`` with the same start coordinates.  ``v`` is then only
         checked, not read.
@@ -256,17 +257,17 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     # pivot rows of the basis, basis[perm[:j+1], :j+1], unit lower triangular
     lower = np.eye(m + 1, dtype=dtype, order="F")
     if start is None:
-        first, g = 0, None
+        first = 0
         perm = np.arange(n)
         i0 = pivot_select(v, start=0)
-        beta = v[i0]
+        g = v[i0]
         perm[0], perm[i0] = perm[i0], perm[0]
-        basis[:, 0] = v / beta
+        basis[:, 0] = v / g
         # complex self-division may stray from exact one by an ulp; the pivot
         # entry is one by construction, so write it that way
         basis[i0, 0] = 1.0
     else:
-        first, g, beta = start.steps, start.g, start.beta
+        first, g = start.steps, start.g
         if start.breakdown or not 1 <= first < m or start.basis.shape[0] != n:
             raise InvalidDimensions(
                 f"cannot continue {start!r} to {m} steps on vectors of length {n}"
@@ -320,7 +321,7 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
         breakdown = True
         break
 
-    return HessenbergDecomposition(basis, hbar, perm, beta, steps, breakdown, g)
+    return HessenbergDecomposition(basis, hbar, perm, g, steps, breakdown)
 
 
 def thick_restart(dec, k):
@@ -344,7 +345,7 @@ def thick_restart(dec, k):
         b_hat^T = b^T Q_k U^{-1},
 
     and ``v = W c + s w``.  Returns that k-step decomposition, with
-    ``g = [c; s]`` and ``beta = s``.  Because the decomposition is one of
+    ``g = [c; s]``.  Because the decomposition is one of
     ``A`` alone, ``A - sigma I`` has it too with ``T_k - sigma I``, so a
     residual ``coef * v`` of any shift is ``coef * [c; s]`` in the new
     basis.  No products are taken.
@@ -420,9 +421,7 @@ def thick_restart(dec, k):
     UTU = solve_triangular(U, (U @ T[:k, :k]).T, trans="T", check_finite=False).T
     hbar[:k] = UTU + np.outer(c, bhat)
     hbar[k] = s * bhat
-    return HessenbergDecomposition(
-        np.column_stack((W, w)), hbar, perm, s, k, g=np.append(c, s)
-    )
+    return HessenbergDecomposition(np.column_stack((W, w)), hbar, perm, np.append(c, s), k)
 
 
 def run_arnoldi(A, v, m, norm_scale=None):

@@ -160,8 +160,8 @@ def collinearity_scalar(h_next, y):
     vector's coordinates in the basis, the full-space residual is
     ``-h_next * y[-1]`` times the (m+1)-th basis vector, where ``h_next``
     is the entry ``H[m, m-1]`` of the extended matrix, the only nonzero
-    of its last row also after a thick restart.  Returns that scalar, or one per row for a (p, m) stack of
-    solutions.
+    of its last row also after a thick restart.  Returns that scalar, or
+    one per row for a (p, m) stack of solutions.
     """
     y = np.asarray(y)
     if y.ndim not in (1, 2) or y.shape[-1] == 0:

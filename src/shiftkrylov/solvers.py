@@ -34,26 +34,29 @@ for its imaginary part, rather than one complex product that would
 upcast the basis.  Complex data, or a family without pairs, uses the
 same loop with every shift its own class.
 
-A thick restart (``SolverConfig.keep``, pivoted Hessenberg only) keeps
-wanted spectral information across cycles instead of throwing the basis
-away.  At the end of a cycle ``A V = V H + v b^T``, with ``v`` the last
-basis vector and every active residual a multiple ``coef * v``.  A
-Krylov-Schur step (:func:`~shiftkrylov.processes.thick_restart`) takes
-the real Schur form of ``H`` with its k Ritz values of smallest modulus
-leading (a conjugate pair kept whole, so k may become k + 1) and
-rebuilds the process's unit lower trapezoidal basis from ``V Q_k`` by
-one pivoted LU factorization.  It eliminates ``v`` on the new pivot
-rows, so ``v = W c + s w`` with ``w`` the first new basis vector, and
-the next cycle continues the process from column k + 1, paying m - k
-products instead of m.  The leading block of the next cycle's ``H`` is
-then full, not Hessenberg, which the stacked reduced solve reads as it
-is.  The decomposition is one of ``A`` alone, so it serves every shift:
-the right-hand side of each collinear class is ``coef`` times the start
+The pivoted Hessenberg solvers restart thick: they keep wanted spectral
+information across cycles instead of throwing the basis away.  At the
+end of a cycle ``A V = V H + v b^T``, with ``v`` the last basis vector
+and every active residual a multiple ``coef * v``.  A Krylov-Schur step
+(:func:`~shiftkrylov.processes.thick_restart`) takes the real Schur form
+of ``H`` with its k = m // 3 Ritz values of smallest modulus leading (a
+conjugate pair kept whole, so k may become k + 1) and rebuilds the
+process's unit lower trapezoidal basis from ``V Q_k`` by one pivoted LU
+factorization.  It eliminates ``v`` on the new pivot rows, so
+``v = W c + s w`` with ``w`` the first new basis vector, and the next
+cycle continues the process from column k + 1, paying m - k products
+instead of m.  The leading block of the next cycle's ``H`` is then full,
+not Hessenberg, which the stacked reduced solve reads as it is.  The
+decomposition is one of ``A`` alone, so it serves every shift: the
+right-hand side of each collinear class is ``coef`` times the start
 coordinates ``g = [c; s]`` that the decomposition carries (``beta e1``
 after a plain restart), padded with zeros, and its new residual is again
-a multiple of the new last vector.  The Ritz selection ignores the shifts, so the
-products stay independent of the number of shifts.  ``keep = 0`` is the
-plain restart.
+a multiple of the new last vector.  The Ritz selection ignores the
+shifts, so the products stay independent of the number of shifts.  When
+the Schur form, its reordering or the LU factorization cannot give a
+well-conditioned kept block (see ``thick_restart``), or k is 0 (m < 3),
+the cycle restarts plain from ``v`` as above.  The Arnoldi solver always
+restarts plain: its basis is not orthonormal enough to keep.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
@@ -126,22 +129,13 @@ class SolverConfig:
     max_mvps : int
         Budget of basis matrix-vector products; a new cycle starts only
         while it still fits: m products after a plain restart, m - k
-        after a thick restart that kept k columns.
-    keep : int or None
-        Ritz values kept by the thick restart (see the module
-        docstring), ``0 <= keep < m``; clamped to ``m - 1`` when ``m`` is
-        clamped to the order of the operator.  None, the default, means
-        0 in the solvers, which is the plain restart, and ``m // 3`` in
-        :func:`~shiftkrylov.matfunc.eval_rational_action`.  Only the
-        pivoted Hessenberg solvers take ``keep > 0``;
-        :func:`solve_shifted_fom` rejects it, because its Arnoldi basis is
-        not orthonormal enough to keep.
+        after a thick restart that kept k columns (see the module
+        docstring).
     """
 
     m: int = 30
     tol: float | np.ndarray = 1e-8
     max_mvps: int = 4000
-    keep: int | None = None
 
     def validate(self):
         _count(self.m, 1, InvalidDimensions,
@@ -155,10 +149,6 @@ class SolverConfig:
             )
         _count(self.max_mvps, 0, InvalidDimensions,
                f"max_mvps {self.max_mvps!r} must be a nonnegative integer")
-        if self.keep is not None:
-            message = f"keep={self.keep!r} must be None or an integer in 0..m-1={self.m - 1}"
-            if _count(self.keep, 0, InvalidDimensions, message) >= self.m:
-                raise InvalidDimensions(message)
 
 
 @dataclass
@@ -218,8 +208,10 @@ class SolveReport:
     ``breakdown`` is True when the basis became invariant and the solve
     ended there; ``budget_exhausted`` is True when it stopped with shifts
     still active because the next cycle would exceed ``max_mvps``.
-    ``keep`` is the number of Ritz values the thick restart was asked to
-    keep, after clamping; 0 for the plain restart.
+    ``kept`` has one entry per cycle: the columns it continued from a
+    thick restart, or 0 for a fresh cycle (the first, every cycle of the
+    Arnoldi solver, and one after a restart that fell back to plain).
+    Such a cycle took ``m - kept[i]`` basis products unless it broke down.
     """
 
     solver: str
@@ -234,7 +226,7 @@ class SolveReport:
     breakdown: bool = False
     budget_exhausted: bool = False
     predicted_flops: int | None = None
-    keep: int = 0
+    kept: list = field(default_factory=list)
 
     @property
     def total_mvps(self):
@@ -333,15 +325,15 @@ def _conjugate_classes(shifts, fold):
     return cls, flip
 
 
+def _thick_keep(m):
+    """Ritz values the thick restart of an m-step pivoted cycle keeps."""
+    return m // 3
+
+
 def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_name=""):
     t_start = time.perf_counter()
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
-    if process == "arnoldi" and cfg.keep:
-        raise InvalidDimensions(
-            f"keep={cfg.keep} needs the pivoted Hessenberg process; the Arnoldi "
-            f"basis here is not orthonormal enough for a thick restart"
-        )
     b = np.asarray(b)
     # b passes the checks of every cycle's start vector, and is the first
     # start vector when there is no initial guess
@@ -359,7 +351,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     # a basis cannot have more than n vectors; clamp rather than reject so
     # the default cycle length works on small matrices
     m = min(cfg.m, n)
-    keep = min(cfg.keep or 0, m - 1)
+    keep = _thick_keep(m) if process == "hessenberg" else 0
 
     shifts = [_as_scalar_shift(s) for s in shifts]
     if not shifts:
@@ -428,7 +420,6 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         nnz=getattr(A, "nnz", 0),
         m=m,
         shifts=histories,
-        keep=keep,
     )
 
     v = r0
@@ -441,10 +432,15 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         if report.basis_mvps + m - kept > cfg.max_mvps:
             report.budget_exhausted = True
             break
+        report.kept.append(kept)
+        # the last cycle's basis is not read again: dropping it before the
+        # run, and the seed after it, keeps one basis alive at a time
+        dec = V = lnext = None
         if seed is None:
             dec = runner(A, v, m, norm_scale)
         else:
             dec = runner(A, v, m, norm_scale, start=seed)
+            seed = None
         report.basis_mvps += dec.steps - kept
         k = dec.steps
         H = dec.square_h
@@ -542,7 +538,8 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             # exactly this cycle and there is no vector to restart from.
             report.breakdown = True
             break
-        v = lnext
+        # a copy, so the basis it came from can be freed
+        v = lnext.copy()
 
     _finalize(A, shifts, histories, solution, b, bnorm)
     report.wall_time_s = time.perf_counter() - t_start

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import shiftkrylov.solvers as solvers
+
 from shiftkrylov import (
     CsrMatrix,
     InvalidDimensions,
@@ -81,7 +83,9 @@ def diag_problem(n=50):
     return A, np.ones(n)
 
 
-def test_attach_costs_uses_report_dimensions():
+def test_attach_costs_uses_report_dimensions(monkeypatch):
+    # under the plain restart every cycle runs all m steps
+    monkeypatch.setattr(solvers, "_thick_keep", lambda m: 0)
     A, b = diag_problem()
     xs, rep = solve_shifted_hessen(A, b, [0.0, -0.5], SolverConfig(m=10, tol=1e-10))
     attach_costs(rep)
@@ -97,19 +101,52 @@ def test_attach_costs_uses_report_dimensions():
     assert rep.predicted_flops > rep.cycles * per_cycle
 
 
-def test_attach_costs_charges_the_steps_a_thick_restart_runs():
+def thick_charge(rep):
     # a continued cycle runs steps k+1..m, each costing what it costs in a
     # fresh cycle, and forms the kept block V Q_k with 2 n m k flops
+    m, n, nu = rep.m, rep.n, len(rep.shifts)
+    steps = [2 * rep.nnz + 2 * j * n - j * (j - 1) for j in range(1, m + 1)]
+    return sum(sum(steps[k:]) + 2 * n * m * k for k in rep.kept) + rep.cycles * nu * m**2
+
+
+def test_attach_costs_charges_the_steps_a_thick_restart_runs():
     A = gen_laplace2d(12)
     b = np.random.default_rng(2).standard_normal(A.shape[0])
-    xs, rep = solve_shifted_hessen(A, b, [0.0, -0.5], SolverConfig(m=10, tol=1e-10, keep=4))
-    assert rep.keep == 4 and rep.cycles >= 3
+    xs, rep = solve_shifted_hessen(A, b, [0.0, -0.5], SolverConfig(m=10, tol=1e-10))
+    # every cycle after the first continued from m // 3 = 3 columns, or
+    # from 4 where a tie of modulus sat at the cut
+    assert rep.cycles >= 3 and rep.kept[0] == 0 and set(rep.kept[1:]) <= {3, 4}
+    assert rep.basis_mvps == sum(10 - k for k in rep.kept)
     attach_costs(rep)
-    m, n, k, nu = rep.m, rep.n, rep.keep, len(rep.shifts)
-    steps = [2 * rep.nnz + 2 * j * n - j * (j - 1) for j in range(1, m + 1)]
-    continued = sum(steps[k:]) + 2 * n * m * k
-    assert rep.predicted_flops == (
-        sum(steps) + (rep.cycles - 1) * continued + rep.cycles * nu * m**2
-    )
-    # and each continued cycle ran m - k products
-    assert rep.basis_mvps == m + (rep.cycles - 1) * (m - k)
+    assert rep.predicted_flops == thick_charge(rep)
+
+
+def rotation_blocks(n=40):
+    # block diagonal 2 x 2 rotations and scalings: every Ritz value of a
+    # short run is one of a conjugate pair
+    M = np.zeros((n, n))
+    for i in range(0, n, 2):
+        M[i : i + 2, i : i + 2] = [[1.0 + i, -0.5 - i], [0.5 + i, 1.0 + i]]
+    rows, cols = np.nonzero(M)
+    return CsrMatrix.from_triplets(rows, cols, M[rows, cols], M.shape)
+
+
+def test_attach_costs_charges_a_pair_kept_whole_and_a_fallback(monkeypatch):
+    A = rotation_blocks()
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    cfg = SolverConfig(m=9, tol=1e-10)
+    # a restart keeps m // 3 = 3 columns, or 4 where the cut would split
+    # a conjugate pair; both happen here
+    xs, rep = solve_shifted_hessen(A, b, [0.0, -0.5], cfg)
+    assert rep.kept[0] == 0 and set(rep.kept[1:]) == {3, 4}
+    assert rep.basis_mvps == sum(9 - k for k in rep.kept)
+    attach_costs(rep)
+    assert rep.predicted_flops == thick_charge(rep)
+    # keeping m - 1 = 8 would keep all 9 columns: every restart falls back
+    # to the plain one and each cycle is charged as a fresh one
+    monkeypatch.setattr(solvers, "_thick_keep", lambda m: m - 1)
+    xs, rep = solve_shifted_hessen(A, b, [0.0, -0.5], cfg)
+    assert rep.cycles >= 2 and rep.kept == [0] * rep.cycles
+    attach_costs(rep)
+    per_cycle = predicted_flops("hessenberg", rep.m, rep.n, rep.nnz)
+    assert rep.predicted_flops == thick_charge(rep) == rep.cycles * (per_cycle + 2 * 81)

@@ -104,9 +104,11 @@ def test_mvp_accounting():
     cfg = SolverConfig(m=15, tol=1e-9)
     xs, rep = solve_shifted_hessen(A, b, [0.0, -1.0], cfg)
     assert rep.total_mvps == rep.basis_mvps + rep.residual_mvps
-    # without breakdown every cycle runs exactly m basis products
+    # without breakdown every cycle runs m basis products, less the
+    # columns it continued from a thick restart
     assert not rep.breakdown
-    assert rep.basis_mvps == rep.cycles * cfg.m
+    assert len(rep.kept) == rep.cycles and rep.kept[0] == 0 and any(rep.kept)
+    assert rep.basis_mvps == sum(cfg.m - k for k in rep.kept)
     # one confirmation per retirement at least; never more than one per
     # shift per cycle
     assert rep.residual_mvps >= rep.num_converged
@@ -115,9 +117,11 @@ def test_mvp_accounting():
     assert A.counter.count == rep.total_mvps
 
 
-def test_budget_is_respected():
+def test_budget_is_respected(monkeypatch):
     # small cycles on an ill conditioned Laplacian cannot reach 1e-14, so
-    # the solve must stop at the last whole cycle that fits the budget
+    # the solve must stop at the last whole cycle that fits the budget;
+    # under the plain restart every cycle costs m
+    keep_columns(monkeypatch, lambda m: 0)
     A = laplace1d(60)
     b = np.ones(60)
     cfg = SolverConfig(m=5, tol=1e-14, max_mvps=23)
@@ -561,7 +565,11 @@ def test_conjugate_pairs_fold_to_one_row(monkeypatch):
     for s, x in zip(PAIRED, xs):
         assert true_relative_residual(A, s, x, b) <= cfg.tol
     # a complex right-hand side is not folded: the same family solved one
-    # row per shift is the reference
+    # row per shift is the reference.  Its complex Schur form need not
+    # keep a conjugate pair whole as the real one does, so the two are
+    # compared under the plain restart
+    keep_columns(monkeypatch, lambda m: 0)
+    xs, rep = solve_shifted_hessen(A, b, PAIRED, cfg)
     ref, rep_ref = solve_shifted_hessen(A, b.astype(complex), PAIRED, cfg)
     assert (rep_ref.cycles, rep_ref.total_mvps) == (rep.cycles, rep.total_mvps)
     for x, x_ref in zip(xs, ref):
@@ -740,39 +748,23 @@ def test_folded_pair_takes_the_smaller_tolerance(monkeypatch):
 # -- thick restart --------------------------------------------------------
 
 
-def test_keep_is_validated_before_any_product():
+def keep_columns(monkeypatch, keep):
+    """Make the pivoted solvers' thick restart of an m-step cycle keep
+    ``keep(m)`` columns; ``lambda m: 0`` is the plain restart."""
+    monkeypatch.setattr(solvers_mod, "_thick_keep", keep)
+
+
+def test_only_the_pivoted_process_keeps_columns():
     A, b = random_system(50)
-    for keep in (-1, 12, 13, 2.5, "3", True + 0.5):
-        with pytest.raises(InvalidDimensions):
-            SolverConfig(m=12, keep=keep).validate()
-        with pytest.raises(InvalidDimensions):
-            solve_shifted_hessen(A, b, [0.0], SolverConfig(m=12, keep=keep))
-    # the Arnoldi basis is not kept across a restart
-    with pytest.raises(InvalidDimensions):
-        solve_shifted_fom(A, b, [0.0], SolverConfig(m=12, keep=3))
-    assert A.counter.count == 0
-    SolverConfig(m=12, keep=11).validate()
-    SolverConfig(m=12, keep=0).validate()
-    solve_shifted_fom(A, b, [0.0], SolverConfig(m=12, keep=0))
-
-
-def test_keep_is_clamped_with_the_cycle_length():
-    # m = 30 is clamped to n = 8, so keep = 20 becomes 7
-    A, b = random_system(51, n=8, density=0.5)
-    xs, rep = solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(m=30, keep=20))
-    assert (rep.m, rep.keep) == (8, 7)
-    assert rep.all_converged
-
-
-def test_keep_zero_is_the_plain_restart():
-    A, b = random_system(52)
-    runs = [solve_shifted_hessen(A, b, PAIRED, SolverConfig(m=8, tol=1e-10, keep=keep))
-            for keep in (None, 0)]
-    (xa, ra), (xb, rb) = runs
-    assert ra.cycles > 2 and ra.keep == rb.keep == 0
-    assert (ra.cycles, ra.basis_mvps) == (rb.cycles, rb.basis_mvps)
-    for u, v in zip(xa, xb):
-        assert np.array_equal(u, v)
+    cfg = SolverConfig(m=12, tol=1e-12)
+    _, hess = solve_shifted_hessen(A, b, [0.0, -1.0], cfg)
+    _, fom = solve_shifted_fom(A, b, [0.0, -1.0], cfg)
+    assert hess.cycles > 1 and fom.cycles > 1
+    # m // 3 = 4 columns, or 5 to keep a conjugate pair whole
+    assert len(hess.kept) == hess.cycles and hess.kept[0] == 0
+    assert set(hess.kept[1:]) <= {4, 5}
+    assert hess.basis_mvps == sum(12 - k for k in hess.kept)
+    assert fom.kept == [0] * fom.cycles
 
 
 def thick_family():
@@ -802,10 +794,11 @@ def test_thick_restart_keeps_every_residual_collinear():
             off.append(np.linalg.norm(r - lhat * (lhat.conj() @ r)) / bnorm)
             gaps.append(abs(info.estimates[i] - np.linalg.norm(r) / bnorm))
 
-    cfg = SolverConfig(m=20, tol=1e-10, keep=6)
+    cfg = SolverConfig(m=20, tol=1e-10)
     xs, rep = solve_shifted_hessen(A, b, shifts, cfg, on_cycle=watch)
-    assert rep.all_converged and rep.cycles >= 3 and rep.keep == 6
-    # every cycle after the first is continued from the kept block
+    assert rep.all_converged and rep.cycles >= 3
+    # every cycle after the first is continued from m // 3 = 6 kept columns
+    assert rep.kept == [0] + [6] * (rep.cycles - 1)
     assert rep.basis_mvps == 20 + (rep.cycles - 1) * 14
     assert max(identity_err) <= 1e-12
     assert max(off) <= 1e-13
@@ -816,11 +809,14 @@ def test_thick_restart_keeps_every_residual_collinear():
         assert true_relative_residual(A, s, x, b) <= 1e-10
 
 
-def test_thick_restart_takes_fewer_products():
+def test_thick_restart_takes_fewer_products(monkeypatch):
     A, b, shifts = thick_family()
-    _, plain = solve_shifted_hessen(A, b, shifts, SolverConfig(m=20, tol=1e-10))
-    _, thick = solve_shifted_hessen(A, b, shifts, SolverConfig(m=20, tol=1e-10, keep=6))
+    cfg = SolverConfig(m=20, tol=1e-10)
+    _, thick = solve_shifted_hessen(A, b, shifts, cfg)
+    keep_columns(monkeypatch, lambda m: 0)
+    _, plain = solve_shifted_hessen(A, b, shifts, cfg)
     assert plain.all_converged and thick.all_converged
+    assert plain.kept == [0] * plain.cycles
     assert thick.basis_mvps < plain.basis_mvps
 
 
@@ -838,41 +834,45 @@ def test_thick_restart_products_do_not_depend_on_the_number_of_shifts():
         sub = QuadratureRule(rule.nodes[keep], rule.weights[keep], "exp", 1.0)
         _, rep = eval_rational_action(A, u0, sub, SolverConfig(m=30, tol=1e-10),
                                       return_report=True)
-        # the matfunc default keeps m // 3 and a restart is taken
-        assert rep.keep == 10 and rep.cycles >= 2
+        # a restart keeping m // 3 = 10 columns is taken
+        assert rep.cycles >= 2 and min(rep.kept[1:]) >= 10
         counts.add(rep.basis_mvps)
     assert len(counts) == 1
 
 
-def test_budget_counts_the_products_of_a_continued_cycle():
-    # a fresh cycle costs m = 10 products and a continued one 10 - 5; a
+def test_budget_counts_the_products_of_a_continued_cycle(monkeypatch):
+    # a fresh cycle costs m = 10 products and a continued one 10 - 3; a
     # budget of 17 fits one continued cycle after the first but not a
     # fresh one, which the plain restart shows
     A = laplace1d(60)
     b = np.ones(60)
-    _, plain = solve_shifted_hessen(A, b, [0.0], SolverConfig(m=10, tol=1e-14, max_mvps=17))
-    assert (plain.cycles, plain.basis_mvps) == (1, 10) and plain.budget_exhausted
-    _, thick = solve_shifted_hessen(
-        A, b, [0.0], SolverConfig(m=10, tol=1e-14, max_mvps=17, keep=5)
-    )
-    assert (thick.cycles, thick.basis_mvps) == (2, 15)
+    cfg = SolverConfig(m=10, tol=1e-14, max_mvps=17)
+    _, thick = solve_shifted_hessen(A, b, [0.0], cfg)
+    assert (thick.cycles, thick.basis_mvps, thick.kept) == (2, 17, [0, 3])
     assert thick.budget_exhausted and not thick.all_converged
+    keep_columns(monkeypatch, lambda m: 0)
+    _, plain = solve_shifted_hessen(A, b, [0.0], cfg)
+    assert (plain.cycles, plain.basis_mvps) == (1, 10) and plain.budget_exhausted
 
 
-def test_thick_restart_that_cannot_keep_is_the_plain_restart():
+def test_thick_restart_that_cannot_keep_is_the_plain_restart(monkeypatch):
     # every Ritz value of this operator is one of a conjugate pair, so
-    # keep = m - 1 would split the pair at the cut and every restart falls
-    # back to the plain one, in results and in counted products
+    # keeping m - 1 columns would split the pair at the cut and every
+    # restart falls back to the plain one, in results and in counted
+    # products
     n = 40
     M = np.zeros((n, n))
     for i in range(0, n, 2):
         M[i : i + 2, i : i + 2] = [[1.0 + i, -0.5 - i], [0.5 + i, 1.0 + i]]
     A = csr_from_dense(M)
     b = np.random.default_rng(55).standard_normal(n)
-    runs = [solve_shifted_hessen(A, b, [0.0, -0.5], SolverConfig(m=8, tol=1e-10, keep=keep))
-            for keep in (0, 7)]
+    cfg = SolverConfig(m=8, tol=1e-10)
+    runs = []
+    for keep in (lambda m: 0, lambda m: m - 1):
+        keep_columns(monkeypatch, keep)
+        runs.append(solve_shifted_hessen(A, b, [0.0, -0.5], cfg))
     (xa, ra), (xb, rb) = runs
-    assert ra.cycles >= 2 and rb.keep == 7
+    assert ra.cycles >= 2 and rb.kept == [0] * rb.cycles
     assert (ra.cycles, ra.basis_mvps) == (rb.cycles, rb.basis_mvps) == (ra.cycles, 8 * ra.cycles)
     for u, v in zip(xa, xb):
         assert np.array_equal(u, v)
