@@ -35,6 +35,24 @@ last basis vector; ``run_hessenberg(A, v, m, start=seed)`` continues it
 at column j + 1.  The leading (j+1) x j block of its ``hbar`` is full,
 so the extended matrix is Hessenberg only from column j + 1 on, but the
 basis stays unit lower trapezoidal under ``perm``.
+
+The seed's basis is built once, column-major like the basis it continues
+into, so the continued run copies it column by column into a basis it
+need not zero.  ``W0 = V Q_k`` goes into its first k columns, where
+``lu_factor`` factors it in place; ``P L`` is put in natural row order
+there by moving only the rows the pivoting touched, at most 2k; the new
+last vector is divided straight into column k.  Two products keep the
+row-major form that fixes their rounding, because the column-major form
+rounds differently (OpenBLAS 0.3.31, AVX-512 kernels):
+
+* ``V Q_k`` is formed row-major and copied into the seed.  Written
+  column-major (``np.matmul`` with ``out=``), its last ``n mod 8`` rows
+  round differently when that is 1 to 4, as at n = 729.
+* ``W c`` is taken from a row-major copy of ``W``.  Taken column by
+  column from ``W`` itself, it changes the restart vector enough to move
+  cycle counts: over the 36 inputs a workload of ``tools/parity.py -n
+  12``, ``matfunc-exp`` went from 7.36 to 7.58 mean cycles (156.4 to
+  160.8 basis products) and ``convdiff-shessen`` from 5.75 to 5.69.
 """
 
 from dataclasses import dataclass
@@ -252,7 +270,8 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     if start is not None:
         dtype = np.result_type(dtype, start.basis.dtype)
 
-    basis = np.zeros((n, m + 1), dtype=dtype, order="F")
+    # every column the result keeps is written below
+    basis = np.empty((n, m + 1), dtype=dtype, order="F")
     hbar = np.zeros((m + 1, m), dtype=dtype)
     # pivot rows of the basis, basis[perm[:j+1], :j+1], unit lower triangular
     lower = np.eye(m + 1, dtype=dtype, order="F")
@@ -345,7 +364,9 @@ def thick_restart(dec, k):
         b_hat^T = b^T Q_k U^{-1},
 
     and ``v = W c + s w``.  Returns that k-step decomposition, with
-    ``g = [c; s]``.  Because the decomposition is one of
+    ``g = [c; s]`` and a column-major basis ``[W, w]`` factored and
+    assembled in one (n, k+1) buffer (see the module notes); ``dec`` is
+    only read.  Because the decomposition is one of
     ``A`` alone, ``A - sigma I`` has it too with ``T_k - sigma I``, so a
     residual ``coef * v`` of any shift is ``coef * [c; s]`` in the new
     basis.  No products are taken.
@@ -391,37 +412,45 @@ def thick_restart(dec, k):
     T, Q, *_, info = trsen((mod <= order[k - 1]).astype(np.int32), T, Q, job="N")
     if info:
         return None
-    lu, piv = lu_factor(dec.basis[:, :m] @ Q[:, :k], overwrite_a=True, check_finite=False)
+    # the seed's basis, column-major like the basis it continues into;
+    # W0 = V Q_k is formed row-major (see the module notes), copied into
+    # its first k columns and factored there
+    basis = np.empty((n, k + 1), dtype=np.result_type(dec.basis, Q), order="F")
+    basis[:, :k] = dec.basis[:, :m] @ Q[:, :k]
+    lu, piv = lu_factor(basis[:, :k], overwrite_a=True, check_finite=False)
     U = np.triu(lu[:k])
     if np.abs(np.diagonal(U)).min() <= _breakdown_threshold(None, n, U):
         return None
     perm = np.arange(n)
     for i, p in enumerate(piv):
         perm[i], perm[p] = perm[p], perm[i]
-    # W = P L in natural row order, pinned to exact zeros and ones on its
-    # pivot rows
+    # L pinned to exact zeros and ones on its pivot rows
     lu[:k] = np.tril(lu[:k], -1) + np.eye(k)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n)
-    W = lu[inv]
     c = solve_triangular(lu[:k], v[perm[:k]], lower=True, unit_diagonal=True,
                          check_finite=False)
-    u = v - W @ c
+    # W = P L in natural row order, in place: only the rows that the
+    # pivoting moved, at most 2k, change
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    moved = np.union1d(np.arange(k), piv)
+    lu[moved] = lu[inv[moved]]
+    # W c from a row-major copy of W, as the module notes explain
+    u = v - np.ascontiguousarray(lu) @ c
     u[perm[:k]] = 0.0
     pos = pivot_select(u[perm], start=k)
     s = u[perm[pos]]
     if not abs(s) > _breakdown_threshold(None, n, v):
         return None
     perm[k], perm[pos] = perm[pos], perm[k]
-    w = u / s
-    w[perm[k]] = 1.0
+    np.divide(u, s, out=basis[:, k])
+    basis[perm[k], k] = 1.0
     # b_hat^T = b^T Q_k U^{-1} and U T_k U^{-1}, by solves with U^T
     bhat = solve_triangular(U, dec.hbar[m] @ Q[:, :k], trans="T", check_finite=False)
     hbar = np.empty((k + 1, k), dtype=lu.dtype)
     UTU = solve_triangular(U, (U @ T[:k, :k]).T, trans="T", check_finite=False).T
     hbar[:k] = UTU + np.outer(c, bhat)
     hbar[k] = s * bhat
-    return HessenbergDecomposition(np.column_stack((W, w)), hbar, perm, np.append(c, s), k)
+    return HessenbergDecomposition(basis, hbar, perm, np.append(c, s), k)
 
 
 def run_arnoldi(A, v, m, norm_scale=None):

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "parity.py"
@@ -76,3 +77,60 @@ def test_parity_run_and_compare(tmp_path):
     bad = _tool("--compare", out.with_suffix(".json"), nan.with_suffix(".json"))
     assert bad.returncode == 1
     assert "matfunc-exp/1/0/action: non-finite solution" in bad.stdout
+
+
+@pytest.fixture(scope="module")
+def record(tmp_path_factory):
+    out = tmp_path_factory.mktemp("parity") / "rec"
+    run = _tool("--src", ROOT / "src", "--out", out, "-n", 2, "--workload", "matfunc-exp")
+    assert run.returncode == 0, run.stderr
+    return out
+
+
+def _copy_with(record, path, arrays=None, inputs=None):
+    """A copy of ``record`` at ``path``, with its arrays or inputs replaced."""
+    json_text = record.with_suffix(".json").read_text()
+    if inputs is not None:
+        json_text = json.dumps({"inputs": inputs})
+    path.with_suffix(".json").write_text(json_text)
+    np.savez(path.with_suffix(".npz"), **(arrays or dict(np.load(record.with_suffix(".npz")))))
+    return path.with_suffix(".json")
+
+
+def test_compare_measures_an_action_against_its_input(record, tmp_path):
+    # exp(-A) u0 is about 1e-9 |u0| here: two correct runs may differ by
+    # far more than 1e-12 of the action and still agree to 1e-12 of u0
+    arrays = dict(np.load(record.with_suffix(".npz")))
+    keys = [k for k in arrays if k.endswith("/action")]
+    assert len(keys) == 6
+    rng = np.random.default_rng(0)
+    for size, status in ((1e-13, 0), (1e-9, 1)):
+        moved = dict(arrays)
+        for key in keys:
+            norm = float(arrays[key.replace("/action", "/input_norm")])
+            assert 30.0 < norm < 50.0  # |u0| of 1600 standard normal entries
+            step = rng.standard_normal(arrays[key].shape)
+            moved[key] = arrays[key] + size * norm * step / np.linalg.norm(step)
+            assert np.linalg.norm(moved[key] - arrays[key]) > 1e-5 * np.linalg.norm(arrays[key])
+        other = _copy_with(record, tmp_path / f"moved{status}", arrays=moved)
+        res = _tool("--compare", record.with_suffix(".json"), other)
+        assert res.returncode == status, res.stdout
+        assert "0 differences" in res.stdout
+        gap = float(res.stdout.split("largest relative solution gap ")[1].split()[0])
+        assert 0.5 * size <= gap <= 1.5 * size
+
+
+def test_compare_prints_mean_cycles_and_basis_products(record, tmp_path):
+    inputs = json.loads(record.with_suffix(".json").read_text())["inputs"]
+    cycles = np.mean([r["cycles"] for r in inputs])
+    mvps = np.mean([r["basis_mvps"] for r in inputs])
+    same = _tool("--compare", record.with_suffix(".json"), record.with_suffix(".json"))
+    assert (f"matfunc-exp: mean cycle count {cycles:.2f} -> {cycles:.2f}, "
+            f"mean basis MVPs {mvps:.1f} -> {mvps:.1f} (6 -> 6 inputs)") in same.stdout
+    inputs[0]["cycles"] += 3
+    inputs[0]["basis_mvps"] += 60
+    other = _copy_with(record, tmp_path / "more", inputs=inputs)
+    diff = _tool("--compare", record.with_suffix(".json"), other)
+    assert diff.returncode == 1
+    assert (f"matfunc-exp: mean cycle count {cycles:.2f} -> {cycles + 0.5:.2f}, "
+            f"mean basis MVPs {mvps:.1f} -> {mvps + 10:.1f} (6 -> 6 inputs)") in diff.stdout

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import get_lapack_funcs, lu_factor, solve_triangular
 
 from shiftkrylov import (
     CsrMatrix,
@@ -10,17 +13,26 @@ from shiftkrylov import (
     IndexOutOfRange,
     InvalidDimensions,
     NonFiniteInput,
+    SolverConfig,
     ZeroStartVector,
     gen_convdiff3d,
     gen_laplace2d,
+    gen_shifts,
     identity,
     pivot_select,
     run_arnoldi,
     run_hessenberg,
+    solve_shifted_hessen,
     thick_restart,
     verify_decomposition,
 )
-from shiftkrylov.processes import _EPS, _check_start, _operator_norm_scale
+from shiftkrylov.processes import (
+    _EPS,
+    _breakdown_threshold,
+    _check_start,
+    _count,
+    _operator_norm_scale,
+)
 
 
 def csr_from_dense(M):
@@ -541,3 +553,186 @@ def test_thick_restart_keeps_pairs_whole_or_falls_back():
             thick_restart(dec, k)
     with pytest.raises(InvalidDimensions):
         thick_restart(run_hessenberg(identity(40), np.ones(40), 5), 1)
+
+
+# -- the thick restart against its row-major reference ----------------------
+
+
+def _reference_thick_restart(dec, k):
+    """The row-major thick restart, kept as a bitwise reference.
+
+    Forms ``V Q_k`` row-major, lets ``lu_factor`` copy it to column-major,
+    gathers all n rows of ``W = P L`` and stacks ``[W, w]`` row-major.
+    """
+    m = dec.steps
+    message = f"cannot keep {k!r} of the {m} columns of {dec!r}"
+    k = _count(k, 1, InvalidDimensions, message)
+    if dec.breakdown or k >= m:
+        raise InvalidDimensions(message)
+    H = dec.square_h
+    v = dec.last_vector
+    n = v.shape[0]
+    gees, trsen = get_lapack_funcs(("gees", "trsen"), (H,))
+    # real gees returns the Ritz values as (wr, wi), complex gees as w
+    T, _, *ritz, Q, _, info = gees(lambda *ritz: None, H)
+    if info:
+        return None
+    mod = np.hypot(*ritz) if len(ritz) == 2 else np.abs(ritz[0])
+    order = np.sort(mod)
+    # a conjugate pair, like any exact tie of modulus, is kept whole
+    while k < m and order[k] == order[k - 1]:
+        k += 1
+    if k >= m:
+        return None
+    T, Q, *_, info = trsen((mod <= order[k - 1]).astype(np.int32), T, Q, job="N")
+    if info:
+        return None
+    lu, piv = lu_factor(dec.basis[:, :m] @ Q[:, :k], overwrite_a=True, check_finite=False)
+    U = np.triu(lu[:k])
+    if np.abs(np.diagonal(U)).min() <= _breakdown_threshold(None, n, U):
+        return None
+    perm = np.arange(n)
+    for i, p in enumerate(piv):
+        perm[i], perm[p] = perm[p], perm[i]
+    # W = P L in natural row order, pinned to exact zeros and ones on its
+    # pivot rows
+    lu[:k] = np.tril(lu[:k], -1) + np.eye(k)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    W = lu[inv]
+    c = solve_triangular(lu[:k], v[perm[:k]], lower=True, unit_diagonal=True,
+                         check_finite=False)
+    u = v - W @ c
+    u[perm[:k]] = 0.0
+    pos = pivot_select(u[perm], start=k)
+    s = u[perm[pos]]
+    if not abs(s) > _breakdown_threshold(None, n, v):
+        return None
+    perm[k], perm[pos] = perm[pos], perm[k]
+    w = u / s
+    w[perm[k]] = 1.0
+    # b_hat^T = b^T Q_k U^{-1} and U T_k U^{-1}, by solves with U^T
+    bhat = solve_triangular(U, dec.hbar[m] @ Q[:, :k], trans="T", check_finite=False)
+    hbar = np.empty((k + 1, k), dtype=lu.dtype)
+    UTU = solve_triangular(U, (U @ T[:k, :k]).T, trans="T", check_finite=False).T
+    hbar[:k] = UTU + np.outer(c, bhat)
+    hbar[k] = s * bhat
+    return HessenbergDecomposition(np.column_stack((W, w)), hbar, perm, np.append(c, s), k)
+
+
+def flat_decomposition():
+    """A 10-step decomposition whose basis repeats one column: ``V Q_k``
+    has rank one, so a restart keeping more than one column meets a
+    singular U, and one keeping a single column leaves v no remainder."""
+    dec = run_hessenberg(gen_laplace2d(8), np.random.default_rng(3).standard_normal(64), 10)
+    basis = np.repeat(dec.basis[:, :1], 11, axis=1)
+    return HessenbergDecomposition(basis, dec.hbar.copy(), dec.perm.copy(), dec.g.copy(), 10)
+
+
+def restart_cases():
+    """Decompositions and the kept counts to restart them with: real and
+    complex Ritz values, a complex basis, pairs at every cut, and the
+    three fallbacks."""
+    for A, _, dec in thick_cases():
+        for k in (5, 10):
+            yield dec, k
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+    A = csr_from_dense(M * (rng.random((60, 60)) < 0.2) + 6.0 * np.eye(60))
+    yield run_hessenberg(A, rng.standard_normal(60) + 0j, 20), 6
+    dec = run_hessenberg(rotation_blocks(), np.random.default_rng(0).standard_normal(40), 8)
+    for k in range(1, 8):
+        yield dec, k
+    flat = flat_decomposition()
+    yield flat, 1
+    yield flat, 3
+
+
+def assert_same_decomposition(dec, ref):
+    if ref is None:
+        assert dec is None
+        return
+    for name in ("basis", "hbar", "perm", "g"):
+        assert_array_equal(getattr(dec, name), getattr(ref, name))
+        assert getattr(dec, name).dtype == getattr(ref, name).dtype
+    assert (dec.steps, dec.breakdown) == (ref.steps, ref.breakdown)
+
+
+@pytest.fixture
+def poisoned_empty(monkeypatch):
+    """``np.empty`` filling what it returns with NaN (-1 for integers), so
+    an entry that is returned without being written shows."""
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan if out.dtype.kind in "fc" else -1)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+
+
+def test_thick_restart_matches_the_row_major_reference(poisoned_empty):
+    nones = 0
+    for dec, k in restart_cases():
+        ref = _reference_thick_restart(dec, k)
+        assert_same_decomposition(thick_restart(dec, k), ref)
+        nones += ref is None
+    # the pair at the cut of k = 7 on the rotation blocks, the singular U
+    # and the vanishing remainder of the flat basis
+    assert nones == 3
+
+
+def test_thick_restart_leaves_its_input_unchanged():
+    for dec, k in restart_cases():
+        before = {name: getattr(dec, name).copy() for name in ("basis", "hbar", "perm", "g")}
+        thick_restart(dec, k)
+        for name, value in before.items():
+            assert_array_equal(getattr(dec, name), value)
+            assert getattr(dec, name).dtype == value.dtype
+    # the late fallbacks come after the seed's buffer is written
+    flat = flat_decomposition()
+    assert thick_restart(flat, 1) is None and thick_restart(flat, 3) is None
+
+
+def test_continued_runs_return_only_written_columns(poisoned_empty):
+    # the runner's basis is not zeroed; every column it returns, the
+    # seed's included, must be written
+    for A, _, dec in thick_cases():
+        seed = _reference_thick_restart(dec, 10)
+        cont = run_hessenberg(A, dec.last_vector, 30, start=seed)
+        assert np.all(np.isfinite(cont.basis))
+        assert_array_equal(cont.basis[:, : seed.steps + 1], seed.basis)
+        assert verify_decomposition(A, cont) <= 1e-12 * np.linalg.norm(A.values)
+    rng = np.random.default_rng(12)
+    A = random_sparse(rng, 120)
+    v = rng.standard_normal(120)
+    full = _reference_run_hessenberg(A, v, 25)
+    cont = run_hessenberg(A, v, 25, start=run_hessenberg(A, v, 12))
+    assert relative_gap(cont.basis, full[0]) <= 1e-12
+    assert_array_equal(cont.perm, full[2])
+
+
+def test_breakdown_runs_return_only_written_columns(poisoned_empty):
+    n = 12
+    for A, v, m in ((identity(n), np.linspace(1.0, 2.0, n), 5),
+                    (csr_from_dense(np.diag([3.0, 1.0, 1.0])), np.array([1.0, 0.0, 0.0]), 3),
+                    (csr_from_dense(np.array([[2.0, 1.0], [1.0, 2.0]])), np.array([1.0, 2.0]), 2)):
+        dec = assert_matches_reference(A, v, m)
+        assert dec.breakdown and np.all(np.isfinite(dec.basis))
+
+
+def test_one_solve_holds_fewer_than_72_basis_vectors():
+    # a continued cycle holds the seed and the new basis, not the
+    # row-major copies the restart used to make on the way
+    A = gen_convdiff3d(20, 1.0, (0.0, 111.8, 223.6), 400.0)
+    b = np.random.default_rng(1).standard_normal(A.shape[0])
+    shifts = gen_shifts("arith:1e-3:8")
+    tracemalloc.start()
+    try:
+        _, report = solve_shifted_hessen(A, b, shifts, SolverConfig(m=30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_converged and max(report.kept) > 0
+    assert peak <= 72 * 8 * A.shape[0]

@@ -20,14 +20,18 @@ family's cycles, basis and residual products, breakdown and
 budget-exhausted flags and each shift's
 converged/cycles/skipped/stagnated; ``OUT.npz`` holds the family's
 solutions, one (nu, n) array per input, and for ``matfunc-exp`` the
-action ``f(A) u0`` too.
+action ``f(A) u0`` and the norm of its input ``u0`` too.
 
-``--compare A B`` prints every counter or flag that differs and the
-largest relative solution gap ``||x_A - x_B|| / ||x_A||`` over all
-shifts and inputs.  A counter or flag that only one record has, as
-between records of two versions of this tool, is a difference too.  It
-exits with status 1 when a counter differs, a solution is not finite in
-either run, or the gap exceeds 1e-12.
+``--compare A B`` prints every counter or flag that differs, each
+workload's mean cycles and mean basis products in both runs, and the
+largest relative solution gap over all shifts and inputs:
+``||x_A - x_B|| / ||x_A||`` for a family solution and
+``||y_A - y_B|| / ||u0||`` for a ``matfunc-exp`` action, which is far
+smaller than its input (a record without the input norm falls back to
+``||y_A||``).  A counter or flag that only one record has, as between
+records of two versions of this tool, is a difference too.  It exits
+with status 1 when a counter differs, a solution is not finite in either
+run, or the gap exceeds 1e-12.
 """
 
 import argparse
@@ -87,6 +91,7 @@ def run(src, out, counts):
                     key = f"{name}/{seed}/{index}"
                     if name == "matfunc-exp":
                         arrays[key + "/action"] = out_[0]
+                        arrays[key + "/input_norm"] = np.linalg.norm(inp)
                         xs, report = family["out"]
                     else:
                         xs, report = out_
@@ -103,6 +108,16 @@ def _differ(where, ra, rb, names):
     the two records."""
     pairs = ((name, ra.get(name, "missing"), rb.get(name, "missing")) for name in names)
     return [f"{where}: {name} {x} != {y}" for name, x, y in pairs if x != y]
+
+
+def _means(records):
+    """Per workload: input count, mean cycles and mean basis products."""
+    by_name = {}
+    for r in records.values():
+        by_name.setdefault(r["key"].split("/")[0], []).append(r)
+    return {name: (len(rs), sum(r.get("cycles", 0) for r in rs) / len(rs),
+                   sum(r.get("basis_mvps", 0) for r in rs) / len(rs))
+            for name, rs in by_name.items()}
 
 
 def compare(path_a, path_b):
@@ -127,13 +142,21 @@ def compare(path_a, path_b):
             if k not in sols[0]:
                 continue
             xa, xb = np.atleast_2d(sols[0][k]), np.atleast_2d(sols[1][k])
-            rel = np.linalg.norm(xa - xb, axis=1) / np.linalg.norm(xa, axis=1)
+            scale = np.linalg.norm(xa, axis=1)
+            if k.endswith("/action") and key + "/input_norm" in sols[0]:
+                scale = sols[0][key + "/input_norm"]
+            rel = np.linalg.norm(xa - xb, axis=1) / scale
             if not np.all(np.isfinite(rel)):
                 diffs.append(f"{k}: non-finite solution")
             elif rel.max() > gap:
                 gap, where = float(rel.max()), k
     for line in diffs:
         print(line)
+    means = [_means(a), _means(b)]
+    for name in sorted(set(means[0]) | set(means[1])):
+        (na, ca, ma), (nb, cb, mb) = (m.get(name, (0, 0.0, 0.0)) for m in means)
+        print(f"{name}: mean cycle count {ca:.2f} -> {cb:.2f}, "
+              f"mean basis MVPs {ma:.1f} -> {mb:.1f} ({na} -> {nb} inputs)")
     print(f"{len(a)} inputs; {len(diffs)} differences in counters, flags or finiteness; "
           f"largest relative solution gap {gap:.2e}" + (f" ({where})" if where else ""))
     return 1 if diffs or gap > RTOL else 0
