@@ -7,8 +7,10 @@ Four subcommands around the library:
 - ``shiftkrylov bench``    run a problem x solver grid from a config file
 - ``shiftkrylov matfunc``  apply exp(-A) or E_gamma(-A) to a vector
 
-Exit codes: 0 success, 1 file or parse problem, 2 usage error,
-3 non-convergence (any shift left with a dagger flag).
+Exit codes: 0 success, 1 file or parse problem (``bench`` checks its
+solver list and every section before the first cell), 2 usage error,
+3 non-convergence: any shift left with a dagger flag, a family that
+stalled on singular reduced systems included.
 """
 
 import argparse
@@ -25,6 +27,7 @@ import numpy as np
 
 from .costs import attach_costs
 from .errors import (
+    AllShiftsStalled,
     IllConditionedEigenbasis,
     InvalidDimensions,
     NotConverged,
@@ -54,10 +57,41 @@ BENCH_COLUMNS = [
     "dagger_flags",
 ]
 
-_SOLVERS = {
-    "shessen": solve_shifted_hessen,
-    "sfom": solve_shifted_fom,
+
+def _solve_hessen(A, b, shifts, cfg):
+    """The unshifted method on ``A - sigma I``, for a family of one shift."""
+    if len(shifts) != 1:
+        raise ParseError("solver 'hessen' takes exactly one shift; shift the matrix instead")
+    x, report = solve_hessen(A.shifted(shifts[0]) if shifts[0] != 0 else A, b, cfg=cfg)
+    return [x], report
+
+
+_SOLVERS = {"shessen": solve_shifted_hessen, "sfom": solve_shifted_fom, "hessen": _solve_hessen}
+
+
+def _floats(text):
+    return [float(t) for t in text.split(",")]
+
+
+# name -> (generator, help, {parameter: (type, default, help)}), with default
+# None for a required parameter; argparse and bench parse string defaults alike
+_GENERATORS = {
+    "convdiff3d": (gen_convdiff3d, "3-D convection-diffusion-reaction", {
+        "n": (int, None, "interior points per direction"),
+        "eps": (float, "1.0", None),
+        "beta": (_floats, "0,0,0", "convection b1,b2,b3"),
+        "r": (float, "0.0", "reaction coefficient"),
+    }),
+    "laplace2d": (gen_laplace2d, "2-D Laplacian",
+                  {"n": (int, None, None), "scale": (float, "1.0", None)}),
 }
+
+
+def _model_problem(generator, value):
+    """Matrix and parameters of a model problem, each read as ``value(name, type, default)``."""
+    make, _, params = _GENERATORS[generator]
+    kw = {name: value(name, typ, default) for name, (typ, default, _) in params.items()}
+    return make(**kw), kw
 
 
 def _load_vector(spec, n):
@@ -99,22 +133,16 @@ def _write_csv(out, fieldnames, rows):
         print(f"wrote {out} ({len(rows)} rows)")
 
 
-def _solver_config(args):
-    """The solver settings of the options, checked before any file is read.
-
-    A bad value is a usage error, so it leaves as ``ValueError`` (exit 2)
-    and not as the package error that a bad file raises (exit 1).
-    """
-    cfg = SolverConfig(m=args.m, tol=args.tol, max_mvps=args.max_mvps)
+def _solver_config(m, tol, max_mvps, error=ValueError):
+    """Checked solver settings; a bad value raises ``error(message)``, by
+    default a ``ValueError``: a bad option is a usage error (exit 2), found
+    before any file is read, not a file problem (exit 1)."""
+    cfg = SolverConfig(m=m, tol=tol, max_mvps=max_mvps)
     try:
         cfg.validate()
     except InvalidDimensions as exc:
-        raise ValueError(str(exc)) from None
+        raise error(str(exc)) from None
     return cfg
-
-
-def _dagger_string(report):
-    return "".join("1" if bad else "0" for bad in report.dagger_flags)
 
 
 def _report_row(report, time_ms):
@@ -128,7 +156,7 @@ def _report_row(report, time_ms):
         "time_ms": f"{time_ms:.3f}",
         "predicted_flops": report.predicted_flops,
         "converged_shifts": report.num_converged,
-        "dagger_flags": _dagger_string(report),
+        "dagger_flags": "".join("1" if bad else "0" for bad in report.dagger_flags),
     }
 
 
@@ -136,22 +164,10 @@ def _report_row(report, time_ms):
 
 
 def _cmd_gen(args):
-    if args.problem == "convdiff3d":
-        beta = [float(t) for t in args.beta.split(",")]
-        A = gen_convdiff3d(args.n, args.eps, beta, args.r)
-        meta = {
-            "generator": "convdiff3d",
-            "n": args.n,
-            "eps": args.eps,
-            "beta": beta,
-            "r": args.r,
-        }
-    else:
-        A = gen_laplace2d(args.n, args.scale)
-        meta = {"generator": "laplace2d", "n": args.n, "scale": args.scale}
-    meta.update(order=A.shape[0], nnz=A.nnz)
+    A, params = _model_problem(args.problem, lambda name, *_: getattr(args, name))
+    meta = {"generator": args.problem, **params, "order": A.shape[0], "nnz": A.nnz}
     out = Path(args.out)
-    save_matrix_market(A, out, comments=[f"{meta['generator']} n={args.n}"])
+    save_matrix_market(A, out, comments=[f"{args.problem} n={args.n}"])
     out.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     print(f"wrote {out} ({A.shape[0]}x{A.shape[1]}, nnz={A.nnz}) and {out.with_suffix('.meta.json').name}")
     return EXIT_OK
@@ -160,22 +176,22 @@ def _cmd_gen(args):
 # -- solve --------------------------------------------------------------
 
 
-def _run_one(solver, A, b, shifts, cfg):
-    t0 = time.perf_counter()
-    if solver == "hessen":
-        if len(shifts) != 1:
-            raise ParseError("solver 'hessen' takes exactly one shift; shift the matrix instead")
-        op = A.shifted(shifts[0]) if shifts[0] != 0 else A
-        x, report = solve_hessen(op, b, cfg=cfg)
-        xs = [x]
-    else:
-        xs, report = _SOLVERS[solver](A, b, shifts, cfg)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    return xs, report, elapsed
+def _run_one(solver, A, b, shifts, cfg, reps=1):
+    """Solutions and report of the last of ``reps`` solves and their median time in ms;
+    a family stalled on singular reduced systems returns like any non-converged one."""
+    times = []
+    for _ in range(max(1, reps)):
+        t0 = time.perf_counter()
+        try:
+            xs, report = _SOLVERS[solver](A, b, shifts, cfg)
+        except AllShiftsStalled as exc:
+            xs, report = exc.xs, exc.report
+        times.append((time.perf_counter() - t0) * 1e3)
+    return xs, report, statistics.median(times)
 
 
 def _cmd_solve(args):
-    cfg = _solver_config(args)
+    cfg = _solver_config(args.m, args.tol, args.max_mvps)
     A = load_matrix_market(args.matrix)
     shifts = gen_shifts(args.shifts)
     b = _load_vector(args.rhs, A.shape[0])
@@ -206,53 +222,52 @@ def _cmd_solve(args):
 # -- bench --------------------------------------------------------------
 
 
-def _bench_problem(section, defaults):
-    get = lambda key, fallback=None: section.get(key, defaults.get(key, fallback))
+def _setting(sections, key, parse, default=None):
+    """``parse`` of ``key`` in the first of ``sections`` that sets it, else of
+    ``default``; a missing or malformed value is a ParseError naming both."""
+    where = next((sec for sec in sections if key in sec), sections[0])
+    raw = where.get(key, default)
+    if raw is None:
+        raise ParseError(f"[{where.name}] needs a value for '{key}'")
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ParseError(f"[{where.name}] {key} = {raw!r} is not a valid value") from None
+
+
+def _bench_problem(section, bench):
+    """The system of a problem section, with every value checked."""
+    setting = lambda key, parse, default=None: _setting((section, bench), key, parse, default)
     if "matrix" in section:
         A = load_matrix_market(section["matrix"])
+    elif section.get("generator") in _GENERATORS:
+        A, _ = _model_problem(section["generator"], setting)
     else:
-        gen = section.get("generator", "")
-        if gen == "convdiff3d":
-            beta = [float(t) for t in get("beta", "0,0,0").split(",")]
-            A = gen_convdiff3d(
-                int(get("n")), float(get("eps", "1.0")), beta, float(get("r", "0.0"))
-            )
-        elif gen == "laplace2d":
-            A = gen_laplace2d(int(get("n")), float(get("scale", "1.0")))
-        else:
-            raise ParseError(
-                f"problem section needs 'matrix = PATH' or a known 'generator', got {gen!r}"
-            )
-    shifts = gen_shifts(get("shifts", "arith:0.001:4"))
-    b = _load_vector(get("rhs", "ones"), A.shape[0])
-    cfg = SolverConfig(
-        m=int(get("m", SolverConfig.m)),
-        tol=float(get("tol", SolverConfig.tol)),
-        max_mvps=int(get("max_mvps", SolverConfig.max_mvps)),
+        raise ParseError(f"[{section.name}] needs 'matrix' or a generator of {list(_GENERATORS)}")
+    shifts = setting("shifts", gen_shifts, "arith:0.001:4")
+    b = setting("rhs", lambda spec: _load_vector(spec, A.shape[0]), "ones")
+    cfg = _solver_config(
+        setting("m", int, SolverConfig.m),
+        setting("tol", float, SolverConfig.tol),
+        setting("max_mvps", int, SolverConfig.max_mvps),
+        lambda message: ParseError(f"[{section.name}] {message}"),
     )
     return A, b, shifts, cfg
 
 
-def _bench_cell(solver, A, b, shifts, cfg, reps):
-    times = []
-    xs = report = None
-    for _ in range(max(1, reps)):
-        xs, report, elapsed = _run_one(solver, A, b, shifts, cfg)
-        times.append(elapsed)
-    return _report_row(report, statistics.median(times)), report
-
-
 def _cmd_bench(args):
     parser = configparser.ConfigParser()
-    read = parser.read(args.config)
-    if not read:
+    parser.add_section("bench")
+    if not parser.read(args.config):
         raise ParseError(f"cannot read config file {args.config!r}")
-    defaults = dict(parser["bench"]) if parser.has_section("bench") else {}
-    solvers = [s.strip() for s in defaults.get("solvers", "shessen,sfom").split(",")]
-    reps = int(args.reps if args.reps is not None else defaults.get("reps", "3"))
-
+    bench = parser["bench"]
+    solvers = [s.strip() for s in bench.get("solvers", "shessen,sfom").split(",")]
+    unknown = [s for s in solvers if s not in _SOLVERS]
+    if unknown:
+        raise ParseError(f"[bench] solvers: unknown {unknown}; choose from {list(_SOLVERS)}")
+    reps = args.reps if args.reps is not None else _setting((bench,), "reps", int, 3)
     problems = [
-        (sec_name.split(":", 1)[1], *_bench_problem(parser[sec_name], defaults))
+        (sec_name.split(":", 1)[1], *_bench_problem(parser[sec_name], bench))
         for sec_name in parser.sections()
         if sec_name.startswith("problem:")
     ]
@@ -260,31 +275,25 @@ def _cmd_bench(args):
         raise ParseError("config defines no [problem:NAME] sections")
 
     rows = []
-    any_dagger = False
     for name, *system in problems:
         for solver in solvers:
-            row, report = _bench_cell(solver, *system, reps)
-            rows.append({"problem": name, **row})
-            any_dagger = any_dagger or not report.all_converged
-
+            _, report, time_ms = _run_one(solver, *system, reps)
+            rows.append({"problem": name, **_report_row(report, time_ms)})
     _write_csv(args.out or "-", ["problem"] + BENCH_COLUMNS, rows)
-    return EXIT_NOCONV if any_dagger else EXIT_OK
+    return EXIT_NOCONV if any("1" in row["dagger_flags"] for row in rows) else EXIT_OK
 
 
 # -- matfunc ------------------------------------------------------------
 
 
 def _cmd_matfunc(args):
-    cfg = _solver_config(args)
+    cfg = _solver_config(args.m, args.tol, args.max_mvps)
     A = load_matrix_market(args.matrix)
-    if args.quadrature:
-        rule = load_quadrature(args.quadrature, kind=args.kind, gamma=args.gamma)
-    else:
-        rule = load_quadrature(
-            packaged_rule_path(args.kind, args.gamma if args.kind == "ml" else None),
-            kind=args.kind,
-            gamma=args.gamma,
-        )
+    rule = load_quadrature(
+        args.quadrature or packaged_rule_path(args.kind, args.gamma if args.kind == "ml" else None),
+        kind=args.kind,
+        gamma=args.gamma,
+    )
     u0 = _load_vector(args.u0, A.shape[0])
     t0 = time.perf_counter()
     y, report = eval_rational_action(A, u0, rule, cfg, return_report=True)
@@ -332,26 +341,19 @@ def _build_parser():
 
     g = sub.add_parser("gen", help="generate a model problem")
     gsub = g.add_subparsers(dest="problem", required=True)
-    g3 = gsub.add_parser("convdiff3d", help="3-D convection-diffusion-reaction")
-    g3.add_argument("--n", type=int, required=True, help="interior points per direction")
-    g3.add_argument("--eps", type=float, default=1.0)
-    g3.add_argument("--beta", type=str, default="0,0,0", help="convection b1,b2,b3")
-    g3.add_argument("--r", type=float, default=0.0, help="reaction coefficient")
-    g2 = gsub.add_parser("laplace2d", help="2-D Laplacian")
-    g2.add_argument("--n", type=int, required=True)
-    g2.add_argument("--scale", type=float, default=1.0)
-    for p in (g3, g2):
+    for name, (_, help_, params) in _GENERATORS.items():
+        p = gsub.add_parser(name, help=help_)
+        for param, (typ, default, phelp) in params.items():
+            p.add_argument(f"--{param}", type=typ, default=default,
+                           required=default is None, help=phelp)
         p.add_argument("-o", "--out", required=True, help="output .mtx path")
         p.set_defaults(func=_cmd_gen)
 
     s = sub.add_parser("solve", help="solve one shifted family")
-    s.add_argument("--matrix", required=True)
-    s.add_argument("--solver", choices=["shessen", "sfom", "hessen"], default="shessen")
+    s.add_argument("--solver", choices=list(_SOLVERS), default="shessen")
     s.add_argument("--shifts", default="arith:0.001:4", help="arith:S:K or list:v1,v2,...")
     s.add_argument("--rhs", default="ones", help="ones | random:SEED | file:PATH")
-    s.add_argument("--m", type=int, default=SolverConfig.m)
     s.add_argument("--tol", type=float, default=SolverConfig.tol)
-    s.add_argument("--max-mvps", type=int, default=SolverConfig.max_mvps)
     s.add_argument("-o", "--out", help="write a one-row summary CSV ('-' for stdout)")
     s.add_argument("--solutions", help="write solution vectors to PATH.<i>.txt")
     s.set_defaults(func=_cmd_solve)
@@ -363,38 +365,34 @@ def _build_parser():
     b.set_defaults(func=_cmd_bench)
 
     f = sub.add_parser("matfunc", help="apply exp(-A) or E_gamma(-A) to a vector")
-    f.add_argument("--matrix", required=True)
     f.add_argument("--kind", choices=["exp", "ml"], default="exp")
     f.add_argument("--gamma", type=float, default=1.0, help="fractional order for ml")
     f.add_argument("--quadrature", help="rule CSV; default: packaged 16-node rule")
     f.add_argument("--u0", default="ones", help="ones | random:SEED | file:PATH")
-    f.add_argument("--m", type=int, default=SolverConfig.m)
     f.add_argument("--tol", type=float, default=1e-10,
                    help="a pole of weight w_j must reach the relative residual "
                         "tol * max(1, ||w||_1 / (nu |w_j|)), capped at 1")
-    f.add_argument("--max-mvps", type=int, default=SolverConfig.max_mvps)
     f.add_argument("--check-dense", action="store_true",
                    help="compare against a dense eigendecomposition (small matrices)")
     f.add_argument("-o", "--out", help="write the result vector")
     f.set_defaults(func=_cmd_matfunc)
+    for p in (s, f):
+        p.add_argument("--matrix", required=True)
+        p.add_argument("--m", type=int, default=SolverConfig.m)
+        p.add_argument("--max-mvps", type=int, default=SolverConfig.max_mvps)
     return ap
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotConverged as exc:
+    except (ShiftKrylovError, OSError, ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOCONV
-    except (ShiftKrylovError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        # bad argument values (unknown rule kind, unpackaged gamma, ...)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, (NotConverged, AllShiftsStalled)):
+            return EXIT_NOCONV
+        # a ValueError is a bad argument value (unknown rule kind, unpackaged gamma, ...)
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO
 
 
 if __name__ == "__main__":

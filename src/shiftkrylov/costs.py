@@ -62,13 +62,14 @@ def predicted_flops(process, m, n, nnz):
     raise ValueError(f"unknown process {process!r}; expected one of {PROCESS_NAMES}")
 
 
-def attach_costs(report, process=None):
+def attach_costs(report):
     """Fill ``report.predicted_flops`` from its cycle counts.
 
-    The model charges every cycle for the steps it ran.  A cycle that
-    continued from a thick restart keeping ``k = report.kept[i]`` columns
-    ran steps ``k + 1 .. m`` and formed the kept block ``V Q_k`` with
-    ``2 n m k`` flops; a fresh cycle has ``k = 0``.  Each reduced solve
+    An ``sfom`` report ran Arnoldi, the others the pivoted Hessenberg
+    process.  The model charges every cycle for the steps it ran.  A
+    cycle that continued from a thick restart keeping ``k = report.kept[i]``
+    columns ran steps ``k + 1 .. m`` and formed the kept block ``V Q_k``
+    with ``2 n m k`` flops; a fresh cycle has ``k = 0``.  Each reduced solve
     adds one ``m^2`` unit, so
 
         sum_i (P(m) - P(k_i) + 2 n m k_i) + cycles * nu * m**2
@@ -88,13 +89,8 @@ def attach_costs(report, process=None):
     ----------
     report : SolveReport
         Updated in place and returned.
-    process : str, optional
-        Override the process name; by default inferred from
-        ``report.solver`` (``sfom`` ran Arnoldi, the others the pivoted
-        Hessenberg process).
     """
-    if process is None:
-        process = "arnoldi" if report.solver == "sfom" else "hessenberg"
+    process = "arnoldi" if report.solver == "sfom" else "hessenberg"
     nu, m, n = len(report.shifts), report.m, report.n
     per_cycle = predicted_flops(process, m, n, report.nnz)
     # a cycle after a thick restart skips the first k steps but forms V Q_k

@@ -75,9 +75,10 @@ class ZeroStartVector(ShiftKrylovError):
 class NonFiniteInput(ShiftKrylovError):
     """An operand holds a NaN or an infinity.
 
-    The restarted solvers check the right-hand side, the initial guess,
-    the shifts and the operator norm at entry, before any product, so a
-    non-finite operand is never reported as convergence or breakdown.
+    The basis processes check their start vector, and the restarted
+    solvers their right-hand side, initial guess, shifts and operator
+    norm, at entry, before any product, so a non-finite operand is never
+    reported as convergence or breakdown.
     """
 
 

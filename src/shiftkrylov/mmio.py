@@ -181,14 +181,7 @@ def save_matrix_market(A, path, comments=()):
         for c in comments:
             fh.write(f"% {c}\n")
         fh.write(f"{nrows} {ncols} {A.nnz}\n")
-        indptr, indices, data = A.row_ptr, A.col_idx, A.values
-        for i in range(nrows):
-            for k in range(indptr[i], indptr[i + 1]):
-                j = indices[k]
-                v = data[k]
-                if iscomplex:
-                    fh.write(
-                        f"{i + 1} {j + 1} {_fmt_real(v.real)} {_fmt_real(v.imag)}\n"
-                    )
-                else:
-                    fh.write(f"{i + 1} {j + 1} {_fmt_real(v)}\n")
+        rows = np.repeat(np.arange(1, nrows + 1), np.diff(A.row_ptr))
+        for i, j, v in zip(rows.tolist(), (A.col_idx + 1).tolist(), A.values.tolist()):
+            value = f"{_fmt_real(v.real)} {_fmt_real(v.imag)}" if iscomplex else _fmt_real(v)
+            fh.write(f"{i} {j} {value}\n")

@@ -214,6 +214,8 @@ def _check_start(A, v, m):
         )
     if not np.any(v):
         raise ZeroStartVector("start vector is identically zero")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteInput("start vector has a non-finite entry")
     message = f"step count m={m!r} outside 1..{n}"
     m = _count(m, 1, InvalidDimensions, message)
     if m > n:

@@ -338,8 +338,6 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     # b passes the checks of every cycle's start vector, and is the first
     # start vector when there is no initial guess
     r0, n, _, _ = _check_start(A, b, 1)
-    if not np.all(np.isfinite(b)):
-        raise NonFiniteInput("right-hand side has a non-finite entry")
     # The operator's norm is taken once per solve: it rejects a non-finite
     # operator here and scales every cycle's breakdown threshold, so the
     # runners need not measure it again.

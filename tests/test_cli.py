@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import shiftkrylov.matfunc as matfunc
 from shiftkrylov import (
+    AllShiftsStalled,
     SolverConfig,
     eval_rational_action,
     gen_convdiff3d,
@@ -15,6 +17,7 @@ from shiftkrylov import (
     save_matrix_market,
     solve_shifted_hessen,
 )
+from shiftkrylov import cli
 from shiftkrylov.cli import BENCH_COLUMNS, main
 
 
@@ -222,3 +225,123 @@ def test_bad_option_values_are_usage_errors_before_any_file_is_read(tmp_path):
     bad.write_text("%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 nope\n")
     assert run("matfunc", "--matrix", str(bad)) == 1
     assert run("solve", "--matrix", str(bad)) == 1
+
+
+def rotation(tmp_path):
+    # H - 0 I is singular in cycles 2-4 at m = 1, so the family stalls
+    p = tmp_path / "rot.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 -1.0\n2 1 1.0\n")
+    return p
+
+
+@pytest.mark.parametrize("solver", ["shessen", "hessen"])
+def test_solve_reports_a_stalled_family_as_non_convergence(tmp_path, capsys, solver):
+    code = run("solve", "--matrix", str(rotation(tmp_path)), "--solver", solver,
+               "--rhs", "ones", "--shifts", "list:0", "--m", "1")
+    assert code == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{solver}: 0/1 shifts converged")
+    assert "0.0‡" in lines[1]
+
+
+def test_bench_keeps_the_table_when_a_family_stalls(tmp_path):
+    cfgfile = tmp_path / "bench.ini"
+    cfgfile.write_text(
+        "[bench]\nsolvers = shessen\nm = 1\nreps = 1\nshifts = list:0\nrhs = ones\n"
+        f"[problem:rot]\nmatrix = {rotation(tmp_path)}\n"
+        "[problem:lap]\ngenerator = laplace2d\nn = 4\nm = 10\n"
+    )
+    out = tmp_path / "table.csv"
+    assert run("bench", "--config", str(cfgfile), "-o", str(out)) == 3
+    rows = read_rows(out)
+    assert [(r["problem"], r["dagger_flags"]) for r in rows] == [("rot", "1"), ("lap", "0")]
+
+
+def test_matfunc_reports_a_stalled_family_as_non_convergence(tmp_path, monkeypatch):
+    p = tmp_path / "lap.mtx"
+    assert run("gen", "laplace2d", "--n", "6", "-o", str(p)) == 0
+
+    def stalled(*args, **kwargs):
+        raise AllShiftsStalled("every active shift stalled")
+
+    monkeypatch.setattr(matfunc, "solve_shifted_hessen", stalled)
+    assert run("matfunc", "--matrix", str(p)) == 3
+
+
+@pytest.mark.parametrize("bench, problem, names", [
+    ("solvers = shessen, gmres", "n = 4", ["gmres"]),
+    ("solvers = shessen", "", ["problem:bad", "'n'"]),
+    ("solvers = shessen\nm = zero", "n = 4", ["[bench]", "m", "zero"]),
+    ("solvers = shessen\nreps = x", "n = 4", ["[bench]", "reps"]),
+    ("solvers = shessen", "n = 4\nmax_mvps = -1", ["problem:bad", "max_mvps"]),
+])
+def test_bench_checks_every_section_before_the_first_cell(tmp_path, capsys, monkeypatch,
+                                                          bench, problem, names):
+    calls = []
+    monkeypatch.setitem(cli._SOLVERS, "shessen", lambda *system: calls.append(system))
+    cfgfile = tmp_path / "bench.ini"
+    cfgfile.write_text(
+        f"[bench]\n{bench}\n"
+        "[problem:good]\ngenerator = laplace2d\nn = 4\n"
+        f"[problem:bad]\ngenerator = laplace2d\n{problem}\n"
+    )
+    assert run("bench", "--config", str(cfgfile)) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert all(name in err for name in names), err
+
+
+@pytest.mark.parametrize("text", [
+    "solvers = shessen\n[problem:lap]\ngenerator = laplace2d\nn = 4\n",
+    "[problem:lap]\ngenerator = laplace2d\nn = 4\nrhs = file:50%.txt\n",
+])
+def test_bench_malformed_file_is_a_parse_failure(tmp_path, text):
+    # a line before the first section, or a '%' the interpolation cannot read
+    cfgfile = tmp_path / "bench.ini"
+    cfgfile.write_text(text)
+    assert run("bench", "--config", str(cfgfile)) == 1
+
+
+def test_solve_writes_each_solution_and_reads_a_complex_one_back(tmp_path):
+    p = gen_matrix(tmp_path)
+    stem = tmp_path / "x.txt"
+    shifts = [-0.5, -0.1 + 0.2j]
+    assert run("solve", "--matrix", str(p), "--shifts", "list:-0.5,-0.1+0.2j",
+               "--m", "20", "--solutions", str(stem)) == 0
+    A = load_matrix_market(p)
+    xs, _ = solve_shifted_hessen(A, np.ones(64), shifts, SolverConfig(m=20))
+    for i, x in enumerate(xs):
+        cols = np.loadtxt(tmp_path / f"x.{i}.txt", ndmin=2)
+        assert cols.shape == ((64, 2) if np.iscomplexobj(x) else (64, 1))
+        assert np.array_equal(cols[:, 0], x.real)
+    complex_x = tmp_path / "x.1.txt"
+    assert np.array_equal(np.loadtxt(complex_x), np.column_stack([xs[1].real, xs[1].imag]))
+
+    # the two-column file is a complex right-hand side
+    assert run("solve", "--matrix", str(p), "--shifts", "list:-0.5", "--m", "20",
+               "--rhs", f"file:{complex_x}", "--solutions", str(tmp_path / "y.txt")) == 0
+    (y,), _ = solve_shifted_hessen(A, xs[1], [-0.5], SolverConfig(m=20))
+    assert np.array_equal(np.loadtxt(tmp_path / "y.0.txt"), np.column_stack([y.real, y.imag]))
+
+
+def test_matfunc_reads_a_rule_file(tmp_path):
+    p = tmp_path / "lap.mtx"
+    assert run("gen", "laplace2d", "--n", "6", "--scale", "0.02", "-o", str(p)) == 0
+    rule = tmp_path / "rule.csv"
+    rule.write_text(packaged_rule_path("exp").read_text())
+    assert run("matfunc", "--matrix", str(p), "--quadrature", str(rule),
+               "-o", str(tmp_path / "file.txt")) == 0
+    assert run("matfunc", "--matrix", str(p), "-o", str(tmp_path / "packaged.txt")) == 0
+    assert np.array_equal(np.loadtxt(tmp_path / "file.txt"), np.loadtxt(tmp_path / "packaged.txt"))
+
+
+def test_matfunc_ml_dense_check(tmp_path, capsys):
+    p = tmp_path / "lap.mtx"
+    assert run("gen", "laplace2d", "--n", "6", "--scale", "0.02", "-o", str(p)) == 0
+    capsys.readouterr()
+    assert run("matfunc", "--matrix", str(p), "--kind", "ml", "--gamma", "0.8",
+               "--check-dense") == 0
+    text = capsys.readouterr().out
+    assert text.startswith("E_0.8(-A) action")
+    rel = float(text.split("relative error vs dense reference: ")[1].split()[0])
+    assert rel < 1e-8

@@ -96,9 +96,6 @@ def test_attach_costs_uses_report_dimensions(monkeypatch):
     attach_costs(rep_f)
     per_cycle_f = predicted_flops("arnoldi", rep_f.m, rep_f.n, rep_f.nnz)
     assert rep_f.predicted_flops == rep_f.cycles * per_cycle_f + rep_f.cycles * nu * rep_f.m**2
-    # explicit process choice overrides the solver-name inference
-    attach_costs(rep, process="weighted_arnoldi")
-    assert rep.predicted_flops > rep.cycles * per_cycle
 
 
 def thick_charge(rep):

@@ -150,3 +150,30 @@ def test_round_trip_complex(tmp_path):
     save_matrix_market(A, p)
     B = load_matrix_market(p)
     assert np.array_equal(A.toarray(), B.toarray())
+
+
+def test_written_text_is_pinned(tmp_path):
+    # a row without entries, a comment, shortest round-trip floats, and
+    # one-based indices in row-major order
+    real = CsrMatrix.from_triplets(
+        [2, 0, 0, 2], [1, 2, 0, 0], [1.0 / 3.0, -1e-300, 2.5, 4.0], (3, 3)
+    )
+    p = tmp_path / "r.mtx"
+    save_matrix_market(real, p, comments=["golden"])
+    assert p.read_text() == (
+        "%%MatrixMarket matrix coordinate real general\n"
+        "% golden\n"
+        "3 3 4\n"
+        "1 1 2.5\n"
+        "1 3 -1e-300\n"
+        "3 1 4.0\n"
+        "3 2 0.3333333333333333\n"
+    )
+    cplx = CsrMatrix.from_triplets([1, 0], [0, 1], [-0.5 + 2.0j / 7.0, 3.0 - 1.0j], (2, 2))
+    save_matrix_market(cplx, p)
+    assert p.read_text() == (
+        "%%MatrixMarket matrix coordinate complex general\n"
+        "2 2 2\n"
+        "1 2 3.0 -1.0\n"
+        "2 1 -0.5 0.2857142857142857\n"
+    )

@@ -364,6 +364,19 @@ def test_nan_in_operator_is_not_a_breakdown(process):
 
 
 @pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_vector_is_rejected_before_any_product(process, bad):
+    # it used to cost one product and then fail on the pivot candidate or
+    # the subdiagonal of step 1
+    A = csr_from_dense(np.diag(np.arange(1.0, 6.0)))
+    v = np.arange(1.0, 6.0)
+    v[2] = bad
+    with pytest.raises(NonFiniteInput):
+        process(A, v, 3)
+    assert A.counter.count == 0
+
+
+@pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
 def test_breakdown_without_operator_norm(process):
     # an operator without norm_inf takes its breakdown scale from the
     # product, before the elimination shrinks it to roundoff
