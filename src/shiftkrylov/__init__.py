@@ -8,7 +8,6 @@ poles become one shifted family.
 """
 
 from .errors import (
-    AllShiftsStalled,
     DimensionMismatch,
     DuplicateNodes,
     IllConditionedEigenbasis,
@@ -58,7 +57,6 @@ from .matfunc import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllShiftsStalled",
     "CsrMatrix",
     "CycleInfo",
     "DimensionMismatch",

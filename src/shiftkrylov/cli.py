@@ -27,7 +27,6 @@ import numpy as np
 
 from .costs import attach_costs
 from .errors import (
-    AllShiftsStalled,
     IllConditionedEigenbasis,
     InvalidDimensions,
     NotConverged,
@@ -58,10 +57,15 @@ BENCH_COLUMNS = [
 ]
 
 
+def _check_hessen_shifts(shifts, where=""):
+    """Solver ``hessen``'s rule: a family of exactly one shift."""
+    if len(shifts) != 1:
+        raise ParseError(f"{where}solver 'hessen' takes exactly one shift; shift the matrix instead")
+
+
 def _solve_hessen(A, b, shifts, cfg):
     """The unshifted method on ``A - sigma I``, for a family of one shift."""
-    if len(shifts) != 1:
-        raise ParseError("solver 'hessen' takes exactly one shift; shift the matrix instead")
+    _check_hessen_shifts(shifts)
     x, report = solve_hessen(A.shifted(shifts[0]) if shifts[0] != 0 else A, b, cfg=cfg)
     return [x], report
 
@@ -103,10 +107,10 @@ def _load_vector(spec, n):
         return np.random.default_rng(seed).standard_normal(n)
     if spec.startswith("file:"):
         data = np.loadtxt(spec.split(":", 1)[1], ndmin=2)
-        if data.shape[1] == 2:
-            vec = data[:, 0] + 1j * data[:, 1]
-        else:
-            vec = data[:, 0]
+        if data.shape[1] > 2:
+            raise ParseError(f"vector file has {data.shape[1]} columns; "
+                             f"use 1 (real) or 2 (real, imaginary)")
+        vec = data[:, 0] + 1j * data[:, 1] if data.shape[1] == 2 else data[:, 0]
         if vec.shape[0] != n:
             raise ParseError(
                 f"vector file has {vec.shape[0]} entries, matrix order is {n}"
@@ -177,15 +181,11 @@ def _cmd_gen(args):
 
 
 def _run_one(solver, A, b, shifts, cfg, reps=1):
-    """Solutions and report of the last of ``reps`` solves and their median time in ms;
-    a family stalled on singular reduced systems returns like any non-converged one."""
+    """Solutions and report of the last of ``reps`` solves and their median time in ms."""
     times = []
     for _ in range(max(1, reps)):
         t0 = time.perf_counter()
-        try:
-            xs, report = _SOLVERS[solver](A, b, shifts, cfg)
-        except AllShiftsStalled as exc:
-            xs, report = exc.xs, exc.report
+        xs, report = _SOLVERS[solver](A, b, shifts, cfg)
         times.append((time.perf_counter() - t0) * 1e3)
     return xs, report, statistics.median(times)
 
@@ -235,8 +235,9 @@ def _setting(sections, key, parse, default=None):
         raise ParseError(f"[{where.name}] {key} = {raw!r} is not a valid value") from None
 
 
-def _bench_problem(section, bench):
-    """The system of a problem section, with every value checked."""
+def _bench_problem(section, bench, solvers):
+    """The system of a problem section, with every value checked, also
+    against the rules of the ``solvers`` that will run it."""
     setting = lambda key, parse, default=None: _setting((section, bench), key, parse, default)
     if "matrix" in section:
         A = load_matrix_market(section["matrix"])
@@ -245,6 +246,8 @@ def _bench_problem(section, bench):
     else:
         raise ParseError(f"[{section.name}] needs 'matrix' or a generator of {list(_GENERATORS)}")
     shifts = setting("shifts", gen_shifts, "arith:0.001:4")
+    if "hessen" in solvers:
+        _check_hessen_shifts(shifts, f"[{section.name}] ")
     b = setting("rhs", lambda spec: _load_vector(spec, A.shape[0]), "ones")
     cfg = _solver_config(
         setting("m", int, SolverConfig.m),
@@ -267,7 +270,7 @@ def _cmd_bench(args):
         raise ParseError(f"[bench] solvers: unknown {unknown}; choose from {list(_SOLVERS)}")
     reps = args.reps if args.reps is not None else _setting((bench,), "reps", int, 3)
     problems = [
-        (sec_name.split(":", 1)[1], *_bench_problem(parser[sec_name], bench))
+        (sec_name.split(":", 1)[1], *_bench_problem(parser[sec_name], bench, solvers))
         for sec_name in parser.sections()
         if sec_name.startswith("problem:")
     ]
@@ -389,7 +392,7 @@ def main(argv=None):
         return args.func(args)
     except (ShiftKrylovError, OSError, ValueError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (NotConverged, AllShiftsStalled)):
+        if isinstance(exc, NotConverged):
             return EXIT_NOCONV
         # a ValueError is a bad argument value (unknown rule kind, unpackaged gamma, ...)
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO

@@ -3,8 +3,9 @@
 Every error raised by shiftkrylov derives from :class:`ShiftKrylovError`,
 so callers can catch one base class at an API boundary.  Conditions that
 are expected outcomes of an iteration (stagnation, a shift exhausting its
-budget) are reported through result objects instead of exceptions; only
-conditions that invalidate the requested operation raise.
+budget, a family that stalls on singular reduced systems) are reported
+through result objects instead of exceptions; only conditions that
+invalidate the requested operation raise.
 
 Sizes and counts (grid sizes, matrix orders, step counts, budgets) are
 checked by one helper, :func:`_count`, which raises the calling site's
@@ -24,7 +25,6 @@ __all__ = [
     "ZeroStartVector",
     "NonFiniteInput",
     "SingularReducedSystem",
-    "AllShiftsStalled",
     "NotConverged",
     "DuplicateNodes",
     "IllConditionedEigenbasis",
@@ -94,12 +94,6 @@ class SingularReducedSystem(ShiftKrylovError):
     def __init__(self, message, singular=None, solution=None):
         super().__init__(message)
         self.singular, self.solution = singular, solution
-
-
-class AllShiftsStalled(ShiftKrylovError):
-    """Every active shift produced a singular reduced system for several
-    consecutive cycles, so no restart can make progress.  Carries the
-    family's ``report`` and its solutions ``xs``, converged ones included."""
 
 
 class NotConverged(ShiftKrylovError):

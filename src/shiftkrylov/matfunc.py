@@ -268,7 +268,8 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     ------
     NotConverged
         If any pole system missed its own tolerance ``tol_j``;
-        ``.shifts`` lists the failing shifts.
+        ``.shifts`` lists the failing shifts, and the message says when
+        the family stalled on singular reduced systems.
     """
     if cfg is None:
         cfg = SolverConfig(tol=1e-10)
@@ -280,9 +281,10 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     bad = [i for i, h in enumerate(report.shifts) if not h.converged]
     if bad:
         missed = np.broadcast_to(cfg.tol, rule.nu)[bad]
+        why = "; the family stalled on singular reduced systems" if report.stalled else ""
         raise NotConverged(
             f"{len(bad)} of {rule.nu} pole systems missed their own tolerance "
-            f"(tol_j from {missed.min():.3g} to {missed.max():.3g})",
+            f"(tol_j from {missed.min():.3g} to {missed.max():.3g}){why}",
             shifts=[report.shifts[i].shift for i in bad],
         )
     acc = np.zeros(xs[0].shape[0], dtype=np.complex128)

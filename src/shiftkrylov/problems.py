@@ -184,7 +184,5 @@ def gen_shifts(spec):
             except ValueError:
                 raise ParseError(f"bad shift value {tok!r}") from None
             out.append(z.real if z.imag == 0.0 else z)
-        if not out:
-            raise ParseError(f"empty shift list in {spec!r}")
         return out
     raise ParseError(f"unknown shift spec kind {kind!r} in {spec!r}")

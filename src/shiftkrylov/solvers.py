@@ -72,7 +72,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import (
-    AllShiftsStalled,
     DimensionMismatch,
     InvalidDimensions,
     NonFiniteInput,
@@ -108,7 +107,7 @@ _STAGNATION_WINDOW = 3
 _STAGNATION_RTOL = 1e-15
 
 # Consecutive cycles in which every active shift hit a singular reduced
-# system before the solve is abandoned.
+# system before the solve stops with ``SolveReport.stalled`` set.
 _STALL_LIMIT = 3
 
 
@@ -207,7 +206,9 @@ class SolveReport:
 
     ``breakdown`` is True when the basis became invariant and the solve
     ended there; ``budget_exhausted`` is True when it stopped with shifts
-    still active because the next cycle would exceed ``max_mvps``.
+    still active because the next cycle would exceed ``max_mvps``;
+    ``stalled`` is True when every active shift had a singular reduced
+    system for ``_STALL_LIMIT`` consecutive cycles and the solve stopped.
     ``kept`` has one entry per cycle: the columns it continued from a
     thick restart, or 0 for a fresh cycle (the first, every cycle of the
     Arnoldi solver, and one after a restart that fell back to plain).
@@ -225,6 +226,7 @@ class SolveReport:
     wall_time_s: float = 0.0
     breakdown: bool = False
     budget_exhausted: bool = False
+    stalled: bool = False
     predicted_flops: int | None = None
     kept: list = field(default_factory=list)
 
@@ -529,6 +531,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
 
         consecutive_all_skipped = 0 if solved.any() else consecutive_all_skipped + 1
         if consecutive_all_skipped >= _STALL_LIMIT:
+            report.stalled = True
             break
 
         if dec.breakdown:
@@ -541,15 +544,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
 
     _finalize(A, shifts, histories, solution, b, bnorm)
     report.wall_time_s = time.perf_counter() - t_start
-    xs = [solution(i) for i in range(nu)]
-    if consecutive_all_skipped >= _STALL_LIMIT:
-        exc = AllShiftsStalled(
-            f"every active shift produced a singular reduced system for "
-            f"{_STALL_LIMIT} consecutive cycles"
-        )
-        exc.report, exc.xs = report, xs
-        raise exc
-    return xs, report
+    return [solution(i) for i in range(nu)], report
 
 
 def _finalize(A, shifts, histories, solution, b, bnorm):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import shiftkrylov.matfunc as matfunc
+import shiftkrylov.solvers as solvers_mod
 from shiftkrylov import (
-    AllShiftsStalled,
+    SingularReducedSystem,
     SolverConfig,
     eval_rational_action,
     gen_convdiff3d,
@@ -257,15 +257,59 @@ def test_bench_keeps_the_table_when_a_family_stalls(tmp_path):
     assert [(r["problem"], r["dagger_flags"]) for r in rows] == [("rot", "1"), ("lap", "0")]
 
 
-def test_matfunc_reports_a_stalled_family_as_non_convergence(tmp_path, monkeypatch):
+def test_bench_keeps_the_table_when_a_hessen_family_stalls(tmp_path):
+    cfgfile = tmp_path / "bench.ini"
+    cfgfile.write_text(
+        "[bench]\nsolvers = shessen, hessen\nm = 1\nreps = 1\nshifts = list:0\nrhs = ones\n"
+        f"[problem:rot]\nmatrix = {rotation(tmp_path)}\n"
+    )
+    out = tmp_path / "table.csv"
+    assert run("bench", "--config", str(cfgfile), "-o", str(out)) == 3
+    rows = read_rows(out)
+    assert [(r["solver"], r["dagger_flags"]) for r in rows] == [("shessen", "1"), ("hessen", "1")]
+
+
+def test_bench_checks_the_hessen_shift_count_before_the_first_cell(tmp_path, capsys,
+                                                                   monkeypatch):
+    calls = []
+    for name, solve in list(cli._SOLVERS.items()):
+        monkeypatch.setitem(cli._SOLVERS, name,
+                            lambda *system, name=name, solve=solve:
+                            calls.append(name) or solve(*system))
+    cfgfile = tmp_path / "bench.ini"
+    cfgfile.write_text(
+        "[bench]\nsolvers = shessen, hessen\nreps = 1\n"
+        "[problem:one]\ngenerator = laplace2d\nn = 4\nshifts = list:0\n"
+        "[problem:family]\ngenerator = laplace2d\nn = 4\n"
+    )
+    assert run("bench", "--config", str(cfgfile)) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "[problem:family]" in err and "'hessen' takes exactly one shift" in err, err
+
+
+@pytest.mark.parametrize("option", ["solve --rhs", "matfunc --u0"])
+def test_a_vector_file_with_three_columns_is_a_parse_failure(tmp_path, capsys, option):
+    p = gen_matrix(tmp_path)
+    vec = tmp_path / "v.txt"
+    np.savetxt(vec, np.ones((64, 3)))
+    command, flag = option.split()
+    assert run(command, "--matrix", str(p), flag, f"file:{vec}") == 1
+    assert "3 columns" in capsys.readouterr().err
+
+
+def test_matfunc_reports_a_stalled_family_as_non_convergence(tmp_path, monkeypatch, capsys):
     p = tmp_path / "lap.mtx"
     assert run("gen", "laplace2d", "--n", "6", "-o", str(p)) == 0
 
-    def stalled(*args, **kwargs):
-        raise AllShiftsStalled("every active shift stalled")
+    def always_singular(H, sigma, G):
+        raise SingularReducedSystem("injected", singular=np.ones(len(sigma), dtype=bool),
+                                    solution=np.full(G.shape, np.nan))
 
-    monkeypatch.setattr(matfunc, "solve_shifted_hessen", stalled)
-    assert run("matfunc", "--matrix", str(p)) == 3
+    monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", always_singular)
+    # a random start vector, so the basis does not break down first
+    assert run("matfunc", "--matrix", str(p), "--u0", "random:1", "--m", "10") == 3
+    assert "stalled on singular reduced systems" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bench, problem, names", [

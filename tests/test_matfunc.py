@@ -201,6 +201,19 @@ def test_load_quadrature_validation(tmp_path):
         load_quadrature(write_rule(tmp_path, good), kind="cosh")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("re_z,im_z,re_w,im_w\n1.0,x,0.1,0.2\n", "line 2: bad numeric value"),
+    ("# only a comment\n", "line 1: missing header"),
+    ("", "line 1: missing header"),
+    ("re_z,im_z,re_w,im_w\n# no rows\n", "line 1: rule has no nodes"),
+])
+def test_load_quadrature_rejects_a_malformed_file(tmp_path, text, message):
+    p = tmp_path / "rule.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_quadrature(p, kind="exp")
+
+
 def test_asymmetric_rule_detected(tmp_path):
     rows = [(1.0, 2.0, 0.1, 0.2), (3.0, 1.0, 0.1, -0.2)]
     rule = load_quadrature(write_rule(tmp_path, rows), kind="exp")

@@ -117,6 +117,35 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         load_matrix_market(write(tmp_path, short, "s.mtx"))
 
 
+BANNER = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("%%MatrixMarket vector coordinate real general\n2 1\n",
+     UnsupportedFormat, "object 'vector'"),
+    ("%%MatrixMarket matrix sparse real general\n", ParseError, "line 1: unknown format"),
+    ("%%MatrixMarket matrix coordinate float general\n", ParseError, "line 1: unknown field"),
+    ("%%MatrixMarket matrix coordinate real diagonal\n", ParseError,
+     "line 1: unknown symmetry"),
+    ("", ParseError, "line 1: empty file"),
+    (BANNER + "2 2 2\n1 1 1.0\n% late\n2 2 1.0\n", ParseError,
+     "line 4: comment line after data began"),
+    (BANNER + "2 2\n", ParseError, "line 2: size line must have 3 integers, got 2"),
+    (BANNER + "2 2 1 1\n", ParseError, "line 2: size line must have 3 integers, got 4"),
+    (BANNER + "0 2 1\n", ParseError, "line 2: invalid size line"),
+    (BANNER + "2 -2 1\n", ParseError, "line 2: invalid size line"),
+    (BANNER + "2 2 -1\n", ParseError, "line 2: invalid size line"),
+    (BANNER + "2 2 1\n1 1\n", ParseError, "line 3: real entry needs 3 tokens, got 2"),
+    (BANNER + "2 2 1\n1 1 1.0 0.0\n", ParseError, "line 3: real entry needs 3 tokens, got 4"),
+    (BANNER + "2 2 1\n1 1 1.0\n2 2 1.0\n", ParseError,
+     "line 4: more entries than the declared 1"),
+    (BANNER + "% only comments\n", ParseError, "line 2: missing size line"),
+])
+def test_rejects_malformed_files(tmp_path, text, error, message):
+    with pytest.raises(error, match=message):
+        load_matrix_market(write(tmp_path, text))
+
+
 def test_out_of_range_indices(tmp_path):
     text = """%%MatrixMarket matrix coordinate real general
 2 2 1

@@ -135,3 +135,9 @@ def test_gen_shifts():
     for bad in ("arith:0.001", "arith:a:3", "arith:0.1:0", "list:", "list:x", "geom:1:2", ""):
         with pytest.raises(ParseError):
             gen_shifts(bad)
+
+
+@pytest.mark.parametrize("spec", ["list:", "list:,", "list: "])
+def test_gen_shifts_rejects_an_empty_list(spec):
+    with pytest.raises(ParseError, match="empty value"):
+        gen_shifts(spec)

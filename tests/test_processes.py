@@ -389,6 +389,25 @@ def test_breakdown_without_operator_norm(process):
     assert dec.breakdown and dec.steps == 3
 
 
+@pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
+def test_dense_operator_is_scaled_like_its_csr_copy(process):
+    # a dense array has no norm_inf; its scale is the same infinity norm
+    # (entries in quarters, so every row sum is exact in either order)
+    rng = np.random.default_rng(105)
+    M = rng.integers(-8, 9, (30, 30)) * (rng.random((30, 30)) < 0.2) / 4.0
+    assert _operator_norm_scale(M) == csr_from_dense(M).norm_inf() > 0
+    # so it breaks down at the same step as its CsrMatrix copy
+    D = np.diag(np.arange(1.0, 51.0))
+    v = np.zeros(50)
+    v[:3] = [1.0, 0.7, 0.3]
+    ref = process(csr_from_dense(D), v, 10)
+    dec = process(D, v, 10)
+    assert ref.breakdown and ref.steps == 3
+    assert dec.breakdown and dec.steps == 3
+    for name in ("basis", "hbar", "perm"):
+        assert np.array_equal(getattr(dec, name), getattr(ref, name))
+
+
 class ReturnsItsArgument:
     """The identity of order 6 as an operator whose product is a view: it
     returns its argument, the basis column itself."""
