@@ -36,23 +36,19 @@ at column j + 1.  The leading (j+1) x j block of its ``hbar`` is full,
 so the extended matrix is Hessenberg only from column j + 1 on, but the
 basis stays unit lower trapezoidal under ``perm``.
 
-The seed's basis is built once, column-major like the basis it continues
-into, so the continued run copies it column by column into a basis it
-need not zero.  ``W0 = V Q_k`` goes into its first k columns, where
-``lu_factor`` factors it in place; ``P L`` is put in natural row order
-there by moving only the rows the pivoting touched, at most 2k; the new
-last vector is divided straight into column k.  Two products keep the
-row-major form that fixes their rounding, because the column-major form
-rounds differently (OpenBLAS 0.3.31, AVX-512 kernels):
+The seed's basis is built in one column-major (n, k+1) buffer, like the
+basis it continues into, so the continued run copies it column by column
+into a basis it need not zero.  Two products keep the row-major form
+that fixes their rounding, because the column-major form rounds
+differently (OpenBLAS 0.3.31, AVX-512 kernels):
 
-* ``V Q_k`` is formed row-major and copied into the seed.  Written
-  column-major (``np.matmul`` with ``out=``), its last ``n mod 8`` rows
-  round differently when that is 1 to 4, as at n = 729.
-* ``W c`` is taken from a row-major copy of ``W``.  Taken column by
-  column from ``W`` itself, it changes the restart vector enough to move
-  cycle counts: over the 36 inputs a workload of ``tools/parity.py -n
-  12``, ``matfunc-exp`` went from 7.36 to 7.58 mean cycles (156.4 to
-  160.8 basis products) and ``convdiff-shessen`` from 5.75 to 5.69.
+* ``V Q_k`` is formed row-major and copied into the seed: written in
+  place (``np.matmul`` with ``out=``), its last ``n mod 8`` rows round
+  differently when that is 1 to 4, as at n = 729.
+* ``W c`` is taken from a row-major copy of ``W``.  Taken from ``W``
+  itself, it moves cycle counts: over the 120 inputs a workload of
+  ``tools/parity.py -n 40``, ``matfunc-exp`` went from 158.1 to 160.1
+  mean basis products and ``convdiff-shessen`` from 122.0 to 120.3.
 """
 
 from dataclasses import dataclass
@@ -202,6 +198,41 @@ def _breakdown_threshold(norm_scale, n, u):
     return n * _EPS * norm_scale
 
 
+def _pivot_column(u, mag, basis, col, perm, inv, tol):
+    """Append the candidate ``u``, exactly zero on the pivot rows
+    ``perm[:col]``, as basis column ``col`` under the pivoting rule.
+
+    The pivot is the largest entry in magnitude, the first in pivot order
+    on a tie, as :func:`pivot_select` finds it in ``u[perm]``.  Returns it,
+    having pinned its entry of the column to 1 and updated ``perm`` and
+    its inverse ``inv``, or None, writing nothing, when it is not above
+    ``tol``.  ``mag`` is (n,) scratch.  Raises NonFiniteInput when ``u``
+    has a non-finite entry.
+    """
+    np.abs(u, out=mag)
+    # argmax picks a nan or inf entry over any finite one, so the peak
+    # alone carries the non-finite check
+    row = int(mag.argmax())
+    peak = mag[row]
+    if not np.isfinite(peak):
+        raise NonFiniteInput(f"non-finite pivot candidate at step {col}")
+    # the first maximum is unique unless the entries after it reach the
+    # peak; only then is the first maximum in pivot order looked for
+    if mag[row + 1:].max(initial=0.0) == peak:
+        ties = np.flatnonzero(mag == peak)
+        row = ties[inv[ties].argmin()]
+    piv = u[row]
+    if not abs(piv) > tol:
+        return None
+    pos = inv[row]
+    perm[col], perm[pos] = row, perm[col]
+    inv[perm[pos]], inv[row] = pos, col
+    np.divide(u, piv, out=basis[:, col])
+    # complex self-division may miss exact one; the structure needs it exact
+    basis[row, col] = 1.0
+    return piv
+
+
 def _check_start(A, v, m):
     v = np.asarray(v)
     if v.ndim != 1:
@@ -270,6 +301,10 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     v, n, m, dtype = _check_start(A, v, m)
     norm_scale = _operator_norm_scale(A) if norm_scale is None else norm_scale
     if start is not None:
+        if start.breakdown or not 1 <= start.steps < m or start.basis.shape[0] != n:
+            raise InvalidDimensions(
+                f"cannot continue {start!r} to {m} steps on vectors of length {n}"
+            )
         dtype = np.result_type(dtype, start.basis.dtype)
 
     # every column the result keeps is written below
@@ -277,30 +312,20 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     hbar = np.zeros((m + 1, m), dtype=dtype)
     # pivot rows of the basis, basis[perm[:j+1], :j+1], unit lower triangular
     lower = np.eye(m + 1, dtype=dtype, order="F")
+    perm = np.arange(n) if start is None else start.perm.copy()
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    mag = np.empty(n)
     if start is None:
         first = 0
-        perm = np.arange(n)
-        i0 = pivot_select(v, start=0)
-        g = v[i0]
-        perm[0], perm[i0] = perm[i0], perm[0]
-        basis[:, 0] = v / g
-        # complex self-division may stray from exact one by an ulp; the pivot
-        # entry is one by construction, so write it that way
-        basis[i0, 0] = 1.0
+        # a nonzero finite v always has a pivot above zero
+        g = _pivot_column(v, mag, basis, 0, perm, inv, 0.0)
     else:
         first, g = start.steps, start.g
-        if start.breakdown or not 1 <= first < m or start.basis.shape[0] != n:
-            raise InvalidDimensions(
-                f"cannot continue {start!r} to {m} steps on vectors of length {n}"
-            )
-        perm = start.perm.copy()
         basis[:, : first + 1] = start.basis
         hbar[: first + 1, :first] = start.hbar
         lower[: first + 1, : first + 1] = start.basis[perm[: first + 1]]
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n)
     trsv, gemv = get_blas_funcs(("trsv", "gemv"), (basis,))
-    mag = np.empty(n)
 
     steps = m
     breakdown = False
@@ -312,35 +337,13 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
         u = gemv(-1.0, basis[:, : j + 1], h, 1.0, u, overwrite_y=1)
         # the elimination zeroes the pivot rows up to roundoff; make it exact
         u[perm[: j + 1]] = 0.0
-        if j + 1 < n:
-            np.abs(u, out=mag)
-            # argmax picks a nan or inf entry over any finite one, so the
-            # peak alone carries the non-finite check
-            row = int(mag.argmax())
-            peak = mag[row]
-            if not np.isfinite(peak):
-                raise NonFiniteInput(f"non-finite pivot candidate at step {j + 1}")
-            # the first maximum is unique unless the entries after it reach
-            # the peak; on a tie, take the first maximum in pivot order, as
-            # pivot_select picks it from u[perm]
-            if mag[row + 1:].max(initial=0.0) == peak:
-                ties = np.flatnonzero(mag == peak)
-                row = ties[inv[ties].argmin()]
-            piv = u[row]
-            if abs(piv) > tol:
-                hbar[j + 1, j] = piv
-                pos = inv[row]
-                perm[j + 1], perm[pos] = row, perm[j + 1]
-                inv[perm[pos]], inv[row] = pos, j + 1
-                np.divide(u, piv, out=basis[:, j + 1])
-                # complex self-division is not always exactly one, so pin
-                # the pivot entry to keep the triangular structure exact
-                basis[row, j + 1] = 1.0
-                lower[j + 1, : j + 1] = basis[row, : j + 1]
-                continue
-        steps = j + 1
-        breakdown = True
-        break
+        piv = _pivot_column(u, mag, basis, j + 1, perm, inv, tol) if j + 1 < n else None
+        if piv is None:
+            steps = j + 1
+            breakdown = True
+            break
+        hbar[j + 1, j] = piv
+        lower[j + 1, : j + 1] = basis[perm[j + 1], : j + 1]
 
     return HessenbergDecomposition(basis, hbar, perm, g, steps, breakdown)
 
@@ -439,13 +442,13 @@ def thick_restart(dec, k):
     # W c from a row-major copy of W, as the module notes explain
     u = v - np.ascontiguousarray(lu) @ c
     u[perm[:k]] = 0.0
-    pos = pivot_select(u[perm], start=k)
-    s = u[perm[pos]]
-    if not abs(s) > _breakdown_threshold(None, n, v):
+    try:
+        s = _pivot_column(u, np.empty(n), basis, k, perm, inv,
+                          _breakdown_threshold(None, n, v))
+    except NonFiniteInput:
         return None
-    perm[k], perm[pos] = perm[pos], perm[k]
-    np.divide(u, s, out=basis[:, k])
-    basis[perm[k], k] = 1.0
+    if s is None:
+        return None
     # b_hat^T = b^T Q_k U^{-1} and U T_k U^{-1}, by solves with U^T
     bhat = solve_triangular(U, dec.hbar[m] @ Q[:, :k], trans="T", check_finite=False)
     hbar = np.empty((k + 1, k), dtype=lu.dtype)

@@ -56,7 +56,7 @@ shifts, so the products stay independent of the number of shifts.  When
 the Schur form, its reordering or the LU factorization cannot give a
 well-conditioned kept block (see ``thick_restart``), or k is 0 (m < 3),
 the cycle restarts plain from ``v`` as above.  The Arnoldi solver always
-restarts plain: its basis is not orthonormal enough to keep.
+restarts plain.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
@@ -232,7 +232,8 @@ class SolveReport:
 
     @property
     def total_mvps(self):
-        """All counted products: basis work plus residual confirmations."""
+        """All counted products: basis work, residual confirmations and
+        the initial residual of a nonzero initial guess."""
         return self.basis_mvps + self.residual_mvps
 
     @property
@@ -360,10 +361,11 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     if not np.all(np.isfinite(sigmas)):
         raise NonFiniteInput("a shift is not finite")
     nu = len(shifts)
-    tols = np.asarray(cfg.tol, dtype=float) if np.ndim(cfg.tol) else None
-    if tols is not None and tols.size != nu:
-        raise DimensionMismatch(f"{tols.size} tolerances given for {nu} shifts")
+    if np.ndim(cfg.tol) and np.size(cfg.tol) != nu:
+        raise DimensionMismatch(f"{np.size(cfg.tol)} tolerances given for {nu} shifts")
+    tols = np.broadcast_to(np.asarray(cfg.tol, dtype=float), nu)
 
+    base = None
     if x0 is not None:
         x0 = np.asarray(x0)
         if x0.shape != b.shape:
@@ -372,11 +374,8 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             )
         if not np.all(np.isfinite(x0)):
             raise NonFiniteInput("initial guess has a non-finite entry")
-    if x0 is not None and np.any(x0):
-        r0 = b - (A @ x0)
-        base = x0
-    else:
-        base = None
+        if np.any(x0):
+            base, r0 = x0, b - (A @ x0)
 
     r0norm = float(np.linalg.norm(r0))
     histories = [ShiftHistory(shift=s, estimates=[r0norm / bnorm]) for s in shifts]
@@ -390,12 +389,8 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     p = max(cls) + 1
     members = [[i for i in range(nu) if cls[i] == c] for c in range(p)]
     rsig = sigmas[[mem[0] for mem in members]]
-    # a class is held to the scalar tolerance, or to the smallest of its
-    # members' per-shift values
-    if tols is None:
-        class_tol = [cfg.tol] * p
-    else:
-        class_tol = [float(tols[mem].min()) for mem in members]
+    # a class is held to the smallest of its members' tolerances
+    class_tol = [float(tols[mem].min()) for mem in members]
     X = np.zeros((p, n), dtype=np.result_type(r0.dtype, sigmas.dtype))
     coef = np.ones(p, dtype=X.dtype)
     anchors = [None] * p
@@ -420,6 +415,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         nnz=getattr(A, "nnz", 0),
         m=m,
         shifts=histories,
+        residual_mvps=int(base is not None),
     )
 
     v = r0
@@ -568,7 +564,7 @@ def solve_hessen(A, b, x0=None, cfg=None, on_cycle=None):
         Nonzero right-hand side.
     x0 : (n,) array_like, optional
         Initial guess; a nonzero guess costs one extra matrix-vector
-        product for the initial residual.
+        product for the initial residual, counted in ``residual_mvps``.
     cfg : SolverConfig, optional
     on_cycle : callable, optional
         Called with a :class:`CycleInfo` after every cycle.

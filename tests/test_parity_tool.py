@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +27,9 @@ def test_parity_run_and_compare(tmp_path):
     for r in inputs:
         assert r["cycles"] > 0 and r["basis_mvps"] > 0
         assert r["residual_mvps"] == len(r["shifts"]) == 16
+        assert r["stalled"] is False
+        # one entry per cycle, the first a fresh start
+        assert len(r["kept"]) == r["cycles"] and r["kept"][0] == 0
         assert all(h["converged"] for h in r["shifts"])
 
     same = _tool("--compare", out.with_suffix(".json"), out.with_suffix(".json"))
@@ -134,3 +139,25 @@ def test_compare_prints_mean_cycles_and_basis_products(record, tmp_path):
     assert diff.returncode == 1
     assert (f"matfunc-exp: mean cycle count {cycles:.2f} -> {cycles + 0.5:.2f}, "
             f"mean basis MVPs {mvps:.1f} -> {mvps + 10:.1f} (6 -> 6 inputs)") in diff.stdout
+
+
+def test_a_report_without_a_field_records_it_as_missing(record, tmp_path):
+    # a report from a tree that predates a field is recorded, not a
+    # crash, and the comparison names the field
+    spec = importlib.util.spec_from_file_location("parity", TOOL)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    shift = SimpleNamespace(converged=True, cycles=2, skipped_cycles=0)
+    old = SimpleNamespace(cycles=2, basis_mvps=50, residual_mvps=1, breakdown=False,
+                          budget_exhausted=False, kept=[0, 10], shifts=[shift])
+    rec = parity._record(old)
+    assert rec["stalled"] == "missing" and rec["kept"] == [0, 10]
+    assert rec["shifts"] == [{"converged": True, "cycles": 2, "skipped_cycles": 0,
+                              "stagnated": "missing"}]
+    inputs = json.loads(record.with_suffix(".json").read_text())["inputs"]
+    inputs[0]["stalled"] = rec["stalled"]
+    other = _copy_with(record, tmp_path / "old", inputs=inputs)
+    res = _tool("--compare", record.with_suffix(".json"), other)
+    assert res.returncode == 1
+    assert "matfunc-exp/1/0: stalled False != missing" in res.stdout
+    assert "1 differences" in res.stdout

@@ -303,6 +303,21 @@ def test_pivot_tie_goes_to_the_first_candidate_in_pivot_order():
     assert_array_equal(dec.perm[:2], [3, 1])
 
 
+def planted_ties(rng, n):
+    """A diagonally dominant sparse operator and a start vector with rows
+    of both copied up to sign."""
+    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    M += np.diag(rng.standard_normal(n) + 4.0)
+    v = rng.standard_normal(n)
+    for src in rng.choice(n, 6, replace=False):
+        for dst in rng.choice(n, 2, replace=False):
+            if dst != src:
+                sign = rng.choice([-1.0, 1.0])
+                M[dst] = sign * M[src]
+                v[dst] = sign * v[src]
+    return csr_from_dense(M), v
+
+
 def test_planted_ties_follow_pivot_select_in_pivot_order():
     # a row copied up to sign, with the start entry copied alike, keeps
     # its product entries equal in magnitude to the source's at every
@@ -313,16 +328,7 @@ def test_planted_ties_follow_pivot_select_in_pivot_order():
     n = 40
     tie_steps = not_first_natural = 0
     for _ in range(30):
-        M = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
-        M += np.diag(rng.standard_normal(n) + 4.0)
-        v = rng.standard_normal(n)
-        for src in rng.choice(n, 6, replace=False):
-            for dst in rng.choice(n, 2, replace=False):
-                if dst != src:
-                    sign = rng.choice([-1.0, 1.0])
-                    M[dst] = sign * M[src]
-                    v[dst] = sign * v[src]
-        dec = run_hessenberg(csr_from_dense(M), v, 20)
+        dec = run_hessenberg(*planted_ties(rng, n), 20)
         assert not dec.breakdown
         perm = np.arange(n)
         perm[0], perm[dec.perm[0]] = dec.perm[0], 0
@@ -587,6 +593,15 @@ def test_thick_restart_keeps_pairs_whole_or_falls_back():
         thick_restart(run_hessenberg(identity(40), np.ones(40), 5), 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_thick_restart_of_a_non_finite_last_vector_falls_back(bad):
+    # a step raises NonFiniteInput on such a candidate; the restart
+    # leaves it to the plain restart that follows
+    _, _, dec = next(thick_cases())
+    dec.basis[3, dec.steps] = bad
+    assert thick_restart(dec, 10) is None
+
+
 # -- the thick restart against its row-major reference ----------------------
 
 
@@ -661,10 +676,27 @@ def flat_decomposition():
     return HessenbergDecomposition(basis, dec.hbar.copy(), dec.perm.copy(), dec.g.copy(), 10)
 
 
+def planted_tie_restart():
+    """A decomposition whose restart meets an exact tie in its new vector,
+    and the kept count to restart it with: the copied rows keep their
+    entries equal in magnitude through ``V Q_k``, ``W`` and the remainder
+    of v."""
+    return run_hessenberg(*planted_ties(np.random.default_rng(10), 40), 20), 6
+
+
+def test_planted_ties_meet_the_restart_in_pivot_order():
+    new = thick_restart(*planted_tie_restart())
+    # on real data a tied maximum of the normalized new vector is exactly
+    # 1 in magnitude; the pivot is not the first of them in natural order
+    ties = np.flatnonzero(np.abs(new.basis[:, new.steps]) == 1.0)
+    assert ties.size > 1
+    assert ties[0] != new.perm[new.steps]
+
+
 def restart_cases():
     """Decompositions and the kept counts to restart them with: real and
-    complex Ritz values, a complex basis, pairs at every cut, and the
-    three fallbacks."""
+    complex Ritz values, a complex basis, pairs at every cut, planted
+    ties, and the three fallbacks."""
     for A, _, dec in thick_cases():
         for k in (5, 10):
             yield dec, k
@@ -675,6 +707,7 @@ def restart_cases():
     dec = run_hessenberg(rotation_blocks(), np.random.default_rng(0).standard_normal(40), 8)
     for k in range(1, 8):
         yield dec, k
+    yield planted_tie_restart()
     flat = flat_decomposition()
     yield flat, 1
     yield flat, 3

@@ -59,8 +59,11 @@ def test_initial_guess_costs_one_product():
     A, b = random_system(1)
     x_ref, rep_ref = solve_hessen(A, b, cfg=SolverConfig(m=20, tol=1e-10))
     x0 = np.linalg.solve(A.toarray(), b) + 1e-3
+    A.counter.reset()
     x, rep = solve_hessen(A, b, x0=x0, cfg=SolverConfig(m=20, tol=1e-10))
     assert_allclose(x, x_ref, atol=1e-8 * np.linalg.norm(x_ref))
+    # the report counts every product, the initial residual's included
+    assert A.counter.count == rep.total_mvps
     # one extra product for the initial residual; a strong guess then
     # needs fewer cycles
     assert rep.total_mvps <= rep_ref.total_mvps

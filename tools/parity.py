@@ -16,11 +16,13 @@ every workload named by ``--workload``
 with ``--inputs NAME=N`` overriding the count of one workload.  The
 inputs, settings and calls are those of ``bench/workloads.py``; nothing
 under ``bench/`` is written.  ``OUT.json`` holds, per input, the
-family's cycles, basis and residual products, breakdown and
-budget-exhausted flags and each shift's
-converged/cycles/skipped/stagnated; ``OUT.npz`` holds the family's
-solutions, one (nu, n) array per input, and for ``matfunc-exp`` the
-action ``f(A) u0`` and the norm of its input ``u0`` too.
+family's cycles, basis and residual products, breakdown,
+budget-exhausted and stalled flags, the columns each cycle kept from a
+thick restart, and each shift's converged/cycles/skipped/stagnated; a
+field that the tree's reports lack is recorded as ``"missing"``.
+``OUT.npz`` holds the family's solutions, one (nu, n) array per input,
+and for ``matfunc-exp`` the action ``f(A) u0`` and the norm of its
+input ``u0`` too.
 
 ``--compare A B`` prints every counter or flag that differs, each
 workload's mean cycles and mean basis products in both runs, and the
@@ -45,7 +47,8 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_WORKLOADS = ("convdiff-shessen", "convdiff-sfom", "matfunc-exp")
 SEEDS = (1, 2, 3)
 RTOL = 1e-12
-COUNTERS = ("cycles", "basis_mvps", "residual_mvps", "breakdown", "budget_exhausted")
+COUNTERS = ("cycles", "basis_mvps", "residual_mvps", "breakdown", "budget_exhausted",
+            "stalled", "kept")
 SHIFT_FLAGS = ("converged", "cycles", "skipped_cycles", "stagnated")
 
 
@@ -62,8 +65,11 @@ def _import_tree(src):
 
 
 def _record(report):
-    rec = {key: getattr(report, key) for key in COUNTERS}
-    rec["shifts"] = [{flag: getattr(h, flag) for flag in SHIFT_FLAGS} for h in report.shifts]
+    """A report's counters and shift flags, ``"missing"`` where it has none,
+    so that a tree without a field compares as different."""
+    rec = {key: getattr(report, key, "missing") for key in COUNTERS}
+    rec["shifts"] = [{flag: getattr(h, flag, "missing") for flag in SHIFT_FLAGS}
+                     for h in report.shifts]
     return rec
 
 
