@@ -602,14 +602,15 @@ def test_thick_restart_of_a_non_finite_last_vector_falls_back(bad):
     assert thick_restart(dec, 10) is None
 
 
-# -- the thick restart against its row-major reference ----------------------
+# -- the thick restart against its plain reference --------------------------
 
 
 def _reference_thick_restart(dec, k):
-    """The row-major thick restart, kept as a bitwise reference.
+    """The thick restart written plainly, kept as a bitwise reference.
 
-    Forms ``V Q_k`` row-major, lets ``lu_factor`` copy it to column-major,
-    gathers all n rows of ``W = P L`` and stacks ``[W, w]`` row-major.
+    Forms ``V Q_k`` column-major in an array of its own, as the restart
+    forms it in its seed, lets ``lu_factor`` copy it, gathers all n rows
+    of ``W = P L`` and stacks ``[W, w]`` row-major.
     """
     m = dec.steps
     message = f"cannot keep {k!r} of the {m} columns of {dec!r}"
@@ -634,7 +635,9 @@ def _reference_thick_restart(dec, k):
     T, Q, *_, info = trsen((mod <= order[k - 1]).astype(np.int32), T, Q, job="N")
     if info:
         return None
-    lu, piv = lu_factor(dec.basis[:, :m] @ Q[:, :k], overwrite_a=True, check_finite=False)
+    VQ = np.empty((n, k), dtype=np.result_type(dec.basis, Q), order="F")
+    np.matmul(dec.basis[:, :m], Q[:, :k], out=VQ)
+    lu, piv = lu_factor(VQ, check_finite=False)
     U = np.triu(lu[:k])
     if np.abs(np.diagonal(U)).min() <= _breakdown_threshold(None, n, U):
         return None
