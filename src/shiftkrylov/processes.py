@@ -37,18 +37,15 @@ so the extended matrix is Hessenberg only from column j + 1 on, but the
 basis stays unit lower trapezoidal under ``perm``.
 
 The seed's basis is built in one column-major (n, k+1) buffer, like the
-basis it continues into, so the continued run copies it column by column
-into a basis it need not zero.  Two products keep the row-major form
-that fixes their rounding, because the column-major form rounds
-differently (OpenBLAS 0.3.31, AVX-512 kernels):
-
-* ``V Q_k`` is formed row-major and copied into the seed: written in
-  place (``np.matmul`` with ``out=``), its last ``n mod 8`` rows round
-  differently when that is 1 to 4, as at n = 729.
-* ``W c`` is taken from a row-major copy of ``W``.  Taken from ``W``
-  itself, it moves cycle counts: over the 120 inputs a workload of
-  ``tools/parity.py -n 40``, ``matfunc-exp`` went from 158.1 to 160.1
-  mean basis products and ``convdiff-shessen`` from 122.0 to 120.3.
+basis it continues into: ``V Q_k`` is written straight into its first k
+columns and factored there, and the continued run copies it column by
+column into a basis it need not zero.  One product keeps the row-major
+form that fixes its rounding, because the column-major form rounds
+differently (OpenBLAS 0.3.31, AVX-512 kernels): ``W c`` is taken from a
+row-major copy of ``W``.  Taken from ``W`` itself, it moves cycle
+counts: over the 120 inputs a workload of ``tools/parity.py -n 40``,
+``matfunc-exp`` went from 158.1 to 160.1 mean basis products and
+``convdiff-shessen`` from 122.0 to 120.3.
 """
 
 from dataclasses import dataclass
@@ -418,10 +415,9 @@ def thick_restart(dec, k):
     if info:
         return None
     # the seed's basis, column-major like the basis it continues into;
-    # W0 = V Q_k is formed row-major (see the module notes), copied into
-    # its first k columns and factored there
+    # W0 = V Q_k is formed in its first k columns and factored there
     basis = np.empty((n, k + 1), dtype=np.result_type(dec.basis, Q), order="F")
-    basis[:, :k] = dec.basis[:, :m] @ Q[:, :k]
+    np.matmul(dec.basis[:, :m], Q[:, :k], out=basis[:, :k])
     lu, piv = lu_factor(basis[:, :k], overwrite_a=True, check_finite=False)
     U = np.triu(lu[:k])
     if np.abs(np.diagonal(U)).min() <= _breakdown_threshold(None, n, U):
