@@ -62,7 +62,9 @@ Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
 residual evaluation per shift, a folded partner included, before the
 shift is retired.  The tolerance may be given per shift; a folded pair
-is then held to the smaller of its two values.
+is then held to the smaller of its two values.  A shift whose estimate
+overflows or becomes NaN is retired unconverged, with
+``ShiftHistory.diverged`` set.
 """
 
 import time
@@ -156,7 +158,9 @@ class ShiftHistory:
 
     ``estimates[0]`` is the initial relative residual; one entry is
     appended per cycle in which the shift was active.  ``skipped_cycles``
-    counts cycles lost to a singular reduced system.
+    counts cycles lost to a singular reduced system.  ``diverged`` is
+    True when the shift was retired, unconverged, because its estimate
+    overflowed or became NaN.
     """
 
     shift: complex
@@ -166,9 +170,11 @@ class ShiftHistory:
     estimates: list = field(default_factory=list)
     final_relative_residual: float = np.nan
     stagnated: bool = False
+    diverged: bool = False
 
     def __repr__(self):
-        state = "converged" if self.converged else "not converged"
+        state = ("converged" if self.converged
+                 else "diverged" if self.diverged else "not converged")
         return (
             f"<ShiftHistory shift={self.shift}, {state} after {self.cycles} "
             f"cycles, final={self.final_relative_residual:.3e}>"
@@ -498,7 +504,12 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
                 if len(e) > _STAGNATION_WINDOW:
                     ref = e[-1 - _STAGNATION_WINDOW]
                     hist.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
-            if not skipped[c] and est <= class_tol[c]:
+            if not np.isfinite(est):
+                # an overflowed iterate cannot recover: retire the class
+                for i in members[c]:
+                    histories[i].diverged = True
+                active.remove(c)
+            elif not skipped[c] and est <= class_tol[c]:
                 # every shift, a folded partner too, is confirmed by its
                 # own product
                 trs = [_relative_residual(A.__matmul__, shifts[i], solution(i), b, bnorm)

@@ -244,6 +244,17 @@ def test_solve_reports_a_stalled_family_as_non_convergence(tmp_path, capsys, sol
     assert "0.0‡" in lines[1]
 
 
+def test_solve_tags_a_diverged_shift(tmp_path, capsys):
+    # sfom's estimate on the rotation at m = 1 overflows
+    with np.errstate(all="ignore"):
+        code = run("solve", "--matrix", str(rotation(tmp_path)), "--solver", "sfom",
+                   "--rhs", "ones", "--shifts", "list:0", "--m", "1")
+    assert code == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("sfom: 0/1 shifts converged")
+    assert "0.0‡" in lines[1] and lines[1].endswith(" (diverged)")
+
+
 def test_bench_keeps_the_table_when_a_family_stalls(tmp_path):
     cfgfile = tmp_path / "bench.ini"
     cfgfile.write_text(

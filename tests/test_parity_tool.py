@@ -153,7 +153,7 @@ def test_a_report_without_a_field_records_it_as_missing(record, tmp_path):
     rec = parity._record(old)
     assert rec["stalled"] == "missing" and rec["kept"] == [0, 10]
     assert rec["shifts"] == [{"converged": True, "cycles": 2, "skipped_cycles": 0,
-                              "stagnated": "missing"}]
+                              "stagnated": "missing", "diverged": "missing"}]
     inputs = json.loads(record.with_suffix(".json").read_text())["inputs"]
     inputs[0]["stalled"] = rec["stalled"]
     other = _copy_with(record, tmp_path / "old", inputs=inputs)

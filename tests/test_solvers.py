@@ -329,6 +329,27 @@ def test_stagnation_flag_on_frozen_estimate(monkeypatch):
     assert len(set(bad.estimates[1:])) == 1
 
 
+def test_a_shift_whose_estimate_overflows_is_retired_as_diverged():
+    # on the rotation at m = 1 the one-step Arnoldi cycle's H is roundoff,
+    # so sfom's estimate grows by about 1e16 a cycle until it overflows;
+    # the shift is retired on the first non-finite estimate instead of
+    # running the whole product budget
+    A = csr_from_dense(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    b = np.ones(2)
+    with np.errstate(all="ignore"):
+        _, rep = solve_shifted_fom(A, b, [0.0], SolverConfig(m=1))
+    h = rep.shifts[0]
+    assert h.diverged and not h.converged and not h.stagnated
+    assert np.all(np.isfinite(h.estimates[:-1])) and not np.isfinite(h.estimates[-1])
+    assert rep.cycles == h.cycles == len(h.estimates) - 1 <= 30
+    assert not (rep.budget_exhausted or rep.stalled or rep.breakdown)
+    assert rep.dagger_flags == [True]
+    assert "diverged" in repr(h)
+    # the pivoted solver meets singular reduced systems there and stalls
+    _, rep = solve_shifted_hessen(A, b, [0.0], SolverConfig(m=1))
+    assert rep.stalled and not rep.shifts[0].diverged
+
+
 def test_breakdown_identity_solves_exactly():
     n = 12
     I = identity(n)

@@ -18,8 +18,9 @@ inputs, settings and calls are those of ``bench/workloads.py``; nothing
 under ``bench/`` is written.  ``OUT.json`` holds, per input, the
 family's cycles, basis and residual products, breakdown,
 budget-exhausted and stalled flags, the columns each cycle kept from a
-thick restart, and each shift's converged/cycles/skipped/stagnated; a
-field that the tree's reports lack is recorded as ``"missing"``.
+thick restart, and each shift's converged, cycles, skipped, stagnated
+and diverged; a field that the tree's reports lack is recorded as
+``"missing"``.
 ``OUT.npz`` holds the family's solutions, one (nu, n) array per input,
 and for ``matfunc-exp`` the action ``f(A) u0`` and the norm of its
 input ``u0`` too.
@@ -49,7 +50,7 @@ SEEDS = (1, 2, 3)
 RTOL = 1e-12
 COUNTERS = ("cycles", "basis_mvps", "residual_mvps", "breakdown", "budget_exhausted",
             "stalled", "kept")
-SHIFT_FLAGS = ("converged", "cycles", "skipped_cycles", "stagnated")
+SHIFT_FLAGS = ("converged", "cycles", "skipped_cycles", "stagnated", "diverged")
 
 
 def _import_tree(src):
