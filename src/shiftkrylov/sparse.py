@@ -96,11 +96,11 @@ def _diagonal_kernel(csr):
 class CsrMatrix:
     """Square or rectangular sparse matrix in CSR form.
 
-    The product kernel is chosen once, here: a matrix whose diagonals,
-    padding included, hold at most ``_MAX_DIAGONAL_PADDING`` times its
-    stored entries is also stored by diagonals and multiplied there, any
-    other in CSR (see the module docstring for why both give the same
-    product).  The diagonal copy and :meth:`norm_inf` derive from the CSR
+    The product kernel is chosen once, at construction: a matrix whose
+    diagonals, padding included, hold at most ``_MAX_DIAGONAL_PADDING``
+    times its stored entries is multiplied on a copy stored by diagonals,
+    any other in CSR (see the module docstring).  The repr names the
+    kernel.  The diagonal copy and :meth:`norm_inf` derive from the CSR
     arrays, so the views of those arrays are read-only.
 
     Parameters
@@ -126,8 +126,8 @@ class CsrMatrix:
         csr.sum_duplicates()
         csr.sort_indices()
         self._csr = csr
-        self._dia = _diagonal_kernel(csr)
-        self._kernel = csr if self._dia is None else self._dia
+        dia = _diagonal_kernel(csr)
+        self._kernel = csr if dia is None else dia
         self._norm_inf = None
         self.counter = MvpCounter()
 
@@ -253,8 +253,11 @@ class CsrMatrix:
         return CsrMatrix(self._csr.conj().T.tocsr())
 
     def __repr__(self):
-        d = None if self._dia is None else self._dia.offsets.size
-        kernel = "CSR" if d is None else f"{d} diagonal" + "s" * (d != 1)
+        if self._kernel is self._csr:
+            kernel = "CSR"
+        else:
+            d = self._kernel.offsets.size
+            kernel = f"{d} diagonal" + "s" * (d != 1)
         return (
             f"<CsrMatrix {self.shape[0]}x{self.shape[1]}, nnz={self.nnz}, "
             f"dtype={self.dtype}, {kernel}>"

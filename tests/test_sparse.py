@@ -119,8 +119,9 @@ def banded_triplets(draw):
                             unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     hole = draw(st.sampled_from([0.0, 0.1, 0.4]))
-    rows = np.concatenate([np.arange(max(0, -k), min(nrows, ncols - k)) for k in offsets])
-    cols = rows + np.repeat(offsets, [min(nrows, ncols - k) - max(0, -k) for k in offsets])
+    diagonals = [np.arange(max(0, -k), min(nrows, ncols - k)) for k in offsets]
+    rows = np.concatenate(diagonals)
+    cols = np.concatenate([i + k for i, k in zip(diagonals, offsets)])
     kept = rng.random(rows.size) >= hole
     rows, cols = rows[kept], cols[kept]
     vals = rng.standard_normal(rows.size)
@@ -201,9 +202,9 @@ def test_either_kernel_counts_one_per_product():
     for A in (small_matrix(), scattered(1)):
         x = np.ones(A.shape[1])
         for count in (1, 2, 3):
-            A @ x
+            _ = A @ x
             assert A.counter.count == count
-        A._apply(x)
+        _ = A._apply(x)
         assert A.counter.count == 3
 
 
