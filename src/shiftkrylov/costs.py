@@ -66,11 +66,11 @@ def attach_costs(report):
     """Fill ``report.predicted_flops`` from its cycle counts.
 
     An ``sfom`` report ran Arnoldi, the others the pivoted Hessenberg
-    process.  The model charges every cycle for the steps it ran.  A
-    cycle that continued from a thick restart keeping ``k = report.kept[i]``
-    columns ran steps ``k + 1 .. m`` and formed the kept block ``V Q_k``
-    with ``2 n m k`` flops; a fresh cycle has ``k = 0``.  Each reduced solve
-    adds one ``m^2`` unit, so
+    process; the model charges every cycle of either for the steps it
+    ran.  A cycle that continued from a thick restart keeping
+    ``k = report.kept[i]`` columns ran steps ``k + 1 .. m`` and formed
+    the kept block ``V Q_k`` with ``2 n m k`` flops; a fresh cycle has
+    ``k = 0``.  Each reduced solve adds one ``m^2`` unit, so
 
         sum_i (P(m) - P(k_i) + 2 n m k_i) + cycles * nu * m**2
 

@@ -25,27 +25,30 @@ which :func:`verify_decomposition` measures in the Frobenius norm.
 The runners differ only in how a step builds its next vector.  Both copy
 each product before working on it in place, so an operator may return a
 view, even of its argument; both break down on a candidate not above
-:func:`_breakdown_threshold`; and both hand their m-step buffers to
-:class:`HessenbergDecomposition`, which trims them to the k steps done.
+:func:`_breakdown_threshold`; and both hand their m-step buffers, from
+:func:`_run_buffers`, to :class:`HessenbergDecomposition`, which trims
+them to the k steps done.
 
-:func:`thick_restart` turns an m-step pivoted decomposition into a
-j-step one that keeps the j Ritz values of smallest modulus (a
-Krylov-Schur restart) and whose start vector is the old decomposition's
-last basis vector; ``run_hessenberg(A, v, m, start=seed)`` continues it
-at column j + 1.  The leading (j+1) x j block of its ``hbar`` is full,
-so the extended matrix is Hessenberg only from column j + 1 on, but the
-basis stays unit lower trapezoidal under ``perm``.
+One Krylov-Schur step, :func:`_krylov_schur`, restarts both processes:
+it turns an m-step decomposition into a j-step one that keeps the j
+Ritz values of smallest modulus and starts from the old last basis
+vector.  For Arnoldi that seed is the whole restart; :func:`thick_restart`
+refactors it into a basis unit lower trapezoidal under ``perm``.  Either
+runner continues a seed at column j + 1 (``start=seed``, which
+:func:`_run_buffers` checks and copies in); the leading (j+1) x j block
+of its ``hbar`` is full, so the extended matrix is Hessenberg only from
+column j + 1 on.
 
 The seed's basis is built in one column-major (n, k+1) buffer, like the
 basis it continues into: ``V Q_k`` is written straight into its first k
-columns and factored there, and the continued run copies it column by
-column into a basis it need not zero.  One product keeps the row-major
-form that fixes its rounding, because the column-major form rounds
-differently (OpenBLAS 0.3.31, AVX-512 kernels): ``W c`` is taken from a
-row-major copy of ``W``.  Taken from ``W`` itself, it moves cycle
-counts: over the 120 inputs a workload of ``tools/parity.py -n 40``,
-``matfunc-exp`` went from 158.1 to 160.1 mean basis products and
-``convdiff-shessen`` from 122.0 to 120.3.
+columns (and factored there by :func:`thick_restart`), and the
+continued run copies it column by column into a basis it need not zero.
+One product keeps the row-major form that fixes its rounding, because
+the column-major form rounds differently (OpenBLAS 0.3.31, AVX-512
+kernels): ``W c`` is taken from a row-major copy of ``W``.  Taken from
+``W`` itself, it moves cycle counts: over the 120 inputs a workload of
+``tools/parity.py -n 40``, ``matfunc-exp`` went from 158.1 to 160.1
+mean basis products and ``convdiff-shessen`` from 122.0 to 120.3.
 """
 
 from dataclasses import dataclass
@@ -252,6 +255,24 @@ def _check_start(A, v, m):
     return v.astype(dtype, copy=False), n, m, dtype
 
 
+def _run_buffers(start, n, m, dtype):
+    """A run's buffers ``(basis, hbar, first)``: a column-major (n, m+1)
+    basis, not zeroed, and a zeroed (m+1, m) ``hbar``, holding ``start``
+    once its contract is checked, and the step ``first`` to go on from."""
+    if start is not None:
+        if start.breakdown or not 1 <= start.steps < m or start.basis.shape[0] != n:
+            raise InvalidDimensions(f"cannot continue {start!r} to {m} steps "
+                                    f"on vectors of length {n}")
+        dtype = np.result_type(dtype, start.basis.dtype)
+    basis = np.empty((n, m + 1), dtype=dtype, order="F")
+    hbar = np.zeros((m + 1, m), dtype=dtype)
+    if start is None:
+        return basis, hbar, 0
+    basis[:, : start.steps + 1] = start.basis
+    hbar[: start.steps + 1, : start.steps] = start.hbar
+    return basis, hbar, start.steps
+
+
 def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     """Run ``m`` steps of the pivoted Hessenberg process.
 
@@ -279,10 +300,11 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     start : HessenbergDecomposition, optional
         A j-step decomposition of ``v`` by ``A`` to continue, with
         ``1 <= j < m`` and no breakdown, such as :func:`thick_restart`
-        returns.  Its basis, ``hbar``, ``perm`` and ``g`` are taken as they are and the run goes on at column j + 1, so it
-        pays ``m - j`` products and returns an m-step decomposition of
-        ``v`` with the same start coordinates.  ``v`` is then only
-        checked, not read.
+        returns.  Its basis, ``hbar``, ``perm`` and ``g`` are taken as
+        they are and the run goes on at column j + 1, so it pays
+        ``m - j`` products and returns an m-step decomposition of ``v``
+        with the same start coordinates.  ``v`` is then only checked,
+        not read.
 
     Returns
     -------
@@ -297,16 +319,8 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     """
     v, n, m, dtype = _check_start(A, v, m)
     norm_scale = _operator_norm_scale(A) if norm_scale is None else norm_scale
-    if start is not None:
-        if start.breakdown or not 1 <= start.steps < m or start.basis.shape[0] != n:
-            raise InvalidDimensions(
-                f"cannot continue {start!r} to {m} steps on vectors of length {n}"
-            )
-        dtype = np.result_type(dtype, start.basis.dtype)
-
-    # every column the result keeps is written below
-    basis = np.empty((n, m + 1), dtype=dtype, order="F")
-    hbar = np.zeros((m + 1, m), dtype=dtype)
+    basis, hbar, first = _run_buffers(start, n, m, dtype)
+    dtype = basis.dtype
     # pivot rows of the basis, basis[perm[:j+1], :j+1], unit lower triangular
     lower = np.eye(m + 1, dtype=dtype, order="F")
     perm = np.arange(n) if start is None else start.perm.copy()
@@ -314,14 +328,11 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     inv[perm] = np.arange(n)
     mag = np.empty(n)
     if start is None:
-        first = 0
         # a nonzero finite v always has a pivot above zero
         g = _pivot_column(v, mag, basis, 0, perm, inv, 0.0)
     else:
-        first, g = start.steps, start.g
-        basis[:, : first + 1] = start.basis
-        hbar[: first + 1, :first] = start.hbar
-        lower[: first + 1, : first + 1] = start.basis[perm[: first + 1]]
+        g = start.g
+        lower[: first + 1, : first + 1] = basis[perm[: first + 1], : first + 1]
     trsv, gemv = get_blas_funcs(("trsv", "gemv"), (basis,))
 
     steps = m
@@ -345,51 +356,18 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     return HessenbergDecomposition(basis, hbar, perm, g, steps, breakdown)
 
 
-def thick_restart(dec, k):
-    """Krylov-Schur restart of a pivoted decomposition, for ``start=``.
+def _krylov_schur(dec, k):
+    """Krylov-Schur restart of any decomposition, for ``start=``.
 
-    With ``H = dec.square_h`` and ``b`` the last row of ``dec.hbar``,
-    ``A V = V H + v b^T`` for the m-step basis ``V`` and its last column
-    ``v``.  A real Schur form ``H Q = Q T`` (complex for complex ``H``)
-    with the k Ritz values of smallest modulus leading gives the Krylov
-    decomposition ``A W0 = W0 T_k + v (b^T Q_k)`` with ``W0 = V Q_k``.  A
-    conjugate pair is kept whole, so k may become k + 1.
-
-    ``W0 = P L U`` by partial pivoting, and ``W = W0 U^{-1}`` is taken as
-    ``P L``: unit lower trapezoidal under the pivot rows, as the process
-    keeps its basis.  Eliminating ``v`` on those rows,
-    ``c = L_piv^{-1} v[piv]``, leaves a remainder whose largest entry
-    ``s`` (the first in pivot order on a tie) is its pivot; with ``w``
-    the remainder divided by ``s``,
-
-        A W = W (U T_k U^{-1} + c b_hat^T) + s w b_hat^T,
-        b_hat^T = b^T Q_k U^{-1},
-
-    and ``v = W c + s w``.  Returns that k-step decomposition, with
-    ``g = [c; s]`` and a column-major basis ``[W, w]`` factored and
-    assembled in one (n, k+1) buffer (see the module notes); ``dec`` is
-    only read.  Because the decomposition is one of
-    ``A`` alone, ``A - sigma I`` has it too with ``T_k - sigma I``, so a
-    residual ``coef * v`` of any shift is ``coef * [c; s]`` in the new
-    basis.  No products are taken.
-
-    Returns None, for a plain restart from ``v``, when the Schur form or
-    its reordering fails, when ties of modulus leave no block of fewer
-    than m columns, when ``U`` has a diagonal entry at or below
-    ``n * eps * max |U|``, or when ``v`` lies in the span of ``W`` to
-    within the breakdown threshold ``n * eps * max |v|``.
-
-    Parameters
-    ----------
-    dec : HessenbergDecomposition
-        A pivoted decomposition without breakdown.
-    k : int
-        Ritz values to keep, ``1 <= k < dec.steps``.
-
-    Raises
-    ------
-    InvalidDimensions
-        If ``dec`` broke down or ``k`` is out of range.
+    With ``H = dec.square_h``, ``v`` the last basis vector and ``b`` the
+    last row of ``dec.hbar``, ``A V = V H + v b^T``, orthonormal ``V`` or
+    not.  A real (complex for complex ``H``) Schur form ``H Q = Q T`` with
+    the k Ritz values of smallest modulus leading, a conjugate pair kept
+    whole (k may become k + 1), gives the k-step decomposition returned:
+    a column-major basis ``[V Q_k, v]``, ``hbar = [T_k; b^T Q_k]``,
+    ``g = e_{k+1}`` and the identity ``perm``.  Returns None when the
+    Schur form or its reordering fails or ties of modulus leave no block
+    of fewer than m columns; raises as :func:`thick_restart` does.
     """
     m = dec.steps
     message = f"cannot keep {k!r} of the {m} columns of {dec!r}"
@@ -397,8 +375,6 @@ def thick_restart(dec, k):
     if dec.breakdown or k >= m:
         raise InvalidDimensions(message)
     H = dec.square_h
-    v = dec.last_vector
-    n = v.shape[0]
     gees, trsen = get_lapack_funcs(("gees", "trsen"), (H,))
     # real gees returns the Ritz values as (wr, wi), complex gees as w
     T, _, *ritz, Q, _, info = gees(lambda *ritz: None, H)
@@ -414,20 +390,69 @@ def thick_restart(dec, k):
     T, Q, *_, info = trsen((mod <= order[k - 1]).astype(np.int32), T, Q, job="N")
     if info:
         return None
-    # the seed's basis, column-major like the basis it continues into;
-    # W0 = V Q_k is formed in its first k columns and factored there
+    n = dec.basis.shape[0]
     basis = np.empty((n, k + 1), dtype=np.result_type(dec.basis, Q), order="F")
     np.matmul(dec.basis[:, :m], Q[:, :k], out=basis[:, :k])
+    basis[:, k] = dec.last_vector
+    hbar = np.vstack((T[:k, :k], dec.hbar[m] @ Q[:, :k])).astype(basis.dtype, copy=False)
+    g = np.append(np.zeros(k), 1.0)
+    return HessenbergDecomposition(basis, hbar, np.arange(n), g, k)
+
+
+def thick_restart(dec, k):
+    """Krylov-Schur restart of a pivoted decomposition, for ``start=``.
+
+    :func:`_krylov_schur` gives ``A W0 = W0 T_k + v (b^T Q_k)`` with
+    ``W0 = V Q_k``.  ``W0 = P L U`` by partial pivoting, and
+    ``W = W0 U^{-1}`` is taken as ``P L``: unit lower trapezoidal under
+    the pivot rows, as the process keeps its basis.  Eliminating ``v`` on
+    those rows, ``c = L_piv^{-1} v[piv]``, leaves a remainder whose
+    largest entry ``s`` (the first in pivot order on a tie) is its pivot;
+    with ``w`` the remainder divided by ``s``,
+
+        A W = W (U T_k U^{-1} + c b_hat^T) + s w b_hat^T,
+        b_hat^T = b^T Q_k U^{-1},
+
+    and ``v = W c + s w``.  Returns that k-step decomposition, with
+    ``g = [c; s]`` and the basis ``[W, w]`` factored and assembled in the
+    seed's buffer (see the module notes); ``dec`` is only read.  Because
+    the decomposition is one of ``A`` alone, ``A - sigma I`` has it too
+    with ``T_k - sigma I``, so a residual ``coef * v`` of any shift is
+    ``coef * [c; s]`` in the new basis.  No products are taken.
+
+    Returns None, for a plain restart from ``v``, when the Krylov-Schur
+    step does, when ``U`` has a diagonal entry at or below
+    ``n * eps * max |U|``, or when ``v`` lies in the span of ``W`` to
+    within the breakdown threshold ``n * eps * max |v|``.
+
+    Parameters
+    ----------
+    dec : HessenbergDecomposition
+        A pivoted decomposition without breakdown.
+    k : int
+        Ritz values to keep, ``1 <= k < dec.steps``.
+
+    Raises
+    ------
+    InvalidDimensions
+        If ``dec`` broke down or ``k`` is out of range.
+    """
+    seed = _krylov_schur(dec, k)
+    if seed is None:
+        return None
+    k, basis, hbar, perm = seed.steps, seed.basis, seed.hbar, seed.perm
+    n = basis.shape[0]
     lu, piv = lu_factor(basis[:, :k], overwrite_a=True, check_finite=False)
     U = np.triu(lu[:k])
     if np.abs(np.diagonal(U)).min() <= _breakdown_threshold(None, n, U):
         return None
-    perm = np.arange(n)
     for i, p in enumerate(piv):
         perm[i], perm[p] = perm[p], perm[i]
     # L pinned to exact zeros and ones on its pivot rows
     lu[:k] = np.tril(lu[:k], -1) + np.eye(k)
-    c = solve_triangular(lu[:k], v[perm[:k]], lower=True, unit_diagonal=True,
+    u = basis[:, k]  # v, reduced to its remainder in place
+    tol = _breakdown_threshold(None, n, u)
+    c = solve_triangular(lu[:k], u[perm[:k]], lower=True, unit_diagonal=True,
                          check_finite=False)
     # W = P L in natural row order, in place: only the rows that the
     # pivoting moved, at most 2k, change
@@ -436,44 +461,45 @@ def thick_restart(dec, k):
     moved = np.union1d(np.arange(k), piv)
     lu[moved] = lu[inv[moved]]
     # W c from a row-major copy of W, as the module notes explain
-    u = v - np.ascontiguousarray(lu) @ c
+    u -= np.ascontiguousarray(lu) @ c
     u[perm[:k]] = 0.0
     try:
-        s = _pivot_column(u, np.empty(n), basis, k, perm, inv,
-                          _breakdown_threshold(None, n, v))
+        s = _pivot_column(u, np.empty(n), basis, k, perm, inv, tol)
     except NonFiniteInput:
         return None
     if s is None:
         return None
     # b_hat^T = b^T Q_k U^{-1} and U T_k U^{-1}, by solves with U^T
-    bhat = solve_triangular(U, dec.hbar[m] @ Q[:, :k], trans="T", check_finite=False)
-    hbar = np.empty((k + 1, k), dtype=lu.dtype)
-    UTU = solve_triangular(U, (U @ T[:k, :k]).T, trans="T", check_finite=False).T
+    bhat = solve_triangular(U, hbar[k], trans="T", check_finite=False)
+    UTU = solve_triangular(U, (U @ hbar[:k]).T, trans="T", check_finite=False).T
     hbar[:k] = UTU + np.outer(c, bhat)
     hbar[k] = s * bhat
     return HessenbergDecomposition(basis, hbar, perm, np.append(c, s), k)
 
 
-def run_arnoldi(A, v, m, norm_scale=None):
+def run_arnoldi(A, v, m, norm_scale=None, *, start=None):
     """Run ``m`` steps of modified Gram-Schmidt Arnoldi.
 
-    Same contract as :func:`run_hessenberg`, ``norm_scale`` included, with
-    an orthonormal basis: ``beta = ||v||_2``, ``perm`` is the identity, the
-    subdiagonal entries of ``hbar`` are real and positive, and the
-    breakdown candidate is the norm of the orthogonalized product.
+    Same contract as :func:`run_hessenberg`, ``norm_scale`` and ``start``
+    included, with an orthonormal basis: ``beta = ||v||_2``, ``perm`` is
+    the identity, the subdiagonal entries of the columns it runs are
+    real and positive, and the breakdown candidate is the norm of the
+    orthogonalized product.  A continued basis may be far from
+    orthonormal (MGS against the kept columns); its ``hbar`` is exact.
     """
     v, n, m, dtype = _check_start(A, v, m)
     norm_scale = _operator_norm_scale(A) if norm_scale is None else norm_scale
-
-    beta = np.linalg.norm(v)
-    basis = np.zeros((n, m + 1), dtype=dtype, order="F")
-    basis[:, 0] = v / beta
-    hbar = np.zeros((m + 1, m), dtype=dtype)
+    basis, hbar, first = _run_buffers(start, n, m, dtype)
+    if start is None:
+        g = np.linalg.norm(v)
+        basis[:, 0] = v / g
+    else:
+        g = start.g
 
     steps = m
     breakdown = False
-    for j in range(m):
-        u = np.array(A @ basis[:, j], dtype=dtype)
+    for j in range(first, m):
+        u = np.array(A @ basis[:, j], dtype=basis.dtype)
         tol = _breakdown_threshold(norm_scale, n, u)
         for i in range(j + 1):
             h = np.vdot(basis[:, i], u)
@@ -490,7 +516,7 @@ def run_arnoldi(A, v, m, norm_scale=None):
             breakdown = True
             break
 
-    return HessenbergDecomposition(basis, hbar, np.arange(n), beta, steps, breakdown)
+    return HessenbergDecomposition(basis, hbar, np.arange(n), g, steps, breakdown)
 
 
 def verify_decomposition(A, dec):

@@ -34,29 +34,29 @@ for its imaginary part, rather than one complex product that would
 upcast the basis.  Complex data, or a family without pairs, uses the
 same loop with every shift its own class.
 
-The pivoted Hessenberg solvers restart thick: they keep wanted spectral
-information across cycles instead of throwing the basis away.  At the
-end of a cycle ``A V = V H + v b^T``, with ``v`` the last basis vector
-and every active residual a multiple ``coef * v``.  A Krylov-Schur step
-(:func:`~shiftkrylov.processes.thick_restart`) takes the real Schur form
-of ``H`` with its k = m // 3 Ritz values of smallest modulus leading (a
-conjugate pair kept whole, so k may become k + 1) and rebuilds the
-process's unit lower trapezoidal basis from ``V Q_k`` by one pivoted LU
-factorization.  It eliminates ``v`` on the new pivot rows, so
-``v = W c + s w`` with ``w`` the first new basis vector, and the next
-cycle continues the process from column k + 1, paying m - k products
-instead of m.  The leading block of the next cycle's ``H`` is then full,
-not Hessenberg, which the stacked reduced solve reads as it is.  The
-decomposition is one of ``A`` alone, so it serves every shift: the
-right-hand side of each collinear class is ``coef`` times the start
-coordinates ``g = [c; s]`` that the decomposition carries (``beta e1``
-after a plain restart), padded with zeros, and its new residual is again
-a multiple of the new last vector.  The Ritz selection ignores the
+Both processes restart thick: they keep wanted spectral information
+across cycles instead of throwing the basis away.  At the end of a
+cycle ``A V = V H + v b^T``, with ``v`` the last basis vector and every
+active residual a multiple ``coef * v``.  A Krylov-Schur step takes the
+real Schur form of ``H`` with its k = m // 3 Ritz values of smallest
+modulus leading (a conjugate pair kept whole, so k may become k + 1):
+``[V Q_k, v]`` with start coordinates ``g = e_{k+1}`` is the Arnoldi
+solver's restart, and the pivoted one
+(:func:`~shiftkrylov.processes.thick_restart`) rebuilds its unit lower
+trapezoidal basis from ``V Q_k`` by one pivoted LU factorization and
+eliminates ``v`` on the new pivot rows: ``v = W c + s w`` with ``w``
+the first new basis vector and ``g = [c; s]``.  The next cycle continues
+the process from column k + 1, paying m - k products instead of m.  The
+leading block of its ``H`` is then full, not Hessenberg, which the
+stacked reduced solve reads as it is.  The decomposition is one of
+``A`` alone, so it serves every shift: the right-hand side of each
+collinear class is ``coef`` times the start coordinates ``g`` (``beta
+e1`` after a plain restart), padded with zeros, and its new residual is
+again a multiple of the new last vector.  The Ritz selection ignores the
 shifts, so the products stay independent of the number of shifts.  When
 the Schur form, its reordering or the LU factorization cannot give a
 well-conditioned kept block (see ``thick_restart``), or k is 0 (m < 3),
-the cycle restarts plain from ``v`` as above.  The Arnoldi solver always
-restarts plain.
+the cycle restarts plain from ``v`` as above.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
@@ -85,6 +85,7 @@ from .errors import (
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
 from .processes import (
     _check_start,
+    _krylov_schur,
     _operator_norm_scale,
     run_arnoldi,
     run_hessenberg,
@@ -216,8 +217,8 @@ class SolveReport:
     ``stalled`` is True when every active shift had a singular reduced
     system for ``_STALL_LIMIT`` consecutive cycles and the solve stopped.
     ``kept`` has one entry per cycle: the columns it continued from a
-    thick restart, or 0 for a fresh cycle (the first, every cycle of the
-    Arnoldi solver, and one after a restart that fell back to plain).
+    thick restart, or 0 for a fresh cycle (the first, and one after a
+    restart that fell back to plain).
     Such a cycle took ``m - kept[i]`` basis products unless it broke down.
     """
 
@@ -335,7 +336,7 @@ def _conjugate_classes(shifts, fold):
 
 
 def _thick_keep(m):
-    """Ritz values the thick restart of an m-step pivoted cycle keeps."""
+    """Ritz values the thick restart of an m-step cycle keeps."""
     return m // 3
 
 
@@ -354,11 +355,13 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     if norm_scale is not None and not np.isfinite(norm_scale):
         raise NonFiniteInput("operator has a non-finite entry")
     bnorm = float(np.linalg.norm(b))
-    runner = {"hessenberg": run_hessenberg, "arnoldi": run_arnoldi}[process]
+    # looked up per call: bench/tracing.py wraps the runners by name
+    runner, restart = {"hessenberg": (run_hessenberg, thick_restart),
+                       "arnoldi": (run_arnoldi, _krylov_schur)}[process]
     # a basis cannot have more than n vectors; clamp rather than reject so
     # the default cycle length works on small matrices
     m = min(cfg.m, n)
-    keep = _thick_keep(m) if process == "hessenberg" else 0
+    keep = _thick_keep(m)
 
     shifts = [_as_scalar_shift(s) for s in shifts]
     if not shifts:
@@ -429,7 +432,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     consecutive_all_skipped = 0
     while active:
         if keep and dec is not None:
-            seed = thick_restart(dec, keep)
+            seed = restart(dec, keep)
         kept = 0 if seed is None else seed.steps
         if report.basis_mvps + m - kept > cfg.max_mvps:
             report.budget_exhausted = True
@@ -438,11 +441,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         # the last cycle's basis is not read again: dropping it before the
         # run, and the seed after it, keeps one basis alive at a time
         dec = V = lnext = None
-        if seed is None:
-            dec = runner(A, v, m, norm_scale)
-        else:
-            dec = runner(A, v, m, norm_scale, start=seed)
-            seed = None
+        dec, seed = runner(A, v, m, norm_scale, start=seed), None
         report.basis_mvps += dec.steps - kept
         k = dec.steps
         H = dec.square_h

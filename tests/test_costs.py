@@ -100,22 +100,27 @@ def test_attach_costs_uses_report_dimensions(monkeypatch):
 
 def thick_charge(rep):
     # a continued cycle runs steps k+1..m, each costing what it costs in a
-    # fresh cycle, and forms the kept block V Q_k with 2 n m k flops
+    # fresh cycle, and forms the kept block V Q_k with 2 n m k flops;
+    # Arnoldi step j pays 2j inner products and updates of length n
     m, n, nu = rep.m, rep.n, len(rep.shifts)
-    steps = [2 * rep.nnz + 2 * j * n - j * (j - 1) for j in range(1, m + 1)]
+    if rep.solver == "sfom":
+        steps = [2 * rep.nnz + 4 * j * n for j in range(1, m + 1)]
+    else:
+        steps = [2 * rep.nnz + 2 * j * n - j * (j - 1) for j in range(1, m + 1)]
     return sum(sum(steps[k:]) + 2 * n * m * k for k in rep.kept) + rep.cycles * nu * m**2
 
 
 def test_attach_costs_charges_the_steps_a_thick_restart_runs():
     A = gen_laplace2d(12)
     b = np.random.default_rng(2).standard_normal(A.shape[0])
-    xs, rep = solve_shifted_hessen(A, b, [0.0, -0.5], SolverConfig(m=10, tol=1e-10))
-    # every cycle after the first continued from m // 3 = 3 columns, or
-    # from 4 where a tie of modulus sat at the cut
-    assert rep.cycles >= 3 and rep.kept[0] == 0 and set(rep.kept[1:]) <= {3, 4}
-    assert rep.basis_mvps == sum(10 - k for k in rep.kept)
-    attach_costs(rep)
-    assert rep.predicted_flops == thick_charge(rep)
+    for solver in (solve_shifted_hessen, solve_shifted_fom):
+        xs, rep = solver(A, b, [0.0, -0.5], SolverConfig(m=10, tol=1e-10))
+        # every cycle after the first continued from m // 3 = 3 columns, or
+        # from 4 where a tie of modulus sat at the cut
+        assert rep.cycles >= 3 and rep.kept[0] == 0 and set(rep.kept[1:]) <= {3, 4}
+        assert rep.basis_mvps == sum(10 - k for k in rep.kept)
+        attach_costs(rep)
+        assert rep.predicted_flops == thick_charge(rep)
 
 
 def rotation_blocks(n=40):

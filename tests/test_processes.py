@@ -31,6 +31,7 @@ from shiftkrylov.processes import (
     _breakdown_threshold,
     _check_start,
     _count,
+    _krylov_schur,
     _operator_norm_scale,
 )
 
@@ -473,7 +474,7 @@ def test_decomposition_trims_its_buffers():
 # -- thick restart ----------------------------------------------------------
 
 
-def thick_cases():
+def thick_cases(runner=run_hessenberg):
     """A symmetric operator (real Ritz values) and a convection-dominated
     one (complex pairs among the smallest), with m = 30 decompositions."""
     rng = np.random.default_rng(5)
@@ -481,7 +482,15 @@ def thick_cases():
     conv = gen_convdiff3d(9, 1.0, (0.0, 111.8, 223.6), 400.0)
     for A in (lap, conv):
         v = rng.standard_normal(A.shape[0])
-        yield A, v, run_hessenberg(A, v, 30)
+        yield A, v, runner(A, v, 30)
+
+
+# each process with the restart that seeds it
+RESTARTS = ((run_hessenberg, thick_restart), (run_arnoldi, _krylov_schur))
+
+
+def orthonormality_loss(basis):
+    return np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1]))
 
 
 def assert_exact_unit_lower(dec, cols):
@@ -517,12 +526,38 @@ def test_thick_restart_keeps_the_decomposition_and_the_basis_structure(k):
         assert_array_equal(np.tril(cont.hbar[:, seed.steps:], -seed.steps - 2), 0.0)
 
 
+@pytest.mark.parametrize("k", [5, 10])
+def test_krylov_schur_seed_of_an_arnoldi_run(k):
+    for A, _, dec in thick_cases(run_arnoldi):
+        fro = np.linalg.norm(A.values)
+        seed = _krylov_schur(dec, k)
+        assert seed.steps in (k, k + 1)
+        assert seed.basis.shape == (A.shape[0], seed.steps + 1)
+        assert verify_decomposition(A, seed) <= 1e-12 * fro
+        # the old last vector is the seed's last column, g = e_{k+1}
+        v = dec.last_vector
+        assert_array_equal(seed.basis @ seed.g, v)
+        # V Q_k is no further from orthonormal than V; the continued basis
+        # is not pinned, one-pass MGS loses orthogonality against V Q_k
+        assert orthonormality_loss(seed.basis) <= orthonormality_loss(dec.basis)
+        A.counter.reset()
+        cont = run_arnoldi(A, v, 30, start=seed)
+        assert A.counter.count == 30 - seed.steps
+        assert cont.steps == 30 and not cont.breakdown
+        assert verify_decomposition(A, cont) <= 1e-12 * fro
+        assert_array_equal(cont.g, seed.g)
+        assert_array_equal(cont.basis[:, : seed.steps + 1], seed.basis)
+        assert_array_equal(cont.hbar[30, :29], 0.0)
+        assert_array_equal(np.tril(cont.hbar[:, seed.steps:], -seed.steps - 2), 0.0)
+
+
 def test_thick_restart_keeps_real_data_real():
-    for A, v, dec in thick_cases():
-        seed = thick_restart(dec, 10)
-        cont = run_hessenberg(A, dec.last_vector, 30, start=seed)
-        for d in (seed, cont):
-            assert d.basis.dtype == np.float64 and d.hbar.dtype == np.float64
+    for runner, restart in RESTARTS:
+        for A, v, dec in thick_cases(runner):
+            seed = restart(dec, 10)
+            cont = runner(A, dec.last_vector, 30, start=seed)
+            for d in (seed, cont):
+                assert d.basis.dtype == np.float64 and d.hbar.dtype == np.float64
 
 
 def test_thick_restart_of_a_complex_decomposition():
@@ -543,28 +578,33 @@ def test_continuing_a_fresh_run_is_the_longer_run():
     rng = np.random.default_rng(12)
     A = random_sparse(rng, 120)
     v = rng.standard_normal(120)
-    full = run_hessenberg(A, v, 25)
-    for j in (1, 12, 24):
-        cont = run_hessenberg(A, v, 25, start=run_hessenberg(A, v, j))
-        assert_array_equal(cont.basis, full.basis)
-        assert_array_equal(cont.hbar, full.hbar)
-        assert_array_equal(cont.perm, full.perm)
-        assert_array_equal(cont.g, full.g)
-        assert cont.beta == full.beta and cont.steps == full.steps
+    for runner, _ in RESTARTS:
+        full = runner(A, v, 25)
+        for j in (1, 12, 24):
+            cont = runner(A, v, 25, start=runner(A, v, j))
+            assert_array_equal(cont.basis, full.basis)
+            assert_array_equal(cont.hbar, full.hbar)
+            assert_array_equal(cont.perm, full.perm)
+            assert_array_equal(cont.g, full.g)
+            assert cont.beta == full.beta and cont.steps == full.steps
 
 
 def test_start_that_cannot_be_continued_is_rejected():
     rng = np.random.default_rng(13)
     A = random_sparse(rng, 40)
     v = rng.standard_normal(40)
-    dec = run_hessenberg(A, v, 10)
-    for m in (10, 5):
+    for runner, _ in RESTARTS:
+        dec = runner(A, v, 10)
+        for m in (10, 5):
+            with pytest.raises(InvalidDimensions):
+                runner(A, v, m, start=dec)
+        broken = runner(identity(40), v, 5)
+        assert broken.breakdown
         with pytest.raises(InvalidDimensions):
-            run_hessenberg(A, v, m, start=dec)
-    broken = run_hessenberg(identity(40), v, 5)
-    assert broken.breakdown
-    with pytest.raises(InvalidDimensions):
-        run_hessenberg(identity(40), v, 10, start=broken)
+            runner(identity(40), v, 10, start=broken)
+        # a basis of another length
+        with pytest.raises(InvalidDimensions):
+            runner(random_sparse(rng, 41), np.ones(41), 12, start=dec)
 
 
 def rotation_blocks(n=40):

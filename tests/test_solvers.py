@@ -12,7 +12,9 @@ from shiftkrylov import (
     SingularReducedSystem,
     SolverConfig,
     ZeroStartVector,
+    gen_convdiff3d,
     gen_laplace2d,
+    gen_shifts,
     identity,
     solve_hessen,
     solve_shifted_fom,
@@ -770,22 +772,20 @@ def test_folded_pair_takes_the_smaller_tolerance(monkeypatch):
 
 
 def keep_columns(monkeypatch, keep):
-    """Make the pivoted solvers' thick restart of an m-step cycle keep
-    ``keep(m)`` columns; ``lambda m: 0`` is the plain restart."""
+    """Make the solvers' thick restart of an m-step cycle keep ``keep(m)``
+    columns; ``lambda m: 0`` is the plain restart."""
     monkeypatch.setattr(solvers_mod, "_thick_keep", keep)
 
 
-def test_only_the_pivoted_process_keeps_columns():
+def test_both_processes_keep_columns():
     A, b = random_system(50)
-    cfg = SolverConfig(m=12, tol=1e-12)
-    _, hess = solve_shifted_hessen(A, b, [0.0, -1.0], cfg)
-    _, fom = solve_shifted_fom(A, b, [0.0, -1.0], cfg)
-    assert hess.cycles > 1 and fom.cycles > 1
-    # m // 3 = 4 columns, or 5 to keep a conjugate pair whole
-    assert len(hess.kept) == hess.cycles and hess.kept[0] == 0
-    assert set(hess.kept[1:]) <= {4, 5}
-    assert hess.basis_mvps == sum(12 - k for k in hess.kept)
-    assert fom.kept == [0] * fom.cycles
+    for solver in (solve_shifted_hessen, solve_shifted_fom):
+        _, rep = solver(A, b, [0.0, -1.0], SolverConfig(m=12, tol=1e-12))
+        assert rep.all_converged and rep.cycles > 1
+        # m // 3 = 4 columns, or 5 to keep a conjugate pair whole
+        assert len(rep.kept) == rep.cycles and rep.kept[0] == 0
+        assert set(rep.kept[1:]) <= {4, 5}
+        assert rep.basis_mvps == sum(12 - k for k in rep.kept)
 
 
 def thick_family():
@@ -799,35 +799,36 @@ def thick_family():
 def test_thick_restart_keeps_every_residual_collinear():
     A, b, shifts = thick_family()
     fro = np.linalg.norm(A.values)
-    off, gaps, identity_err, dtypes = [], [], [], set()
-
-    def watch(info):
-        dec = info.decomposition
-        identity_err.append(verify_decomposition(A, dec) / fro)
-        dtypes.add(dec.basis.dtype)
-        lhat = dec.last_vector / np.linalg.norm(dec.last_vector)
-        bnorm = np.linalg.norm(b)
-        for i in info.active_before:
-            x = info.solutions[i]
-            r = b - (A._apply(x) - info.shifts[i] * x)
-            # measured against |b|: the part off the start vector is a
-            # roundoff floor, large next to a residual near tol
-            off.append(np.linalg.norm(r - lhat * (lhat.conj() @ r)) / bnorm)
-            gaps.append(abs(info.estimates[i] - np.linalg.norm(r) / bnorm))
-
+    bnorm = np.linalg.norm(b)
     cfg = SolverConfig(m=20, tol=1e-10)
-    xs, rep = solve_shifted_hessen(A, b, shifts, cfg, on_cycle=watch)
-    assert rep.all_converged and rep.cycles >= 3
-    # every cycle after the first is continued from m // 3 = 6 kept columns
-    assert rep.kept == [0] + [6] * (rep.cycles - 1)
-    assert rep.basis_mvps == 20 + (rep.cycles - 1) * 14
-    assert max(identity_err) <= 1e-12
-    assert max(off) <= 1e-13
-    assert max(gaps) <= 1e-13
-    # a real operator and right-hand side keep a real basis
-    assert dtypes == {np.dtype(np.float64)}
-    for s, x in zip(shifts, xs):
-        assert true_relative_residual(A, s, x, b) <= 1e-10
+    for solver in (solve_shifted_hessen, solve_shifted_fom):
+        off, gaps, identity_err, dtypes = [], [], [], set()
+
+        def watch(info):
+            dec = info.decomposition
+            identity_err.append(verify_decomposition(A, dec) / fro)
+            dtypes.add(dec.basis.dtype)
+            lhat = dec.last_vector / np.linalg.norm(dec.last_vector)
+            for i in info.active_before:
+                x = info.solutions[i]
+                r = b - (A._apply(x) - info.shifts[i] * x)
+                # measured against |b|: the part off the start vector is a
+                # roundoff floor, large next to a residual near tol
+                off.append(np.linalg.norm(r - lhat * (lhat.conj() @ r)) / bnorm)
+                gaps.append(abs(info.estimates[i] - np.linalg.norm(r) / bnorm))
+
+        xs, rep = solver(A, b, shifts, cfg, on_cycle=watch)
+        assert rep.all_converged and rep.cycles >= 3
+        # every cycle after the first is continued from m // 3 = 6 kept columns
+        assert rep.kept == [0] + [6] * (rep.cycles - 1)
+        assert rep.basis_mvps == 20 + (rep.cycles - 1) * 14
+        assert max(identity_err) <= 1e-12
+        assert max(off) <= 1e-13
+        assert max(gaps) <= 1e-13
+        # a real operator and right-hand side keep a real basis
+        assert dtypes == {np.dtype(np.float64)}
+        for s, x in zip(shifts, xs):
+            assert true_relative_residual(A, s, x, b) <= 1e-10
 
 
 def test_thick_restart_takes_fewer_products(monkeypatch):
@@ -841,7 +842,9 @@ def test_thick_restart_takes_fewer_products(monkeypatch):
     assert thick.basis_mvps < plain.basis_mvps
 
 
-def test_thick_restart_products_do_not_depend_on_the_number_of_shifts():
+def matfunc_family(nu):
+    """shessen through ``eval_rational_action``: laplace2d(20) and the nu
+    nodes of the packaged exponential rule nearest the real axis."""
     from shiftkrylov.matfunc import QuadratureRule
     from shiftkrylov import eval_rational_action, load_quadrature, packaged_rule_path
 
@@ -849,16 +852,31 @@ def test_thick_restart_products_do_not_depend_on_the_number_of_shifts():
     u0 = np.random.default_rng(54).standard_normal(A.shape[0])
     rule = load_quadrature(packaged_rule_path("exp"), kind="exp")
     by_height = np.argsort(np.abs(rule.nodes.imag) + 1e-9 * (rule.nodes.imag < 0))
-    counts = set()
-    for nu in (4, 8, 16):
-        keep = np.sort(by_height[:nu])
-        sub = QuadratureRule(rule.nodes[keep], rule.weights[keep], "exp", 1.0)
-        _, rep = eval_rational_action(A, u0, sub, SolverConfig(m=30, tol=1e-10),
-                                      return_report=True)
-        # a restart keeping m // 3 = 10 columns is taken
-        assert rep.cycles >= 2 and min(rep.kept[1:]) >= 10
-        counts.add(rep.basis_mvps)
-    assert len(counts) == 1
+    keep = np.sort(by_height[:nu])
+    sub = QuadratureRule(rule.nodes[keep], rule.weights[keep], "exp", 1.0)
+    _, rep = eval_rational_action(A, u0, sub, SolverConfig(m=30, tol=1e-10),
+                                  return_report=True)
+    return rep
+
+
+def sfom_family(nu):
+    """sfom on convdiff3d(9) with the first nu shifts of ``arith:1e-3``."""
+    A = gen_convdiff3d(9, 1.0, (0.0, 111.8, 223.6), 400.0)
+    b = np.random.default_rng(1).standard_normal(A.shape[0])
+    shifts = gen_shifts(f"arith:1e-3:{nu}")
+    return solve_shifted_fom(A, b, shifts, SolverConfig(m=12, tol=1e-8))[1]
+
+
+def test_thick_restart_products_do_not_depend_on_the_number_of_shifts():
+    for family, sizes in ((matfunc_family, (4, 8, 16)), (sfom_family, (1, 4, 8, 16))):
+        counts = set()
+        for nu in sizes:
+            rep = family(nu)
+            # a restart keeping at least m // 3 columns is taken
+            assert rep.all_converged and rep.cycles >= 2
+            assert min(rep.kept[1:]) >= rep.m // 3
+            counts.add(rep.basis_mvps)
+        assert len(counts) == 1
 
 
 def test_budget_counts_the_products_of_a_continued_cycle(monkeypatch):
@@ -888,12 +906,13 @@ def test_thick_restart_that_cannot_keep_is_the_plain_restart(monkeypatch):
     A = csr_from_dense(M)
     b = np.random.default_rng(55).standard_normal(n)
     cfg = SolverConfig(m=8, tol=1e-10)
-    runs = []
-    for keep in (lambda m: 0, lambda m: m - 1):
-        keep_columns(monkeypatch, keep)
-        runs.append(solve_shifted_hessen(A, b, [0.0, -0.5], cfg))
-    (xa, ra), (xb, rb) = runs
-    assert ra.cycles >= 2 and rb.kept == [0] * rb.cycles
-    assert (ra.cycles, ra.basis_mvps) == (rb.cycles, rb.basis_mvps) == (ra.cycles, 8 * ra.cycles)
-    for u, v in zip(xa, xb):
-        assert np.array_equal(u, v)
+    for solver in (solve_shifted_hessen, solve_shifted_fom):
+        runs = []
+        for keep in (lambda m: 0, lambda m: m - 1):
+            keep_columns(monkeypatch, keep)
+            runs.append(solver(A, b, [0.0, -0.5], cfg))
+        (xa, ra), (xb, rb) = runs
+        assert ra.cycles >= 2 and rb.kept == [0] * rb.cycles
+        assert (ra.cycles, ra.basis_mvps) == (rb.cycles, rb.basis_mvps) == (ra.cycles, 8 * ra.cycles)
+        for u, v in zip(xa, xb):
+            assert np.array_equal(u, v)
