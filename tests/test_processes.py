@@ -437,24 +437,39 @@ def test_operator_returning_its_argument(process):
     assert dec.hbar[0, 0] == 1.0
 
 
+class ReportsItsNormAs:
+    """An operator that multiplies like ``A`` but reports ``norm`` as its
+    infinity norm, which scales the runners' breakdown threshold."""
+
+    def __init__(self, A, norm):
+        self.A, self.norm = A, norm
+        self.shape, self.dtype = A.shape, A.dtype
+
+    def norm_inf(self):
+        return self.norm
+
+    def __matmul__(self, x):
+        return self.A @ x
+
+
 @pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
 def test_norm_scale_is_the_operator_norm(process):
-    # passing the operator's own norm is the default, bit for bit
+    # reporting the matrix's own norm is the plain run, bit for bit
     rng = np.random.default_rng(104)
     n = 40
     A = random_sparse(rng, n)
     v = rng.standard_normal(n)
     ref = process(A, v, 12)
-    dec = process(A, v, 12, A.norm_inf())
+    dec = process(ReportsItsNormAs(A, A.norm_inf()), v, 12)
     for name in ("basis", "hbar", "perm"):
         assert np.array_equal(getattr(dec, name), getattr(ref, name))
     assert (dec.beta, dec.steps, dec.breakdown) == (ref.beta, ref.steps, ref.breakdown)
-    # the threshold is n * eps * norm_scale: twice the scale that makes it
+    # the threshold is n * eps * ||A||_inf: twice the norm that makes it
     # the first subdiagonal ends the run there; half the one that makes it
     # the smallest subdiagonal ends no step
     sub = np.abs(np.diag(ref.hbar, -1)) / (n * _EPS)
-    assert process(A, v, 12, 2.0 * sub[0]).steps == 1
-    dec = process(A, v, 12, 0.5 * sub.min())
+    assert process(ReportsItsNormAs(A, 2.0 * sub[0]), v, 12).steps == 1
+    dec = process(ReportsItsNormAs(A, 0.5 * sub.min()), v, 12)
     assert dec.steps == 12 and not dec.breakdown
 
 
