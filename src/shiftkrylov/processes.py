@@ -23,11 +23,13 @@ Both return a :class:`HessenbergDecomposition` satisfying
 which :func:`verify_decomposition` measures in the Frobenius norm.
 
 The runners differ only in how a step builds its next vector.  Both copy
-each product before working on it in place, so an operator may return a
-view, even of its argument; both break down on a candidate not above
-:func:`_breakdown_threshold`; and both hand their m-step buffers, from
-:func:`_run_buffers`, to :class:`HessenbergDecomposition`, which trims
-them to the k steps done.
+each product once into the basis column it becomes and work on it there,
+from elimination to normalization, so an operator may return a view of
+its argument or a buffer it reuses; both break down on a candidate not
+above :func:`_breakdown_threshold`; and both hand their m-step buffers,
+from :func:`_run_buffers`, to :class:`HessenbergDecomposition`, which
+trims them to the k steps done (on a breakdown, the column holding the
+unused remainder).
 
 One Krylov-Schur step, :func:`_krylov_schur`, restarts both processes:
 it turns an m-step decomposition into a j-step one that keeps the j
@@ -198,16 +200,16 @@ def _breakdown_threshold(norm_scale, n, u):
     return n * _EPS * norm_scale
 
 
-def _pivot_column(u, mag, basis, col, perm, inv, tol):
-    """Append the candidate ``u``, exactly zero on the pivot rows
-    ``perm[:col]``, as basis column ``col`` under the pivoting rule.
+def _pivot_column(u, mag, col, perm, inv, tol):
+    """Make the candidate ``u``, exactly zero on the pivot rows
+    ``perm[:col]``, basis column ``col`` under the pivoting rule, in place.
 
     The pivot is the largest entry in magnitude, the first in pivot order
     on a tie, as :func:`pivot_select` finds it in ``u[perm]``.  Returns it,
-    having pinned its entry of the column to 1 and updated ``perm`` and
-    its inverse ``inv``, or None, writing nothing, when it is not above
-    ``tol``.  ``mag`` is (n,) scratch.  Raises NonFiniteInput when ``u``
-    has a non-finite entry.
+    having divided ``u`` by it, pinned its entry to 1 and updated ``perm``
+    and its inverse ``inv``, or None, leaving ``u`` as it is, when it is
+    not above ``tol``.  ``mag`` is (n,) scratch.  Raises NonFiniteInput
+    when ``u`` has a non-finite entry.
     """
     np.abs(u, out=mag)
     # argmax picks a nan or inf entry over any finite one, so the peak
@@ -227,9 +229,9 @@ def _pivot_column(u, mag, basis, col, perm, inv, tol):
     pos = inv[row]
     perm[col], perm[pos] = row, perm[col]
     inv[perm[pos]], inv[row] = pos, col
-    np.divide(u, piv, out=basis[:, col])
+    u /= piv
     # complex self-division may miss exact one; the structure needs it exact
-    basis[row, col] = 1.0
+    u[row] = 1.0
     return piv
 
 
@@ -273,7 +275,7 @@ def _run_buffers(start, n, m, dtype):
     return basis, hbar, start.steps
 
 
-def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
+def run_hessenberg(A, v, m, *, start=None):
     """Run ``m`` steps of the pivoted Hessenberg process.
 
     Each step solves the pivot rows for its coefficients (``trsv``),
@@ -289,14 +291,12 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     v : (n,) array_like
         Nonzero start vector.
     m : int
-        Requested steps, ``1 <= m <= n``.
-    norm_scale : float, optional
-        The operator's infinity-norm ``||A||_inf``, for a caller that has
-        already measured it; by default the run measures it once.  A step
-        whose pivot candidate does not exceed ``n * eps * norm_scale`` is
-        a breakdown (invariant subspace).  When the operator exposes no
-        norm and none is given, the largest entry of each step's product
-        stands in for it.
+        Requested steps, ``1 <= m <= n``.  A step whose pivot candidate
+        does not exceed ``n * eps * ||A||_inf`` is a breakdown (invariant
+        subspace).  The run reads the norm once, from ``A.norm_inf()``
+        (which :class:`~shiftkrylov.sparse.CsrMatrix` caches) or from a
+        dense ``ndarray``; for an operator that exposes neither, the
+        largest entry of each step's product stands in for it.
     start : HessenbergDecomposition, optional
         A j-step decomposition of ``v`` by ``A`` to continue, with
         ``1 <= j < m`` and no breakdown, such as :func:`thick_restart`
@@ -318,8 +318,9 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     ZeroStartVector, DimensionMismatch, InvalidDimensions, NonFiniteInput
     """
     v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A) if norm_scale is None else norm_scale
+    norm_scale = _operator_norm_scale(A)
     basis, hbar, first = _run_buffers(start, n, m, dtype)
+    # a continued run may be promoted to its seed's dtype
     dtype = basis.dtype
     # pivot rows of the basis, basis[perm[:j+1], :j+1], unit lower triangular
     lower = np.eye(m + 1, dtype=dtype, order="F")
@@ -328,8 +329,9 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     inv[perm] = np.arange(n)
     mag = np.empty(n)
     if start is None:
+        basis[:, 0] = v
         # a nonzero finite v always has a pivot above zero
-        g = _pivot_column(v, mag, basis, 0, perm, inv, 0.0)
+        g = _pivot_column(basis[:, 0], mag, 0, perm, inv, 0.0)
     else:
         g = start.g
         lower[: first + 1, : first + 1] = basis[perm[: first + 1], : first + 1]
@@ -338,14 +340,16 @@ def run_hessenberg(A, v, m, norm_scale=None, *, start=None):
     steps = m
     breakdown = False
     for j in range(first, m):
-        u = np.array(A @ basis[:, j], dtype=dtype)
+        u = basis[:, j + 1]
+        u[:] = A @ basis[:, j]
         tol = _breakdown_threshold(norm_scale, n, u)
         h = trsv(lower[: j + 1, : j + 1], u[perm[: j + 1]], lower=1, diag=1)
         hbar[: j + 1, j] = h
-        u = gemv(-1.0, basis[:, : j + 1], h, 1.0, u, overwrite_y=1)
+        # u is a contiguous column of the basis's dtype: eliminated in place
+        gemv(-1.0, basis[:, : j + 1], h, 1.0, u, overwrite_y=1)
         # the elimination zeroes the pivot rows up to roundoff; make it exact
         u[perm[: j + 1]] = 0.0
-        piv = _pivot_column(u, mag, basis, j + 1, perm, inv, tol) if j + 1 < n else None
+        piv = _pivot_column(u, mag, j + 1, perm, inv, tol) if j + 1 < n else None
         if piv is None:
             steps = j + 1
             breakdown = True
@@ -464,7 +468,7 @@ def thick_restart(dec, k):
     u -= np.ascontiguousarray(lu) @ c
     u[perm[:k]] = 0.0
     try:
-        s = _pivot_column(u, np.empty(n), basis, k, perm, inv, tol)
+        s = _pivot_column(u, np.empty(n), k, perm, inv, tol)
     except NonFiniteInput:
         return None
     if s is None:
@@ -477,18 +481,18 @@ def thick_restart(dec, k):
     return HessenbergDecomposition(basis, hbar, perm, np.append(c, s), k)
 
 
-def run_arnoldi(A, v, m, norm_scale=None, *, start=None):
+def run_arnoldi(A, v, m, *, start=None):
     """Run ``m`` steps of modified Gram-Schmidt Arnoldi.
 
-    Same contract as :func:`run_hessenberg`, ``norm_scale`` and ``start``
-    included, with an orthonormal basis: ``beta = ||v||_2``, ``perm`` is
+    Same contract as :func:`run_hessenberg`, its breakdown threshold and
+    ``start`` included, with an orthonormal basis: ``beta = ||v||_2``, ``perm`` is
     the identity, the subdiagonal entries of the columns it runs are
     real and positive, and the breakdown candidate is the norm of the
     orthogonalized product.  A continued basis may be far from
     orthonormal (MGS against the kept columns); its ``hbar`` is exact.
     """
     v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A) if norm_scale is None else norm_scale
+    norm_scale = _operator_norm_scale(A)
     basis, hbar, first = _run_buffers(start, n, m, dtype)
     if start is None:
         g = np.linalg.norm(v)
@@ -499,7 +503,8 @@ def run_arnoldi(A, v, m, norm_scale=None, *, start=None):
     steps = m
     breakdown = False
     for j in range(first, m):
-        u = np.array(A @ basis[:, j], dtype=basis.dtype)
+        u = basis[:, j + 1]
+        u[:] = A @ basis[:, j]
         tol = _breakdown_threshold(norm_scale, n, u)
         for i in range(j + 1):
             h = np.vdot(basis[:, i], u)
@@ -510,7 +515,7 @@ def run_arnoldi(A, v, m, norm_scale=None, *, start=None):
             raise NonFiniteInput(f"non-finite subdiagonal {hnext} at step {j + 1}")
         if j + 1 < n and hnext > tol:
             hbar[j + 1, j] = hnext
-            basis[:, j + 1] = u / hnext
+            u /= hnext
         else:
             steps = j + 1
             breakdown = True

@@ -348,9 +348,9 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     # b passes the checks of every cycle's start vector, and is the first
     # start vector when there is no initial guess
     r0, n, _, _ = _check_start(A, b, 1)
-    # The operator's norm is taken once per solve: it rejects a non-finite
-    # operator here and scales every cycle's breakdown threshold, so the
-    # runners need not measure it again.
+    # A non-finite operator is rejected before any product.  The runners
+    # read the same norm for their breakdown thresholds, from the cache a
+    # CsrMatrix keeps.
     norm_scale = _operator_norm_scale(A)
     if norm_scale is not None and not np.isfinite(norm_scale):
         raise NonFiniteInput("operator has a non-finite entry")
@@ -441,7 +441,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         # the last cycle's basis is not read again: dropping it before the
         # run, and the seed after it, keeps one basis alive at a time
         dec = V = lnext = None
-        dec, seed = runner(A, v, m, norm_scale, start=seed), None
+        dec, seed = runner(A, v, m, start=seed), None
         report.basis_mvps += dec.steps - kept
         k = dec.steps
         H = dec.square_h

@@ -806,6 +806,35 @@ def test_thick_restart_matches_the_row_major_reference(poisoned_empty):
     assert nones == 3
 
 
+class ReusesItsOutput:
+    """``A`` as an operator that overwrites and returns one array it keeps
+    on every call."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.dtype = A, A.shape, A.dtype
+        self.out = np.empty(A.shape[0], dtype=A.dtype)
+
+    def norm_inf(self):
+        return self.A.norm_inf()
+
+    def __matmul__(self, x):
+        self.out[:] = self.A @ x
+        return self.out
+
+
+def test_operator_reusing_one_output_buffer():
+    # each product is copied once into its basis column before any work
+    # in place, so the next product cannot overwrite a basis vector
+    for runner, restart in RESTARTS:
+        for A, _, dec in thick_cases(runner):
+            reused = ReusesItsOutput(A)
+            v = dec.last_vector
+            assert_same_decomposition(runner(reused, v, 30), runner(A, v, 30))
+            seed = restart(dec, 10)
+            assert_same_decomposition(runner(reused, v, 30, start=seed),
+                                      runner(A, v, 30, start=seed))
+
+
 def test_thick_restart_leaves_its_input_unchanged():
     for dec, k in restart_cases():
         before = {name: getattr(dec, name).copy() for name in ("basis", "hbar", "perm", "g")}
