@@ -23,13 +23,11 @@ Both return a :class:`HessenbergDecomposition` satisfying
 which :func:`verify_decomposition` measures in the Frobenius norm.
 
 The runners differ only in how a step builds its next vector.  Both copy
-each product once into the basis column it becomes and work on it there,
-from elimination to normalization, so an operator may return a view of
-its argument or a buffer it reuses; both break down on a candidate not
-above :func:`_breakdown_threshold`; and both hand their m-step buffers,
-from :func:`_run_buffers`, to :class:`HessenbergDecomposition`, which
-trims them to the k steps done (on a breakdown, the column holding the
-unused remainder).
+each product into the basis column it becomes and normalize it there, so
+an operator may return a view of its argument or a buffer it reuses;
+both break down on a candidate not above :func:`_breakdown_threshold`;
+and both hand their m-step buffers, from :func:`_run_buffers`, to
+:class:`HessenbergDecomposition`, which trims them to the k steps done.
 
 One Krylov-Schur step, :func:`_krylov_schur`, restarts both processes:
 it turns an m-step decomposition into a j-step one that keeps the j
@@ -236,6 +234,7 @@ def _pivot_column(u, mag, col, perm, inv, tol):
 
 
 def _check_start(A, v, m):
+    """A run's checked ``(v, n, m, dtype, norm_scale)``, ``v`` in ``dtype``."""
     v = np.asarray(v)
     if v.ndim != 1:
         raise DimensionMismatch(f"start vector must be 1-d, got shape {v.shape}")
@@ -254,7 +253,7 @@ def _check_start(A, v, m):
     if m > n:
         raise InvalidDimensions(message)
     dtype = np.result_type(getattr(A, "dtype", v.dtype), v.dtype, np.float64)
-    return v.astype(dtype, copy=False), n, m, dtype
+    return v.astype(dtype, copy=False), n, m, dtype, _operator_norm_scale(A)
 
 
 def _run_buffers(start, n, m, dtype):
@@ -291,12 +290,10 @@ def run_hessenberg(A, v, m, *, start=None):
     v : (n,) array_like
         Nonzero start vector.
     m : int
-        Requested steps, ``1 <= m <= n``.  A step whose pivot candidate
-        does not exceed ``n * eps * ||A||_inf`` is a breakdown (invariant
-        subspace).  The run reads the norm once, from ``A.norm_inf()``
-        (which :class:`~shiftkrylov.sparse.CsrMatrix` caches) or from a
-        dense ``ndarray``; for an operator that exposes neither, the
-        largest entry of each step's product stands in for it.
+        Requested steps, ``1 <= m <= n``.  A step whose pivot candidate is
+        not above ``n * eps * ||A||_inf`` is a breakdown (invariant
+        subspace).  The run reads the norm once, from ``A.norm_inf()`` or
+        a dense ``A``; without one, each step's ``max |A @ x|`` stands in.
     start : HessenbergDecomposition, optional
         A j-step decomposition of ``v`` by ``A`` to continue, with
         ``1 <= j < m`` and no breakdown, such as :func:`thick_restart`
@@ -317,8 +314,7 @@ def run_hessenberg(A, v, m, *, start=None):
     ------
     ZeroStartVector, DimensionMismatch, InvalidDimensions, NonFiniteInput
     """
-    v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A)
+    v, n, m, dtype, norm_scale = _check_start(A, v, m)
     basis, hbar, first = _run_buffers(start, n, m, dtype)
     # a continued run may be promoted to its seed's dtype
     dtype = basis.dtype
@@ -491,8 +487,7 @@ def run_arnoldi(A, v, m, *, start=None):
     orthogonalized product.  A continued basis may be far from
     orthonormal (MGS against the kept columns); its ``hbar`` is exact.
     """
-    v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A)
+    v, n, m, dtype, norm_scale = _check_start(A, v, m)
     basis, hbar, first = _run_buffers(start, n, m, dtype)
     if start is None:
         g = np.linalg.norm(v)

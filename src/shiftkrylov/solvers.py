@@ -86,7 +86,6 @@ from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessen
 from .processes import (
     _check_start,
     _krylov_schur,
-    _operator_norm_scale,
     run_arnoldi,
     run_hessenberg,
     thick_restart,
@@ -346,12 +345,10 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     cfg.validate()
     b = np.asarray(b)
     # b passes the checks of every cycle's start vector, and is the first
-    # start vector when there is no initial guess
-    r0, n, _, _ = _check_start(A, b, 1)
-    # A non-finite operator is rejected before any product.  The runners
-    # read the same norm for their breakdown thresholds, from the cache a
-    # CsrMatrix keeps.
-    norm_scale = _operator_norm_scale(A)
+    # start vector when there is no initial guess.  The operator's norm is
+    # read here to reject a non-finite operator before any product; each
+    # run reads it again, from the cache a CsrMatrix keeps.
+    r0, n, _, _, norm_scale = _check_start(A, b, 1)
     if norm_scale is not None and not np.isfinite(norm_scale):
         raise NonFiniteInput("operator has a non-finite entry")
     bnorm = float(np.linalg.norm(b))

@@ -182,8 +182,7 @@ def _reference_run_hessenberg(A, v, m):
     Holds the basis twice, in natural order and with rows in pivot order,
     and gathers each product into pivot order before eliminating.
     """
-    v, n, m, dtype = _check_start(A, v, m)
-    norm_scale = _operator_norm_scale(A)
+    v, n, m, dtype, norm_scale = _check_start(A, v, m)
 
     perm = np.arange(n)
     i0 = pivot_select(v, start=0)
