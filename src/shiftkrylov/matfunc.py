@@ -10,7 +10,8 @@ whole action is then computed by :func:`~shiftkrylov.solvers.solve_shifted_hesse
 at the basis cost of a single system.  The packaged rules are
 conjugate-symmetric with nodes in exact conjugate pairs, so for a real
 operator and vector the solver folds each pair into one reduced system
-and one update: the 16-node rules solve 8 reduced systems per cycle.  Every pole system is still confirmed by its own true residual.
+and one update: the 16-node rules solve 8 reduced systems per cycle and
+confirm each pair with one true residual, which is bitwise that of both.
 
 The action is the weighted sum ``sum_j w_j x_j``, so a pole's error
 counts only in proportion to ``|w_j|``, and the weights of a rule span

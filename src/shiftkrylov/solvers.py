@@ -60,10 +60,11 @@ the cycle restarts plain from ``v`` as above.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
-residual evaluation per shift, a folded partner included, before the
-shift is retired.  The tolerance may be given per shift; a folded pair
-is then held to the smaller of its two values.  A shift whose estimate
-overflows or becomes NaN is retired unconverged, with
+residual evaluation per class before the class is retired: a folded
+partner's residual is the exact conjugate of its representative's, so
+its norm is bitwise the same.  The tolerance may be given per shift; a
+folded pair is then held to the smaller of its two values.  A shift
+whose estimate overflows or becomes NaN is retired unconverged, with
 ``ShiftHistory.diverged`` set.
 """
 
@@ -506,13 +507,13 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
                     histories[i].diverged = True
                 active.remove(c)
             elif not skipped[c] and est <= class_tol[c]:
-                # every shift, a folded partner too, is confirmed by its
-                # own product
-                trs = [_relative_residual(A.__matmul__, shifts[i], solution(i), b, bnorm)
-                       for i in members[c]]
-                report.residual_mvps += len(trs)
-                if max(trs) <= class_tol[c]:
-                    for i, tr in zip(members[c], trs):
+                # one product confirms the class: a folded partner's
+                # residual is the exact conjugate of its representative's
+                i = members[c][0]
+                tr = _relative_residual(A.__matmul__, shifts[i], solution(i), b, bnorm)
+                report.residual_mvps += 1
+                if tr <= class_tol[c]:
+                    for i in members[c]:
                         histories[i].converged = True
                         histories[i].final_relative_residual = tr
                     active.remove(c)

@@ -24,8 +24,11 @@ from shiftkrylov import (
     load_quadrature,
     mittag_leffler,
     packaged_rule_path,
+    solve_shifted_hessen,
+    true_relative_residual,
 )
 from shiftkrylov.matfunc import _pole_tolerances
+from shiftkrylov.solvers import _conjugate_classes
 
 
 def csr_from_dense(M):
@@ -333,6 +336,40 @@ def test_every_pole_meets_its_own_tolerance():
     assert max(h.final_relative_residual for h in rep.shifts) > 1e-10
     ref = dense_matfunc_oracle(A, u0, lambda lam: np.exp(-lam))
     assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(u0)
+
+
+def test_folded_partners_have_bitwise_equal_true_residuals():
+    # a real operator maps the conjugate iterate and the conjugate shift to
+    # the exact conjugate of the representative's residual, so the norms
+    # agree to the last bit and one product confirms a folded pair
+    A = gen_laplace2d(12)
+    u0 = np.random.default_rng(6).standard_normal(A.shape[0])
+    rule = packaged_rule("exp", None)
+    shifts = [-z for z in rule.nodes]
+    cfg = SolverConfig(tol=_pole_tolerances(rule.weights, 1e-10))
+    xs, rep = solve_shifted_hessen(A, u0, shifts, cfg)
+    assert rep.all_converged
+    cls, flip = _conjugate_classes(shifts, True)
+    partners = [i for i in range(rule.nu) if flip[i]]
+    assert len(partners) == rule.nu // 2
+    for i in partners:
+        j = cls.index(cls[i])
+        assert np.array_equal(xs[i], np.conj(xs[j]))
+        assert (true_relative_residual(A, shifts[i], xs[i], u0)
+                == true_relative_residual(A, shifts[j], xs[j], u0))
+        assert rep.shifts[i].final_relative_residual == rep.shifts[j].final_relative_residual
+
+
+def test_one_confirmation_product_per_folded_pair():
+    A = gen_laplace2d(12)
+    u0 = np.random.default_rng(6).standard_normal(A.shape[0])
+    rule = packaged_rule("exp", None)
+    A.counter.reset()
+    _, rep = eval_rational_action(A, u0, rule, return_report=True)
+    # every pole converged, each of the 8 folded pairs confirmed once
+    assert rep.all_converged
+    assert rep.residual_mvps == rule.nu // 2 == 8
+    assert A.counter.count == rep.total_mvps
 
 
 def test_pole_tolerances_never_add_cycles(monkeypatch):
