@@ -130,16 +130,21 @@ def test_compare_prints_mean_cycles_and_basis_products(record, tmp_path):
     inputs = json.loads(record.with_suffix(".json").read_text())["inputs"]
     cycles = np.mean([r["cycles"] for r in inputs])
     mvps = np.mean([r["basis_mvps"] for r in inputs])
+    checks = np.mean([r["residual_mvps"] for r in inputs])
     same = _tool("--compare", record.with_suffix(".json"), record.with_suffix(".json"))
     assert (f"matfunc-exp: mean cycle count {cycles:.2f} -> {cycles:.2f}, "
-            f"mean basis MVPs {mvps:.1f} -> {mvps:.1f} (6 -> 6 inputs)") in same.stdout
+            f"mean basis MVPs {mvps:.1f} -> {mvps:.1f}, "
+            f"mean residual MVPs {checks:.1f} -> {checks:.1f} (6 -> 6 inputs)") in same.stdout
     inputs[0]["cycles"] += 3
     inputs[0]["basis_mvps"] += 60
+    inputs[0]["residual_mvps"] += 3
     other = _copy_with(record, tmp_path / "more", inputs=inputs)
     diff = _tool("--compare", record.with_suffix(".json"), other)
     assert diff.returncode == 1
     assert (f"matfunc-exp: mean cycle count {cycles:.2f} -> {cycles + 0.5:.2f}, "
-            f"mean basis MVPs {mvps:.1f} -> {mvps + 10:.1f} (6 -> 6 inputs)") in diff.stdout
+            f"mean basis MVPs {mvps:.1f} -> {mvps + 10:.1f}, "
+            f"mean residual MVPs {checks:.1f} -> {checks + 0.5:.1f} (6 -> 6 inputs)"
+            ) in diff.stdout
 
 
 def test_a_report_without_a_field_records_it_as_missing(record, tmp_path):
