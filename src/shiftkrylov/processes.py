@@ -481,10 +481,10 @@ def run_arnoldi(A, v, m, *, start=None):
     """Run ``m`` steps of modified Gram-Schmidt Arnoldi.
 
     Same contract as :func:`run_hessenberg`, its breakdown threshold and
-    ``start`` included, with an orthonormal basis: ``beta = ||v||_2``, ``perm`` is
-    the identity, the subdiagonal entries of the columns it runs are
-    real and positive, and the breakdown candidate is the norm of the
-    orthogonalized product.  A continued basis may be far from
+    ``start`` included, with an orthonormal basis: ``beta = ||v||_2``,
+    ``perm`` is the identity, the subdiagonal entries of the columns it
+    runs are real and positive, and the breakdown candidate is the norm of
+    the orthogonalized product.  A continued basis may be far from
     orthonormal (MGS against the kept columns); its ``hbar`` is exact.
     """
     v, n, m, dtype, norm_scale = _check_start(A, v, m)
