@@ -205,7 +205,8 @@ def _cmd_solve(args):
     )
     for h in report.shifts:
         mark = " " if h.converged else "‡"
-        tag = " (diverged)" if h.diverged else " (stagnated)" if h.stagnated else ""
+        tag = (" (diverged)" if h.diverged else " (singular)" if h.skipped_cycles
+               else " (stagnated)" if h.stagnated else "")
         print(
             f"  shift {h.shift!r:>24}{mark} cycles={h.cycles:3d} "
             f"final={h.final_relative_residual:.3e}{tag}"

@@ -3,7 +3,7 @@
 Every error raised by shiftkrylov derives from :class:`ShiftKrylovError`,
 so callers can catch one base class at an API boundary.  Conditions that
 are expected outcomes of an iteration (stagnation, a shift exhausting its
-budget, a family that stalls on singular reduced systems) are reported
+budget, a shift retired at a singular reduced system) are reported
 through result objects instead of exceptions; only conditions that
 invalidate the requested operation raise.
 
@@ -88,7 +88,7 @@ class SingularReducedSystem(ShiftKrylovError):
     Raised by the reduced solves when a diagonal entry of the triangular
     QR factor is at or below roundoff times the matrix norm.  ``singular``
     masks the singular systems of a stack and ``solution`` holds the
-    others' solutions; the restarted solvers skip only the masked shifts.
+    others' solutions; the restarted solvers retire the masked shifts.
     """
 
     def __init__(self, message, singular=None, solution=None):

@@ -15,16 +15,13 @@ shifts.
 
 The shifts differ only in their m x m reduced systems: each cycle solves
 those of all active shifts as one stack and adds their corrections to
-the iterates in one product with the basis.  A shift skipped for a
-singular reduced system then carries an explicit residual vector, whose
-projection replaces the shared start coordinates (below) as its
-right-hand side in the stack.
+the iterates in one product with the basis.
 
 When the operator, the right-hand side and any initial guess are real,
 the shift conj(sigma) has the solution conj(x) when sigma has x.  Each
 shift is then paired, once per solve, with an exactly equal conjugate
 later in the list, and a pair is solved as one class: one row of the
-reduced stack, one residual scalar, one skip/anchor state, with the
+reduced stack, one residual scalar, one retirement, with the
 partner's iterate, estimate and history the exact conjugate or copy of
 its representative's.  For the conjugate-symmetric quadrature rules of
 :mod:`shiftkrylov.matfunc` that halves the reduced work.  The iterates
@@ -66,13 +63,18 @@ its norm is bitwise the same.  The tolerance may be given per shift; a
 folded pair is then held to the smaller of its two values.  A shift
 whose estimate overflows or becomes NaN is retired unconverged, with
 ``ShiftHistory.diverged`` set.
+
+A shift whose reduced system is numerically singular gets no update and
+is retired unconverged in that cycle, with ``ShiftHistory.skipped_cycles``
+1: its residual stays ``coef`` times this cycle's start vector, no
+multiple of the next one, and its estimate repeats.  A cycle that retires
+every active shift this way ends the solve with ``SolveReport.stalled``.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -108,10 +110,6 @@ __all__ = [
 # is informational; the solve continues to the product budget.
 _STAGNATION_WINDOW = 3
 _STAGNATION_RTOL = 1e-15
-
-# Consecutive cycles in which every active shift hit a singular reduced
-# system before the solve stops with ``SolveReport.stalled`` set.
-_STALL_LIMIT = 3
 
 
 @dataclass
@@ -159,9 +157,10 @@ class ShiftHistory:
 
     ``estimates[0]`` is the initial relative residual; one entry is
     appended per cycle in which the shift was active.  ``skipped_cycles``
-    counts cycles lost to a singular reduced system.  ``diverged`` is
-    True when the shift was retired, unconverged, because its estimate
-    overflowed or became NaN.
+    is 1 when the shift was retired, unconverged, at a singular reduced
+    system (its last estimate repeats the one before), else 0.
+    ``diverged`` is True when the shift was retired, unconverged, because
+    its estimate overflowed or became NaN.
     """
 
     shift: complex
@@ -193,8 +192,8 @@ class CycleInfo:
     per-shift view is assembled for the callback only, so a solve
     without ``on_cycle`` never builds it.  Shift indices are used
     throughout: ``estimates[i]`` is None for a shift retired before the
-    cycle, and a skipped folded pair lists both of its shifts in
-    ``skipped``.
+    cycle, and ``skipped`` lists the shifts retired at a singular reduced
+    system in the cycle, both shifts of a folded pair.
     """
 
     cycle: int
@@ -214,8 +213,8 @@ class SolveReport:
     ``breakdown`` is True when the basis became invariant and the solve
     ended there; ``budget_exhausted`` is True when it stopped with shifts
     still active because the next cycle would exceed ``max_mvps``;
-    ``stalled`` is True when every active shift had a singular reduced
-    system for ``_STALL_LIMIT`` consecutive cycles and the solve stopped.
+    ``stalled`` is True when one cycle retired every shift still active
+    at a singular reduced system, which ends the solve.
     ``kept`` has one entry per cycle: the columns it continued from a
     thick restart, or 0 for a fresh cycle (the first, and one after a
     restart that fell back to plain).
@@ -289,23 +288,6 @@ def _relative_residual(apply, sigma, x, b, bnorm):
     """``||b - (apply(x) - sigma x)|| / bnorm`` for one product ``apply``."""
     r = b - (apply(x) - sigma * x)
     return float(np.linalg.norm(r) / bnorm)
-
-
-def _project_residual(dec, r, process):
-    """Reduced right-hand side making the update Galerkin for residual r.
-
-    For the pivoted process the tested coordinates are the first k pivot
-    rows: with T the unit lower triangular ``basis[perm[:k], :k]``, the
-    reduced system is ``(H - sigma I) y = T^{-1} r[perm[:k]]``.  For the
-    orthonormal Arnoldi basis the orthogonal projection ``basis^H r`` is
-    the Galerkin right-hand side instead.
-    """
-    k = dec.steps
-    Lk = dec.basis[:, :k]
-    if process == "arnoldi":
-        return Lk.conj().T @ r
-    T = Lk[dec.perm[:k], :]
-    return solve_triangular(T, r[dec.perm[:k]], lower=True, unit_diagonal=True)
 
 
 def _conjugate_classes(shifts, fold):
@@ -389,8 +371,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     # The family is solved in classes: a shift and its exact conjugate
     # form one class on real data, every other shift a class of its own.
     # Class c's correction to x0 is row c of X.  The residual of an active
-    # class is coef[c] times the pending start vector, or, once a skipped
-    # cycle has broken collinearity, the explicit vector anchors[c].
+    # class is coef[c] times the pending start vector.
     real_data = np.isrealobj(r0)
     cls, flip = _conjugate_classes(shifts, real_data)
     p = max(cls) + 1
@@ -400,7 +381,6 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     class_tol = [float(tols[mem].min()) for mem in members]
     X = np.zeros((p, n), dtype=np.result_type(r0.dtype, sigmas.dtype))
     coef = np.ones(p, dtype=X.dtype)
-    anchors = [None] * p
     active = list(range(p))
 
     def correction(i):
@@ -427,7 +407,6 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
 
     v = r0
     dec = seed = None
-    consecutive_all_skipped = 0
     while active:
         if keep and dec is not None:
             seed = restart(dec, keep)
@@ -449,15 +428,11 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
 
         active_before = tuple(active)
         rows = np.array(active_before)
-        # one stacked reduced solve for every active class: the right-hand
-        # side of a collinear class is coef times the start coordinates,
-        # that of an anchored class the projection of its explicit residual
+        # one stacked reduced solve for every active class, whose right-hand
+        # side is coef times the start coordinates
         g = dec.g
         G = np.zeros((rows.size, k), dtype=X.dtype)
         G[:, : g.size] = coef[rows, None] * g
-        for j, c in enumerate(active_before):
-            if anchors[c] is not None:
-                G[j] = _project_residual(dec, anchors[c], process)
         skipped = np.zeros(p, dtype=bool)
         try:
             Y = solve_shifted_hessenberg(H, rsig[rows], G)
@@ -466,7 +441,6 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             skipped[rows[exc.singular]] = True
         solved = ~skipped[rows]
         done, Y = rows[solved], Y[solved]
-        # an anchored class never reads its scalar again
         coef[done] = collinearity_scalar(dec.subdiag, Y)
         # updating the whole block through a slice avoids a gathered copy
         upd = done if done.size < p else slice(None)
@@ -476,21 +450,14 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             X.imag[upd] += Y.imag @ V.T
         else:
             X[upd] += Y @ V.T
-        for c, y in zip(done, Y):
-            if anchors[c] is not None:
-                r = anchors[c] - V @ (H @ y - rsig[c] * y)
-                if not dec.breakdown:
-                    r = r - dec.subdiag * y[-1] * lnext
-                anchors[c] = r
 
         estimates = [None] * nu
         for c in active_before:
-            if skipped[c] and anchors[c] is None:
-                anchors[c] = dec.basis[:, : g.size] @ (coef[c] * g)
-            if anchors[c] is None:
-                est = float(abs(coef[c])) * lnorm / bnorm
+            if skipped[c]:
+                # not updated: the residual coef * v is the one before
+                est = histories[members[c][0]].estimates[-1]
             else:
-                est = float(np.linalg.norm(anchors[c])) / bnorm
+                est = float(abs(coef[c])) * lnorm / bnorm
             for i in members[c]:
                 hist = histories[i]
                 hist.cycles += 1
@@ -501,12 +468,14 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
                 if len(e) > _STAGNATION_WINDOW:
                     ref = e[-1 - _STAGNATION_WINDOW]
                     hist.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
-            if not np.isfinite(est):
+            if skipped[c]:
+                active.remove(c)
+            elif not np.isfinite(est):
                 # an overflowed iterate cannot recover: retire the class
                 for i in members[c]:
                     histories[i].diverged = True
                 active.remove(c)
-            elif not skipped[c] and est <= class_tol[c]:
+            elif est <= class_tol[c]:
                 # one product confirms the class: a folded partner's
                 # residual is the exact conjugate of its representative's
                 i = members[c][0]
@@ -533,8 +502,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
                 )
             )
 
-        consecutive_all_skipped = 0 if solved.any() else consecutive_all_skipped + 1
-        if consecutive_all_skipped >= _STALL_LIMIT:
+        if not solved.any():
             report.stalled = True
             break
 

@@ -228,7 +228,7 @@ def test_bad_option_values_are_usage_errors_before_any_file_is_read(tmp_path):
 
 
 def rotation(tmp_path):
-    # H - 0 I is singular in cycles 2-4 at m = 1, so the family stalls
+    # H - 0 I is singular in cycle 2 at m = 1, so the pivoted family stalls
     p = tmp_path / "rot.mtx"
     p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 -1.0\n2 1 1.0\n")
     return p
@@ -241,7 +241,7 @@ def test_solve_reports_a_stalled_family_as_non_convergence(tmp_path, capsys, sol
     assert code == 3
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith(f"{solver}: 0/1 shifts converged")
-    assert "0.0‡" in lines[1]
+    assert "0.0‡" in lines[1] and lines[1].endswith(" (singular)")
 
 
 def test_solve_tags_a_diverged_shift(tmp_path, capsys):

@@ -122,22 +122,45 @@ def test_mvp_accounting():
 
 
 def test_budget_is_respected(monkeypatch):
-    # small cycles on an ill conditioned Laplacian cannot reach 1e-14, so
-    # the solve must stop at the last whole cycle that fits the budget;
-    # under the plain restart every cycle costs m
+    # small cycles on an ill conditioned Laplacian need 29 cycles to reach
+    # 1e-14 at this shift, so the solve must stop at the last whole cycle
+    # that fits the budget; under the plain restart every cycle costs m
     keep_columns(monkeypatch, lambda m: 0)
     A = laplace1d(60)
-    b = np.ones(60)
+    b = np.linspace(1.0, 2.0, 60)
     cfg = SolverConfig(m=5, tol=1e-14, max_mvps=23)
-    xs, rep = solve_shifted_hessen(A, b, [0.0], cfg)
+    xs, rep = solve_shifted_hessen(A, b, [-0.1], cfg)
     assert rep.basis_mvps <= cfg.max_mvps
     assert rep.cycles == 4
     assert rep.basis_mvps == 20
+    assert rep.budget_exhausted and not rep.stalled
     assert not rep.all_converged
     assert rep.dagger_flags == [True]
     h = rep.shifts[0]
+    # no reduced system was singular: the budget alone stopped the solve
+    assert h.skipped_cycles == 0
     assert np.isfinite(h.final_relative_residual)
     assert len(h.estimates) == 1 + rep.cycles
+
+
+def test_a_natural_singular_reduced_system_retires_the_shift(monkeypatch):
+    # laplace1d(60), b = ones, m = 5 under the plain restart: the pivoted
+    # process meets a singular reduced system for shift 0 in cycle 2.  The
+    # shift is retired there, with the iterate of cycle 1, instead of
+    # running the whole budget
+    keep_columns(monkeypatch, lambda m: 0)
+    A = laplace1d(60)
+    b = np.ones(60)
+    xs, rep = solve_shifted_hessen(A, b, [0.0], SolverConfig(m=5, tol=1e-14, max_mvps=400))
+    assert rep.stalled and not (rep.budget_exhausted or rep.breakdown)
+    assert (rep.cycles, rep.basis_mvps, rep.residual_mvps) == (2, 10, 0)
+    h = rep.shifts[0]
+    assert not (h.converged or h.diverged)
+    assert (h.cycles, h.skipped_cycles) == (2, 1)
+    assert h.estimates[2] == h.estimates[1]
+    assert h.final_relative_residual == true_relative_residual(A, 0.0, xs[0], b)
+    assert_allclose(h.final_relative_residual, h.estimates[-1], rtol=1e-12)
+    assert_allclose(h.final_relative_residual, 0.913, atol=5e-4)
 
 
 def test_zero_budget_returns_initial_state():
@@ -188,79 +211,68 @@ SOLVERS = pytest.mark.parametrize(
 )
 
 
-@SOLVERS
-def test_skipped_shift_stays_active_and_tracked(monkeypatch, solver):
-    # force one singular reduced system for the second shift in the first
-    # cycle; the shift loses collinearity and carries an explicit residual
-    # from then on.  That residual recurrence must keep agreeing with a
-    # directly evaluated true residual, cycle after cycle, for both the
-    # pivoted and the orthonormal projection of the residual.
-    A, b = random_system(10)
-    shifts = [0.0, -0.7]
+def inject_singular(monkeypatch, target):
+    """Make the first stacked reduced solve that holds a shift in
+    ``target`` report that shift's system as singular; return the sizes of
+    all stacked solves."""
     real_solver = solvers_mod.solve_shifted_hessenberg
-    state = {"fired": False}
-
-    def flaky(H, sigma, beta):
-        target = sigma == -0.7
-        if not state["fired"] and target.any():
-            state["fired"] = True
-            raise SingularReducedSystem(
-                "injected", singular=target, solution=real_solver(H, sigma, beta)
-            )
-        return real_solver(H, sigma, beta)
-
-    monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", flaky)
-    drift = []
-
-    def watch(info):
-        if 1 in info.active_before and info.skipped == ():
-            est = info.estimates[1]
-            tr = true_relative_residual(A, -0.7, info.solutions[1], b)
-            drift.append(abs(est - tr))
-
-    xs, rep = solver(A, b, shifts, SolverConfig(m=15, tol=1e-9, max_mvps=300), on_cycle=watch)
-    assert rep.shifts[0].converged
-    assert rep.shifts[0].skipped_cycles == 0
-    assert rep.shifts[1].skipped_cycles == 1
-    # the skip itself costs no products: accounting still holds
-    assert rep.total_mvps == rep.basis_mvps + rep.residual_mvps
-    assert drift and max(drift) <= 1e-9
-
-
-@SOLVERS
-def test_anchored_shift_joins_the_stacked_solve(monkeypatch, solver):
-    # after one injected skip the second shift carries an explicit
-    # residual; it is still solved in the cycle's one stacked reduced
-    # call, next to the collinear shift, and never on its own
-    A, b = random_system(10)
-    real_solver = solvers_mod.solve_shifted_hessenberg
-    real_single = solvers_mod.solve_hessenberg
-    sizes, single = [], []
+    sizes = []
 
     def flaky(H, sigma, beta):
         sizes.append(len(sigma))
-        if len(sizes) == 1:
+        hit = np.isin(sigma, target)
+        if hit.any() and not flaky.fired:
+            flaky.fired = True
             raise SingularReducedSystem(
-                "injected", singular=sigma == -0.7, solution=real_solver(H, sigma, beta)
+                "injected", singular=hit, solution=real_solver(H, sigma, beta)
             )
         return real_solver(H, sigma, beta)
 
-    def counting(H, rhs):
-        single.append(len(rhs))
-        return real_single(H, rhs)
-
+    flaky.fired = False
     monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", flaky)
-    monkeypatch.setattr(solvers_mod, "solve_hessenberg", counting)
+    return sizes
+
+
+@SOLVERS
+def test_singular_shift_retires_in_its_cycle(monkeypatch, solver):
+    # one injected singular reduced system for the second shift in the
+    # first cycle retires it there, unconverged and never updated; the
+    # solve ends when shift 0 converges, not at the product budget
+    A, b = random_system(10)
+    inject_singular(monkeypatch, [-0.7])
+    infos = []
+    xs, rep = solver(A, b, [0.0, -0.7], SolverConfig(m=15, tol=1e-9, max_mvps=300),
+                     on_cycle=infos.append)
+    first, bad = rep.shifts
+    assert first.converged and first.skipped_cycles == 0
+    assert rep.cycles == first.cycles >= 2
+    assert not (rep.budget_exhausted or rep.stalled)
+    assert infos[0].skipped == (1,) and infos[0].active_after == (0,)
+    assert not (bad.converged or bad.diverged)
+    assert (bad.cycles, bad.skipped_cycles) == (1, 1)
+    # the residual of a zero iterate is b itself
+    assert bad.estimates == [1.0, 1.0]
+    assert bad.final_relative_residual == 1.0
+    assert not np.any(xs[1])
+    # the retirement costs no products: accounting still holds
+    assert rep.total_mvps == rep.basis_mvps + rep.residual_mvps
+
+
+@SOLVERS
+def test_retired_shift_leaves_the_stacked_solve(monkeypatch, solver):
+    # both classes are in the first cycle's one stacked reduced call,
+    # shift 0 alone in every call after it
+    A, b = random_system(10)
+    sizes = inject_singular(monkeypatch, [-0.7])
     xs, rep = solver(A, b, [0.0, -0.7], SolverConfig(m=15, tol=1e-9, max_mvps=300))
-    assert rep.shifts[1].skipped_cycles == 1
     first = rep.shifts[0]
-    assert first.converged and first.cycles >= 2
-    # one call per cycle; both classes while shift 0 is active
-    assert sizes == [2] * first.cycles + [1] * (rep.cycles - first.cycles)
-    assert single == []
+    assert first.converged and rep.cycles == first.cycles >= 2
+    assert rep.shifts[1].skipped_cycles == 1
+    assert sizes == [2] + [1] * (rep.cycles - 1)
 
 
 def test_all_shifts_stalled(monkeypatch):
+    # one cycle that retires every active shift ends the solve
     A, b = random_system(11)
 
     def always_singular(H, sigma, beta):
@@ -269,16 +281,14 @@ def test_all_shifts_stalled(monkeypatch):
             "injected", singular=singular, solution=np.full((len(sigma), len(H)), np.nan)
         )
 
-    def anchored_singular(H, rhs):
-        raise SingularReducedSystem("injected")
-
     monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", always_singular)
-    monkeypatch.setattr(solvers_mod, "solve_hessenberg", anchored_singular)
     _, rep = solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(m=10))
-    assert rep.stalled
-    assert rep.cycles == 3
-    assert not any(h.converged for h in rep.shifts)
-    assert all(h.skipped_cycles == 3 for h in rep.shifts)
+    assert rep.stalled and not (rep.budget_exhausted or rep.breakdown)
+    assert (rep.cycles, rep.basis_mvps, rep.residual_mvps) == (1, 10, 0)
+    for h in rep.shifts:
+        assert not h.converged
+        assert (h.cycles, h.skipped_cycles) == (1, 1)
+        assert h.final_relative_residual == 1.0
 
 
 def test_nonconvergence_is_reported():
@@ -297,38 +307,22 @@ def test_nonconvergence_is_reported():
     assert h.final_relative_residual > 1e-10
 
 
-def test_stagnation_flag_on_frozen_estimate(monkeypatch):
-    # a shift that skips every cycle keeps a bit-identical estimate; after
-    # three unchanged cycles the stagnation flag must latch.  Once it is
-    # the only active shift, three all-skip cycles abandon the solve.
-    A, b = random_system(14)
-
-    def singular_for_target(H, sigma, beta):
-        target = sigma == -0.7
-        if target.any():
-            raise SingularReducedSystem(
-                "injected",
-                singular=target,
-                solution=solve_shifted_hessenberg_real(H, sigma, beta),
-            )
-        return solve_shifted_hessenberg_real(H, sigma, beta)
-
-    def always_singular(H, rhs):
-        raise SingularReducedSystem("injected")
-
-    solve_shifted_hessenberg_real = solvers_mod.solve_shifted_hessenberg
-    monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", singular_for_target)
-    monkeypatch.setattr(solvers_mod, "solve_hessenberg", always_singular)
-    xs, rep = solve_shifted_hessen(A, b, [0.0, -0.7], SolverConfig(m=15, tol=1e-9))
-    assert rep.stalled
-    assert rep.shifts[0].converged
-    # the converged solution survives the abandoned solve
-    assert true_relative_residual(A, 0.0, xs[0], b) <= 1e-9
-    bad = rep.shifts[1]
-    assert not bad.converged
-    assert bad.stagnated
-    assert bad.skipped_cycles == rep.cycles
-    assert len(set(bad.estimates[1:])) == 1
+def test_stagnation_flag_on_frozen_estimate():
+    # on the cyclic permutation of order 16 with b = e1, shift 1 and m = 1,
+    # each cycle moves the residual on to the next unit vector, so every
+    # estimate is exactly 1.0 and the stagnation flag latches.  The flag
+    # is informational: the solve runs on to its budget.
+    n = 16
+    P = csr_from_dense(np.roll(np.eye(n), 1, axis=0))
+    b = np.eye(n)[0]
+    for solver in (solve_shifted_hessen, solve_shifted_fom):
+        xs, rep = solver(P, b, [1.0], SolverConfig(m=1, max_mvps=10))
+        h = rep.shifts[0]
+        assert rep.budget_exhausted and rep.cycles == 10
+        assert h.stagnated and not h.converged
+        assert h.skipped_cycles == 0
+        assert h.estimates == [1.0] * 11
+        assert h.final_relative_residual == 1.0
 
 
 def test_a_shift_whose_estimate_overflows_is_retired_as_diverged():
@@ -627,39 +621,26 @@ def test_complex_data_is_not_folded(monkeypatch):
             assert true_relative_residual(op, s, x, rhs) <= 1e-9
 
 
-def test_singular_folded_pair_skips_and_anchors_both(monkeypatch):
+def test_singular_folded_pair_retires_together(monkeypatch):
+    # the pair's one reduced system is singular in the first cycle: both
+    # partners retire there with one record, and the real shift goes on
     A, b = random_system(33)
     shifts = [-0.4 + 0.3j, 0.0, -0.4 - 0.3j]
-    real_solver = solvers_mod.solve_shifted_hessenberg
-    state = {"fired": False}
-
-    def flaky(H, sigma, beta):
-        target = sigma == shifts[0]
-        if not state["fired"] and target.any():
-            state["fired"] = True
-            raise SingularReducedSystem(
-                "injected", singular=target, solution=real_solver(H, sigma, beta)
-            )
-        return real_solver(H, sigma, beta)
-
-    monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", flaky)
-    drift = []
-
-    def watch(info):
-        assert info.skipped in ((), (0, 2))
-        for i in (0, 2):
-            if i in info.active_before and info.skipped == ():
-                tr = true_relative_residual(A, shifts[i], info.solutions[i], b)
-                drift.append(abs(info.estimates[i] - tr))
-
+    inject_singular(monkeypatch, shifts[:1])
+    infos = []
     xs, rep = solve_shifted_hessen(
-        A, b, shifts, SolverConfig(m=15, tol=1e-9, max_mvps=600), on_cycle=watch
+        A, b, shifts, SolverConfig(m=15, tol=1e-9, max_mvps=600), on_cycle=infos.append
     )
-    assert state["fired"]
+    assert infos[0].skipped == (0, 2) and infos[0].active_after == (1,)
+    assert all(info.skipped == () for info in infos[1:])
     assert [h.skipped_cycles for h in rep.shifts] == [1, 0, 1]
-    assert rep.shifts[0].estimates == rep.shifts[2].estimates
+    assert rep.shifts[1].converged and rep.cycles == rep.shifts[1].cycles
+    for i in (0, 2):
+        h = rep.shifts[i]
+        assert not h.converged and h.cycles == 1
+        assert h.estimates == [1.0, 1.0]
+        assert h.final_relative_residual == 1.0
     assert np.array_equal(xs[2], np.conj(xs[0]))
-    assert drift and max(drift) <= 1e-9
 
 
 def test_on_cycle_sees_every_shift_of_a_folded_family():

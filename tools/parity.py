@@ -27,7 +27,9 @@ input ``u0`` too.
 
 ``--compare A B`` prints every counter or flag that differs, each
 workload's mean cycles, basis products and residual products in both
-runs, and the largest relative solution gap over all shifts and inputs:
+runs with its counts of shifts retired at a singular reduced system
+(``skipped_cycles`` above 0) and of stalled reports, and the largest
+relative solution gap over all shifts and inputs:
 ``||x_A - x_B|| / ||x_A||`` for a family solution and
 ``||y_A - y_B|| / ||u0||`` for a ``matfunc-exp`` action, which is far
 smaller than its input (a record without the input norm falls back to
@@ -118,12 +120,16 @@ def _differ(where, ra, rb, names):
 
 
 def _means(records):
-    """Per workload: input count, mean cycles, basis and residual products."""
+    """Per workload: input count, mean cycles, basis and residual products,
+    and the counts of singular shifts and of stalled reports."""
     by_name = {}
     for r in records.values():
         by_name.setdefault(r["key"].split("/")[0], []).append(r)
     return {name: (len(rs), *(sum(r.get(key, 0) for r in rs) / len(rs)
-                              for key in ("cycles", "basis_mvps", "residual_mvps")))
+                              for key in ("cycles", "basis_mvps", "residual_mvps")),
+                   sum(h.get("skipped_cycles") not in (None, 0, "missing")
+                       for r in rs for h in r["shifts"]),
+                   sum(r.get("stalled") is True for r in rs))
             for name, rs in by_name.items()}
 
 
@@ -161,10 +167,12 @@ def compare(path_a, path_b):
         print(line)
     means = [_means(a), _means(b)]
     for name in sorted(set(means[0]) | set(means[1])):
-        (na, ca, ma, ra), (nb, cb, mb, rb) = (m.get(name, (0, 0.0, 0.0, 0.0)) for m in means)
+        (na, ca, ma, ra, sa, ta), (nb, cb, mb, rb, sb, tb) = (
+            m.get(name, (0, 0.0, 0.0, 0.0, 0, 0)) for m in means)
         print(f"{name}: mean cycle count {ca:.2f} -> {cb:.2f}, "
               f"mean basis MVPs {ma:.1f} -> {mb:.1f}, "
-              f"mean residual MVPs {ra:.1f} -> {rb:.1f} ({na} -> {nb} inputs)")
+              f"mean residual MVPs {ra:.1f} -> {rb:.1f}, "
+              f"singular shifts {sa} -> {sb}, stalled {ta} -> {tb} ({na} -> {nb} inputs)")
     print(f"{len(a)} inputs; {len(diffs)} differences in counters, flags or finiteness; "
           f"largest relative solution gap {gap:.2e}" + (f" ({where})" if where else ""))
     return 1 if diffs or gap > RTOL else 0
