@@ -27,7 +27,6 @@ from .mmio import load_matrix_market, save_matrix_market
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
 from .processes import (
     HessenbergDecomposition,
-    pivot_select,
     run_arnoldi,
     run_hessenberg,
     thick_restart,
@@ -91,7 +90,6 @@ __all__ = [
     "load_quadrature",
     "mittag_leffler",
     "packaged_rule_path",
-    "pivot_select",
     "predicted_flops",
     "run_arnoldi",
     "run_hessenberg",

@@ -75,10 +75,11 @@ class ZeroStartVector(ShiftKrylovError):
 class NonFiniteInput(ShiftKrylovError):
     """An operand holds a NaN or an infinity.
 
-    The basis processes check their start vector, and the restarted
-    solvers their right-hand side, initial guess, shifts and operator
-    norm, at entry, before any product, so a non-finite operand is never
-    reported as convergence or breakdown.
+    The basis processes check their start vector and the operator's
+    infinity norm, and the restarted solvers also their initial guess and
+    shifts, at entry, before any product, so a non-finite operand is never
+    reported as convergence or breakdown.  The norm check also rejects an
+    operator whose entries are finite but whose row sums overflow.
     """
 
 

@@ -58,7 +58,6 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, solve_tria
 
 from .errors import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidDimensions,
     NonFiniteInput,
     ZeroStartVector,
@@ -67,7 +66,6 @@ from .errors import (
 
 __all__ = [
     "HessenbergDecomposition",
-    "pivot_select",
     "run_hessenberg",
     "run_arnoldi",
     "thick_restart",
@@ -151,34 +149,6 @@ class HessenbergDecomposition:
         return f"<HessenbergDecomposition n={n}, steps={self.steps}{tag}>"
 
 
-def pivot_select(u, start=0):
-    """Index of the pivot among the trailing entries of a vector.
-
-    Scans positions ``start, start+1, ...`` of ``u`` and returns the
-    first one whose entry has maximal magnitude.  Applied to a vector
-    stored in pivot order, it returns a position in that order.
-
-    Parameters
-    ----------
-    u : (n,) array_like
-    start : int
-        First eligible position.
-
-    Raises
-    ------
-    IndexOutOfRange
-        If ``start`` leaves no eligible position.
-    """
-    u = np.asarray(u)
-    n = u.shape[0]
-    if not 0 <= start < n:
-        raise IndexOutOfRange(
-            f"start position {start} leaves no candidate in a vector of "
-            f"length {n}"
-        )
-    return start + int(np.argmax(np.abs(u[start:])))
-
-
 def _operator_norm_scale(A):
     """An infinity-norm scale of A for breakdown thresholds, or None."""
     norm_inf = getattr(A, "norm_inf", None)
@@ -203,7 +173,7 @@ def _pivot_column(u, mag, col, perm, inv, tol):
     ``perm[:col]``, basis column ``col`` under the pivoting rule, in place.
 
     The pivot is the largest entry in magnitude, the first in pivot order
-    on a tie, as :func:`pivot_select` finds it in ``u[perm]``.  Returns it,
+    on a tie: the first maximum of ``|u[perm[col:]]|``.  Returns it,
     having divided ``u`` by it, pinned its entry to 1 and updated ``perm``
     and its inverse ``inv``, or None, leaving ``u`` as it is, when it is
     not above ``tol``.  ``mag`` is (n,) scratch.  Raises NonFiniteInput
@@ -253,7 +223,15 @@ def _check_start(A, v, m):
     if m > n:
         raise InvalidDimensions(message)
     dtype = np.result_type(getattr(A, "dtype", v.dtype), v.dtype, np.float64)
-    return v.astype(dtype, copy=False), n, m, dtype, _operator_norm_scale(A)
+    norm_scale = _operator_norm_scale(A)
+    # a NaN entry, or finite entries whose row sum overflows, would make
+    # every breakdown threshold NaN or inf: reject before any product
+    if norm_scale is not None and not np.isfinite(norm_scale):
+        raise NonFiniteInput(
+            f"operator norm is {norm_scale}: a non-finite entry, or a row sum "
+            f"that overflows"
+        )
+    return v.astype(dtype, copy=False), n, m, dtype, norm_scale
 
 
 def _run_buffers(start, n, m, dtype):
@@ -293,7 +271,8 @@ def run_hessenberg(A, v, m, *, start=None):
         Requested steps, ``1 <= m <= n``.  A step whose pivot candidate is
         not above ``n * eps * ||A||_inf`` is a breakdown (invariant
         subspace).  The run reads the norm once, from ``A.norm_inf()`` or
-        a dense ``A``; without one, each step's ``max |A @ x|`` stands in.
+        a dense ``A``, and rejects a NaN or overflowed norm before any
+        product; without one, each step's ``max |A @ x|`` stands in.
     start : HessenbergDecomposition, optional
         A j-step decomposition of ``v`` by ``A`` to continue, with
         ``1 <= j < m`` and no breakdown, such as :func:`thick_restart`

@@ -21,15 +21,16 @@ When the operator, the right-hand side and any initial guess are real,
 the shift conj(sigma) has the solution conj(x) when sigma has x.  Each
 shift is then paired, once per solve, with an exactly equal conjugate
 later in the list, and a pair is solved as one class: one row of the
-reduced stack, one residual scalar, one retirement, with the
-partner's iterate, estimate and history the exact conjugate or copy of
-its representative's.  For the conjugate-symmetric quadrature rules of
-:mod:`shiftkrylov.matfunc` that halves the reduced work.  The iterates
-are one array with a row per class.  On a real basis a complex
-correction is formed as two real products, one for its real and one
-for its imaginary part, rather than one complex product that would
-upcast the basis.  Complex data, or a family without pairs, uses the
-same loop with every shift its own class.
+reduced stack, one residual scalar, one retirement.  For the
+conjugate-symmetric quadrature rules of :mod:`shiftkrylov.matfunc` that
+halves the reduced work.  The solve keeps one iterate row and one
+:class:`ShiftHistory` per class, and builds the per-shift results only
+at return: a partner's iterate is the exact conjugate of its
+representative's, and its record a copy with its own shift.  On a real
+basis a complex correction is formed as two real products, one for its
+real and one for its imaginary part, rather than one complex product
+that would upcast the basis.  Complex data, or a family without pairs,
+uses the same loop with every shift its own class.
 
 Both processes restart thick: they keep wanted spectral information
 across cycles instead of throwing the basis away.  At the end of a
@@ -62,7 +63,8 @@ partner's residual is the exact conjugate of its representative's, so
 its norm is bitwise the same.  The tolerance may be given per shift; a
 folded pair is then held to the smaller of its two values.  A shift
 whose estimate overflows or becomes NaN is retired unconverged, with
-``ShiftHistory.diverged`` set.
+``ShiftHistory.diverged`` set.  The final residual of a class that did
+not converge is evaluated once at return, outside the product count.
 
 A shift whose reduced system is numerically singular gets no update and
 is retired unconverged in that cycle, with ``ShiftHistory.skipped_cycles``
@@ -71,8 +73,7 @@ multiple of the next one, and its estimate repeats.  A cycle that retires
 every active shift this way ends the solve with ``SolveReport.stalled``.
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -219,6 +220,9 @@ class SolveReport:
     thick restart, or 0 for a fresh cycle (the first, and one after a
     restart that fell back to plain).
     Such a cycle took ``m - kept[i]`` basis products unless it broke down.
+    ``shifts`` holds one :class:`ShiftHistory` per shift, in the order of
+    the shifts; a folded partner's is a copy of its representative's
+    with its own ``shift`` and its own ``estimates`` list.
     """
 
     solver: str
@@ -229,7 +233,6 @@ class SolveReport:
     cycles: int = 0
     basis_mvps: int = 0
     residual_mvps: int = 0
-    wall_time_s: float = 0.0
     breakdown: bool = False
     budget_exhausted: bool = False
     stalled: bool = False
@@ -239,7 +242,12 @@ class SolveReport:
     @property
     def total_mvps(self):
         """All counted products: basis work, residual confirmations and
-        the initial residual of a nonzero initial guess."""
+        the initial residual of a nonzero initial guess.
+
+        The final residual of each class that did not converge (one per
+        folded pair, see the module docstring) is left out: it is taken
+        with ``A._apply`` when the operator has one, so an operator
+        without ``_apply`` sees one product more per such class."""
         return self.basis_mvps + self.residual_mvps
 
     @property
@@ -323,17 +331,13 @@ def _thick_keep(m):
 
 
 def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_name=""):
-    t_start = time.perf_counter()
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
     b = np.asarray(b)
-    # b passes the checks of every cycle's start vector, and is the first
-    # start vector when there is no initial guess.  The operator's norm is
-    # read here to reject a non-finite operator before any product; each
-    # run reads it again, from the cache a CsrMatrix keeps.
-    r0, n, _, _, norm_scale = _check_start(A, b, 1)
-    if norm_scale is not None and not np.isfinite(norm_scale):
-        raise NonFiniteInput("operator has a non-finite entry")
+    # b passes the checks of every cycle's start vector, the operator's
+    # norm among them, and is the first start vector when there is no
+    # initial guess
+    r0, n, _, _, _ = _check_start(A, b, 1)
     bnorm = float(np.linalg.norm(b))
     # looked up per call: bench/tracing.py wraps the runners by name
     runner, restart = {"hessenberg": (run_hessenberg, thick_restart),
@@ -367,47 +371,57 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             base, r0 = x0, b - (A @ x0)
 
     r0norm = float(np.linalg.norm(r0))
-    histories = [ShiftHistory(shift=s, estimates=[r0norm / bnorm]) for s in shifts]
     # The family is solved in classes: a shift and its exact conjugate
     # form one class on real data, every other shift a class of its own.
-    # Class c's correction to x0 is row c of X.  The residual of an active
-    # class is coef[c] times the pending start vector.
+    # Class c has one record, hist[c], and one row, X[c], its correction
+    # to x0; its representative reps[c] is its first shift.  The residual
+    # of a live class is coef[c] times the pending start vector.
     real_data = np.isrealobj(r0)
     cls, flip = _conjugate_classes(shifts, real_data)
-    p = max(cls) + 1
-    members = [[i for i in range(nu) if cls[i] == c] for c in range(p)]
-    rsig = sigmas[[mem[0] for mem in members]]
+    cls = np.array(cls)
+    reps = np.unique(cls, return_index=True)[1]
+    p = reps.size
     # a class is held to the smallest of its members' tolerances
-    class_tol = [float(tols[mem].min()) for mem in members]
+    class_tol = np.full(p, np.inf)
+    np.minimum.at(class_tol, cls, tols)
+    hist = [ShiftHistory(shift=shifts[i], estimates=[r0norm / bnorm]) for i in reps]
     X = np.zeros((p, n), dtype=np.result_type(r0.dtype, sigmas.dtype))
     coef = np.ones(p, dtype=X.dtype)
-    active = list(range(p))
+    live = np.ones(p, dtype=bool)
 
-    def correction(i):
+    def solution(i, offset=base):
+        """Shift i's iterate: its class's row, as the conjugate for a
+        folded partner, plus ``offset``."""
         x = X[cls[i]]
         if real_data and np.isrealobj(shifts[i]):
             # real shifts on real data keep real solutions in a complex family
-            return x.real
-        return x.conj() if flip[i] else x
+            x = x.real
+        elif flip[i]:
+            x = x.conj()
+        return x if offset is None else offset + x
 
-    def solution(i):
-        return correction(i) if base is None else base + correction(i)
+    def residual(c, apply):
+        # a folded partner's residual is the exact conjugate of its
+        # representative's, so its norm is bitwise the same
+        i = reps[c]
+        return _relative_residual(apply, shifts[i], solution(i), b, bnorm)
 
-    def expand(classes):
-        return tuple(sorted(i for c in classes for i in members[c]))
+    def expand(mask):
+        """The shifts of the classes in ``mask``."""
+        return tuple(np.flatnonzero(mask[cls]).tolist())
 
     report = SolveReport(
         solver=solver_name,
         n=n,
         nnz=getattr(A, "nnz", 0),
         m=m,
-        shifts=histories,
+        shifts=[],
         residual_mvps=int(base is not None),
     )
 
     v = r0
     dec = seed = None
-    while active:
+    while live.any():
         if keep and dec is not None:
             seed = restart(dec, keep)
         kept = 0 if seed is None else seed.steps
@@ -426,16 +440,16 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         lnext = dec.last_vector
         lnorm = float(np.linalg.norm(lnext)) if lnext is not None else 0.0
 
-        active_before = tuple(active)
-        rows = np.array(active_before)
-        # one stacked reduced solve for every active class, whose right-hand
+        before = live.copy()
+        rows = np.flatnonzero(before)
+        # one stacked reduced solve for every live class, whose right-hand
         # side is coef times the start coordinates
         g = dec.g
         G = np.zeros((rows.size, k), dtype=X.dtype)
         G[:, : g.size] = coef[rows, None] * g
         skipped = np.zeros(p, dtype=bool)
         try:
-            Y = solve_shifted_hessenberg(H, rsig[rows], G)
+            Y = solve_shifted_hessenberg(H, sigmas[reps[rows]], G)
         except SingularReducedSystem as exc:
             Y = exc.solution
             skipped[rows[exc.singular]] = True
@@ -451,41 +465,29 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         else:
             X[upd] += Y @ V.T
 
-        estimates = [None] * nu
-        for c in active_before:
+        for c in rows:
+            h, e = hist[c], hist[c].estimates
+            # a skipped class is not updated: its residual coef * v repeats
+            est = e[-1] if skipped[c] else float(abs(coef[c])) * lnorm / bnorm
+            h.cycles += 1
+            h.skipped_cycles += int(skipped[c])
+            e.append(est)
+            if len(e) > _STAGNATION_WINDOW:
+                ref = e[-1 - _STAGNATION_WINDOW]
+                h.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
             if skipped[c]:
-                # not updated: the residual coef * v is the one before
-                est = histories[members[c][0]].estimates[-1]
-            else:
-                est = float(abs(coef[c])) * lnorm / bnorm
-            for i in members[c]:
-                hist = histories[i]
-                hist.cycles += 1
-                hist.skipped_cycles += int(skipped[c])
-                estimates[i] = est
-                e = hist.estimates
-                e.append(est)
-                if len(e) > _STAGNATION_WINDOW:
-                    ref = e[-1 - _STAGNATION_WINDOW]
-                    hist.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
-            if skipped[c]:
-                active.remove(c)
+                live[c] = False
             elif not np.isfinite(est):
                 # an overflowed iterate cannot recover: retire the class
-                for i in members[c]:
-                    histories[i].diverged = True
-                active.remove(c)
+                h.diverged = True
+                live[c] = False
             elif est <= class_tol[c]:
-                # one product confirms the class: a folded partner's
-                # residual is the exact conjugate of its representative's
-                i = members[c][0]
-                tr = _relative_residual(A.__matmul__, shifts[i], solution(i), b, bnorm)
+                # one product confirms the class
+                tr = residual(c, A.__matmul__)
                 report.residual_mvps += 1
                 if tr <= class_tol[c]:
-                    for i in members[c]:
-                        histories[i].converged = True
-                        histories[i].final_relative_residual = tr
-                    active.remove(c)
+                    h.converged, h.final_relative_residual = True, tr
+                    live[c] = False
 
         report.cycles += 1
         if on_cycle is not None:
@@ -494,11 +496,11 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
                     cycle=report.cycles,
                     decomposition=dec,
                     shifts=list(shifts),
-                    active_before=expand(active_before),
-                    active_after=expand(active),
-                    solutions=np.array([correction(i) for i in range(nu)]),
-                    estimates=estimates,
-                    skipped=expand(np.flatnonzero(skipped)),
+                    active_before=expand(before),
+                    active_after=expand(live),
+                    solutions=np.array([solution(i, None) for i in range(nu)]),
+                    estimates=[hist[c].estimates[-1] if before[c] else None for c in cls],
+                    skipped=expand(skipped),
                 )
             )
 
@@ -514,19 +516,14 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         # a copy, so the basis it came from can be freed
         v = lnext.copy()
 
-    _finalize(A, shifts, histories, solution, b, bnorm)
-    report.wall_time_s = time.perf_counter() - t_start
-    return [solution(i) for i in range(nu)], report
-
-
-def _finalize(A, shifts, histories, solution, b, bnorm):
-    """Fill the final residuals of unconverged shifts, outside the product count."""
+    # the final residual of an unconverged class is left out of the count
     apply = getattr(A, "_apply", A.__matmul__)
-    for i, hist in enumerate(histories):
-        if not hist.converged:
-            hist.final_relative_residual = _relative_residual(
-                apply, shifts[i], solution(i), b, bnorm
-            )
+    for c, h in enumerate(hist):
+        if not h.converged:
+            h.final_relative_residual = residual(c, apply)
+    report.shifts = [replace(hist[c], shift=s, estimates=list(hist[c].estimates))
+                     for s, c in zip(shifts, cls)]
+    return [solution(i) for i in range(nu)], report
 
 
 def solve_hessen(A, b, x0=None, cfg=None, on_cycle=None):

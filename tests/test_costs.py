@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import shiftkrylov.solvers as solvers
 
@@ -52,6 +52,7 @@ def test_against_reference_formulas():
             assert isinstance(got, int)
 
 
+@settings(derandomize=True, deadline=None)
 @given(
     m=st.integers(min_value=1, max_value=200),
     extra=st.integers(min_value=0, max_value=10000),

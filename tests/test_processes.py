@@ -19,7 +19,6 @@ from shiftkrylov import (
     gen_laplace2d,
     gen_shifts,
     identity,
-    pivot_select,
     run_arnoldi,
     run_hessenberg,
     solve_shifted_hessen,
@@ -39,6 +38,19 @@ from shiftkrylov.processes import (
 def csr_from_dense(M):
     rows, cols = np.nonzero(M)
     return CsrMatrix.from_triplets(rows, cols, np.asarray(M)[rows, cols], M.shape)
+
+
+def pivot_select(u, start=0):
+    """The pivoting rule's reference: the first position, from ``start``
+    on, whose entry has maximal magnitude.  Applied to a vector stored in
+    pivot order, it returns a position in that order."""
+    u = np.asarray(u)
+    n = u.shape[0]
+    if not 0 <= start < n:
+        raise IndexOutOfRange(
+            f"start position {start} leaves no candidate in a vector of length {n}"
+        )
+    return start + int(np.argmax(np.abs(u[start:])))
 
 
 def random_sparse(rng, n, density=0.1):
@@ -362,11 +374,27 @@ def test_one_basis_loop_matches_reference_on_breakdowns():
 @pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
 def test_nan_in_operator_is_not_a_breakdown(process):
     # the NaN product used to end the hessenberg process as a happy
-    # breakdown after one step
+    # breakdown after one step; then both runners spent that product
+    # before they raised
     M = np.eye(5)
     M[2, 2] = np.nan
+    A = csr_from_dense(M)
     with pytest.raises(NonFiniteInput):
-        process(csr_from_dense(M), np.arange(1.0, 6.0), 3)
+        process(A, np.arange(1.0, 6.0), 3)
+    assert A.counter.count == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
+def test_overflowing_operator_norm_is_rejected_before_any_product(process):
+    # every entry is finite (the largest 9.7e307), but the row sums
+    # overflow: the hessenberg process read the inf breakdown threshold as
+    # a happy breakdown at step 1
+    A = csr_from_dense(gen_laplace2d(10).toarray() * 2e305)
+    assert np.all(np.isfinite(A.toarray())) and A.norm_inf() == np.inf
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        process(A, np.ones(100), 10)
+    assert A.counter.count == 0
 
 
 @pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])

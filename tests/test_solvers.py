@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import shiftkrylov.solvers as solvers_mod
@@ -528,6 +531,17 @@ def test_nan_in_operator_is_rejected_before_any_product():
     assert A.counter.count == 0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("solve", [solve_shifted_hessen, solve_shifted_fom])
+def test_overflowing_operator_norm_is_rejected_before_any_product(solve):
+    # finite entries whose row sums overflow: the message used to blame a
+    # non-finite entry
+    A = csr_from_dense(gen_laplace2d(10).toarray() * 2e305)
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        solve(A, np.ones(100), [0.0, 0.5])
+    assert A.counter.count == 0
+
+
 def test_huge_operator_scale_does_not_read_as_singular():
     # the reduced solve's Frobenius norm overflowed to inf at this scale,
     # so every reduced system read as singular and the solve stalled
@@ -749,6 +763,82 @@ def test_folded_pair_takes_the_smaller_tolerance(monkeypatch):
     for i in (0, 2):
         assert rep.shifts[i].final_relative_residual <= 1e-11
         assert true_relative_residual(A, PAIRED[i], xs[i], b) <= 1e-11
+
+
+class CountingWithoutApply:
+    """A CsrMatrix's products behind an operator without ``_apply``, so it
+    also sees the final residuals the report leaves out of its count."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.dtype, self.count = A, A.shape, A.dtype, 0
+
+    def __matmul__(self, x):
+        self.count += 1
+        return self.A._apply(x)
+
+
+def test_unconverged_class_takes_one_final_residual():
+    # a folded pair and two real shifts, none converged at this budget:
+    # three classes, so three uncounted final residuals, not four
+    A = gen_convdiff3d(9, 1.0, (0.0, 111.8, 223.6), 400.0)
+    op = CountingWithoutApply(A)
+    b = np.ones(A.shape[0])
+    shifts = [0.5 + 0.1j, 0.5 - 0.1j, -1e-3, 2.0]
+    xs, rep = solve_shifted_hessen(op, b, shifts, SolverConfig(m=10, tol=1e-14, max_mvps=25))
+    assert rep.budget_exhausted and rep.num_converged == 0
+    assert (op.count, rep.total_mvps) == (27, 24)
+    for s, x, h in zip(shifts, xs, rep.shifts):
+        assert h.final_relative_residual == true_relative_residual(A, s, x, b)
+
+
+@st.composite
+def real_families(draw):
+    """A small real operator and right-hand side, and a shift family that
+    mixes exact conjugate pairs, near-pairs one ulp apart and real shifts,
+    in any order, with a shared or a per-shift tolerance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 40))
+    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    M += np.diag(draw(st.sampled_from([2.0, 5.0, 8.0])) + rng.standard_normal(n))
+    part = st.floats(-3.0, 3.0).map(lambda t: round(t, 3))
+    shifts = []
+    for _ in range(draw(st.integers(0, 2))):
+        z = complex(draw(part), draw(st.floats(0.05, 2.0)))
+        shifts += [z, z.conjugate()]
+    for _ in range(draw(st.integers(0, 1))):
+        z = complex(draw(part), draw(st.floats(0.05, 2.0)))
+        shifts += [z, complex(z.real, -np.nextafter(z.imag, 3.0))]
+    shifts += draw(st.lists(part, max_size=3))
+    if not shifts:
+        shifts = [draw(part)]
+    shifts = draw(st.permutations(shifts))
+    levels = st.sampled_from([1e-4, 1e-8, 1e-10, 1e-12])
+    tol = draw(st.lists(levels, min_size=len(shifts), max_size=len(shifts))
+               if draw(st.booleans()) else levels)
+    cfg = SolverConfig(m=draw(st.integers(1, n)), tol=tol,
+                       max_mvps=draw(st.sampled_from([20, 100, 400])))
+    return csr_from_dense(M), rng.standard_normal(n), shifts, cfg
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(real_families(), st.sampled_from([solve_shifted_hessen, solve_shifted_fom]))
+def test_class_records_hold_for_every_shift(family, solve):
+    A, b, shifts, cfg = family
+    xs, rep = solve(A, b, shifts, cfg)
+    tols = np.broadcast_to(cfg.tol, len(shifts))
+    cls, flip = solvers_mod._conjugate_classes([h.shift for h in rep.shifts], True)
+    for i, h in enumerate(rep.shifts):
+        if flip[i]:
+            r = cls.index(cls[i])
+            ref = rep.shifts[r]
+            assert replace(h, shift=ref.shift) == ref
+            assert h.estimates is not ref.estimates
+            assert np.array_equal(xs[i], np.conj(xs[r]))
+        if h.converged:
+            assert true_relative_residual(A, h.shift, xs[i], b) <= tols[i] * (1 + 1e-6)
+        else:
+            assert (h.diverged or h.skipped_cycles == 1 or rep.breakdown
+                    or rep.budget_exhausted or rep.stalled)
 
 
 # -- thick restart --------------------------------------------------------
