@@ -79,11 +79,12 @@ def attach_costs(report):
     form and the LU factorization of the kept block, O(m^3 + n k^2), are
     left out.
 
-    The ``m^2`` unit is what a Givens QR of a Hessenberg system costs.
-    The code instead does a dense Householder QR of each augmented
-    system, about (4/3) m^3 real flops (36 000 at m = 30), which the
-    model leaves out: for 16 shifts on ``gen_laplace2d(40)`` it would add
-    about 30% to the flops of a cycle.
+    The ``m^2`` unit is the order of what the code does per shift: the
+    family shares one Schur form ``H = Q T Q^H`` per cycle (the one the
+    thick restart reorders), and each shift adds a product with ``Q^H``,
+    a (quasi-)triangular solve with ``T - sigma I`` and a product with
+    ``Q``, about 5 m^2 real flops for a real system and twice that for a
+    complex one on a real ``H``.
 
     Parameters
     ----------

@@ -86,10 +86,12 @@ class NonFiniteInput(ShiftKrylovError):
 class SingularReducedSystem(ShiftKrylovError):
     """A reduced Hessenberg system is numerically singular.
 
-    Raised by the reduced solves when a diagonal entry of the triangular
-    QR factor is at or below roundoff times the matrix norm.  ``singular``
-    masks the singular systems of a stack and ``solution`` holds the
-    others' solutions; the restarted solvers retire the masked shifts.
+    Raised by the reduced solves when an eigenvalue of ``H`` lies within
+    roundoff times ``||H - sigma I||_F`` of the shift, a diagonal entry of
+    the triangular Schur factor of ``H - sigma I``, or when the Schur form
+    of ``H`` failed.  ``singular`` masks the singular systems of a stack
+    and ``solution`` holds the others' solutions; the restarted solvers
+    retire the masked shifts.
     """
 
     def __init__(self, message, singular=None, solution=None):

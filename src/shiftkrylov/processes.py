@@ -52,6 +52,7 @@ mean basis products and ``convdiff-shessen`` from 122.0 to 120.3.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, solve_triangular
@@ -63,6 +64,7 @@ from .errors import (
     ZeroStartVector,
     _count,
 )
+from .reduced import _schur
 
 __all__ = [
     "HessenbergDecomposition",
@@ -105,6 +107,9 @@ class HessenbergDecomposition:
         Number of completed steps ``k``, kept columns included.
     breakdown : bool
         True when the process terminated with ``hbar[k, k-1] == 0``.
+
+    The Schur form of ``square_h`` is cached as :attr:`schur` on first
+    use; the decomposition is not to be modified after that.
     """
 
     basis: np.ndarray
@@ -131,6 +136,15 @@ class HessenbergDecomposition:
         """The leading k x k block of ``hbar``."""
         return self.hbar[: self.steps, :]
 
+    @cached_property
+    def schur(self):
+        """The Schur form ``square_h Q = Q T``, computed on first use:
+        ``(T, Q, ritz, info)``, real for real ``hbar``, with the Ritz
+        values as ``ritz`` (``(wr, wi)`` when real, ``(w,)`` when
+        complex) and ``info > 0`` when ``gees`` failed.  A cycle's
+        stacked reduced solve and its thick restart share it."""
+        return _schur(self.square_h)
+
     @property
     def subdiag(self):
         """The coupling scalar ``hbar[k, k-1]``; zero on breakdown."""
@@ -150,12 +164,14 @@ class HessenbergDecomposition:
 
 
 def _operator_norm_scale(A):
-    """An infinity-norm scale of A for breakdown thresholds, or None."""
+    """An infinity-norm scale of A for breakdown thresholds, or None; inf,
+    without a warning, when a row sum of a dense A overflows."""
     norm_inf = getattr(A, "norm_inf", None)
     if callable(norm_inf):
         return float(norm_inf())
     if isinstance(A, np.ndarray):
-        return float(np.abs(A).sum(axis=1).max())
+        with np.errstate(over="ignore"):
+            return float(np.abs(A).sum(axis=1).max())
     return None
 
 
@@ -340,9 +356,10 @@ def _krylov_schur(dec, k):
 
     With ``H = dec.square_h``, ``v`` the last basis vector and ``b`` the
     last row of ``dec.hbar``, ``A V = V H + v b^T``, orthonormal ``V`` or
-    not.  A real (complex for complex ``H``) Schur form ``H Q = Q T`` with
-    the k Ritz values of smallest modulus leading, a conjugate pair kept
-    whole (k may become k + 1), gives the k-step decomposition returned:
+    not.  The real (complex for complex ``H``) Schur form ``H Q = Q T`` of
+    ``dec.schur``, reordered into a copy with the k Ritz values of
+    smallest modulus leading, a conjugate pair kept whole (k may become
+    k + 1), gives the k-step decomposition returned:
     a column-major basis ``[V Q_k, v]``, ``hbar = [T_k; b^T Q_k]``,
     ``g = e_{k+1}`` and the identity ``perm``.  Returns None when the
     Schur form or its reordering fails or ties of modulus leave no block
@@ -353,10 +370,7 @@ def _krylov_schur(dec, k):
     k = _count(k, 1, InvalidDimensions, message)
     if dec.breakdown or k >= m:
         raise InvalidDimensions(message)
-    H = dec.square_h
-    gees, trsen = get_lapack_funcs(("gees", "trsen"), (H,))
-    # real gees returns the Ritz values as (wr, wi), complex gees as w
-    T, _, *ritz, Q, _, info = gees(lambda *ritz: None, H)
+    T, Q, ritz, info = dec.schur
     if info:
         return None
     mod = np.hypot(*ritz) if len(ritz) == 2 else np.abs(ritz[0])
@@ -366,6 +380,7 @@ def _krylov_schur(dec, k):
         k += 1
     if k >= m:
         return None
+    trsen = get_lapack_funcs("trsen", (T,))
     T, Q, *_, info = trsen((mod <= order[k - 1]).astype(np.int32), T, Q, job="N")
     if info:
         return None

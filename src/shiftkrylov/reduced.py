@@ -3,16 +3,37 @@
 The restarted solvers project each shifted system onto a Krylov subspace
 and solve an m x m reduced system per shift and cycle: upper Hessenberg
 after a plain restart, full in its leading block after a thick one.
-These systems are solved here as one (p, m, m+1) stack of augmented rows
-``[H - sigma I | g]``, with ``g = beta e1`` or a whole right-hand side
-(an unshifted system is the stack with one row and sigma = 0): one
-LAPACK Householder QR of the whole stack, whose last column is then
-``Q^H g``, and one batched solve with the triangular factors.  That is
-dense O(m^3) work per system done in two library calls, in place of
-O(m^2) Givens rotations done in about 2m array operations.  It is the
-faster of the two at the basis sizes used in the package (m = 30 by
-default; no caller in the repository goes above 40); for 16 complex
-shifts the two break even near m = 60.
+Every shift shares ``H``, and with it one Schur form ``H = Q T Q^H``
+(:func:`_schur`, LAPACK ``gees``).  With the right-hand sides ``g``
+(``beta e1`` or whole ones) as the columns of ``G^T``, the solutions
+are the columns of ``Q Z``, where
+
+    T Z - Z S = Q^H G^T,    S = diag(sigma),
+
+one Sylvester equation for the whole stack, which one LAPACK ``trsyl``
+call solves by back substitution (Bartels and Stewart, Comm. ACM 15,
+1972).  A complex ``T`` takes the diagonal ``S``.  A real ``T`` keeps
+the arithmetic real: a real shift on a real right-hand side is a 1 x 1
+block of ``S``, and every other system takes two columns, the real and
+imaginary parts of its right-hand side, and the 2 x 2 block
+``[[a, b], [-b, a]]`` of its shift ``a + ib``.  The Schur form costs
+O(m^3) once; each shift adds O(m^2).  The solvers pass the form that
+the cycle's decomposition caches
+(:attr:`~shiftkrylov.processes.HessenbergDecomposition.schur`) and that
+the thick restart reorders, so a cycle makes one ``gees`` call.
+
+A system is numerically singular when an eigenvalue ``lambda`` of ``H``
+has ``|lambda - sigma| <= u ||H - sigma I||_F``: the diagonal of the
+complex triangular Schur factor of ``H - sigma I``, a matrix unitarily
+equivalent to it, read against its norm.  It is left out of ``trsyl``.
+When ``gees`` fails, every system of the stack reads as singular.
+The Schur form is backward stable relative to ``||H||``, not to
+``||H - sigma I||``: a shift in a tight cluster of eigenvalues of a
+nearly scalar ``H`` (``||H - sigma I|| << ||H||``) loses about
+``log10(||H|| / ||H - sigma I||)`` digits that a factorization of
+``H - sigma I`` itself would keep.  The solvers confirm every
+convergence with a true residual, so such a loss can slow a shift but
+not mark it converged.
 
 The two entry points read ``H`` differently.  :func:`solve_hessenberg`
 takes an upper Hessenberg ``H`` and never reads its entries strictly
@@ -22,6 +43,7 @@ stacked solve, reads all of ``H``, as a thick restart needs.
 """
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DimensionMismatch, SingularReducedSystem
 
@@ -31,8 +53,8 @@ __all__ = [
     "collinearity_scalar",
 ]
 
-# Unit roundoff of IEEE double precision; diagonal entries of R at or
-# below u * ||H||_F are treated as zero.
+# Unit roundoff of IEEE double precision; an eigenvalue within
+# u * ||H - sigma I||_F of sigma makes the shifted system singular.
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2.0
 
 
@@ -41,35 +63,50 @@ def _check_square(H):
         raise DimensionMismatch(f"expected a square matrix, got shape {H.shape}")
 
 
-def _qr_solve(W):
-    """Solve the (p, m, m+1) stack of augmented Hessenberg rows ``[H | g]``.
+def _schur(H):
+    """``(T, Q, ritz, info)`` of ``gees`` on ``H``: ``H Q = Q T``, real for
+    real ``H``, with the eigenvalues as ``ritz``, ``(wr, wi)`` for real
+    ``H`` and ``(w,)`` for complex; ``info > 0`` when it failed."""
+    gees = get_lapack_funcs("gees", (H,))
+    T, _, *ritz, Q, _, info = gees(lambda *ritz: None, H)
+    return T, Q, ritz, info
 
-    Returns the (p, m) solutions; when some systems are numerically
-    singular, raises :class:`SingularReducedSystem` with their (p,) mask
-    and the solutions, NaN in the masked rows.
-    """
-    p, m = W.shape[:2]
-    # Orthogonal factors preserve the Frobenius norm, so the singularity
-    # threshold can be fixed from the matrices as given.  Each system is
-    # scaled by its largest real or imaginary part, so the squares cannot
-    # overflow.
-    parts = W[:, :, :m].view(W.real.dtype)
-    big = np.abs(parts).max(axis=(1, 2), initial=np.finfo(np.float64).tiny)
-    parts = parts / big[:, None, None]
-    fro = big * np.sqrt(np.einsum("pij,pij->p", parts, parts))
-    # the last column of each factor [R | Q^H g] carries the right-hand side
-    R = np.linalg.qr(W, mode="r")
-    diag = np.diagonal(R[:, :, :m], axis1=1, axis2=2)
-    singular = np.any(np.abs(diag) <= _UNIT_ROUNDOFF * fro[:, None], axis=1)
-    # singular systems are solved with an identity factor, and their rows discarded
-    R[singular, :, :m] = np.eye(m)
-    y = np.linalg.solve(R[:, :, :m], R[:, :, m:])[:, :, 0]
-    if np.any(singular):
-        y[singular] = np.nan
-        raise SingularReducedSystem(
-            f"{int(singular.sum())} of {p} reduced systems are numerically singular", singular, y
-        )
-    return y
+
+def _shifted_norms(T, sigma):
+    """``||T - sigma_j I||_F`` per shift, summed by ``hypot`` so that no
+    square overflows."""
+    diag = np.diagonal(T)
+    off = np.hypot.reduce(np.abs(T - np.diag(diag)).ravel())
+    return np.hypot(off, np.hypot.reduce(np.abs(diag - sigma[:, None]), axis=1))
+
+
+def _sylvester(T, Q, sigma, G):
+    """The (p, m) solutions ``Q (T - sigma_j I)^{-1} Q^H g_j`` of the rows
+    ``g_j`` of ``G``, by one ``trsyl`` call."""
+    p = sigma.size
+    trsyl = get_lapack_funcs("trsyl", (T,))
+    # real T, complex systems: columns 2j and 2j + 1 are the real and
+    # imaginary parts of system j, its shift a 2 x 2 block of S
+    split = np.isrealobj(T) and np.iscomplexobj(G)
+    if not split:
+        C = Q.conj().T @ G.T
+        S = np.diag(sigma).astype(C.dtype)
+    else:
+        C = np.empty((T.shape[0], 2 * p))
+        C[:, 0::2], C[:, 1::2] = G.real.T, G.imag.T
+        C = Q.T @ C
+        S = np.zeros((2 * p, 2 * p))
+        i = np.arange(0, 2 * p, 2)
+        S[i, i] = S[i + 1, i + 1] = sigma.real
+        S[i, i + 1], S[i + 1, i] = sigma.imag, -sigma.imag
+    # trsyl may scale the solution down to avoid overflow; info 1 only
+    # says that it perturbed close eigenvalues, which the caller's
+    # singularity rule has already judged
+    Z, scale, _ = trsyl(T, S, C, isgn=-1)
+    Y = (Q @ Z).T
+    if split:
+        Y = Y[0::2] + 1j * Y[1::2]
+    return Y / scale
 
 
 def solve_hessenberg(H, rhs):
@@ -91,8 +128,8 @@ def solve_hessenberg(H, rhs):
     Raises
     ------
     SingularReducedSystem
-        If a diagonal entry of the triangular factor is at or below
-        unit roundoff times the Frobenius norm of ``H``.
+        If an eigenvalue of ``H`` is at or below unit roundoff times the
+        Frobenius norm of ``H`` in modulus, or its Schur form failed.
     DimensionMismatch
         If ``H`` is not square or ``rhs`` is not a vector of length m.
     """
@@ -104,12 +141,12 @@ def solve_hessenberg(H, rhs):
     return solve_shifted_hessenberg(np.triu(H, k=-1), 0.0, rhs)
 
 
-def solve_shifted_hessenberg(H, sigma, beta):
+def solve_shifted_hessenberg(H, sigma, beta, *, schur=None):
     """Solve ``(H - sigma I) y = beta e1``, or ``= g``, without modifying ``H``.
 
-    The shift is applied to copies of the diagonal, so one stored ``H``
-    serves every shift of a family.  Arrays of shifts and right-hand
-    sides are solved as one stack.
+    One Schur form of ``H`` serves every shift of a family, and arrays of
+    shifts and right-hand sides are solved as one stack (see the module
+    docstring).
 
     Parameters
     ----------
@@ -121,6 +158,9 @@ def solve_shifted_hessenberg(H, sigma, beta):
     beta : scalar, array_like shaped like ``sigma``, or ``sigma.shape + (m,)``
         Scales of the right-hand sides ``beta * e1``, or whole right-hand
         sides ``g`` with a row per shift for array input.
+    schur : tuple, optional
+        The Schur form of ``H`` as ``HessenbergDecomposition.schur``
+        holds it; computed here when not given.
 
     Returns
     -------
@@ -129,9 +169,10 @@ def solve_shifted_hessenberg(H, sigma, beta):
     Raises
     ------
     SingularReducedSystem
-        If ``H - sigma I`` is numerically singular for some shift; its
-        ``singular`` is the mask of those shifts and its ``solution``
-        holds the other rows' solutions.
+        If ``H - sigma I`` is numerically singular for some shift, or the
+        Schur form failed; its ``singular`` is the mask of those shifts
+        and its ``solution`` holds the other rows' solutions, NaN in the
+        masked rows.
     DimensionMismatch
         If ``H`` is not square, ``sigma`` is not a scalar or 1-d, or
         ``beta`` has none of the shapes above.
@@ -141,16 +182,32 @@ def solve_shifted_hessenberg(H, sigma, beta):
         raise DimensionMismatch(f"shifts of shape {sigma.shape}, right sides {beta.shape}")
     _check_square(H)
     dtype = np.result_type(H.dtype, sigma.dtype, beta.dtype, np.float64)
+    if schur is None:
+        schur = _schur(H.astype(np.result_type(H.dtype, np.float64), copy=False))
+    T, Q, ritz, info = schur
     m = H.shape[0]
-    W = np.zeros((sigma.size, m, m + 1), dtype=dtype)
-    W[:, :, :m] = H
-    idx = np.arange(m)
-    W[:, idx, idx] -= sigma.reshape(-1, 1)
+    sigmas = sigma.reshape(-1)
+    G = np.zeros((sigmas.size, m), dtype=dtype)
     if beta.ndim > sigma.ndim:
-        W[:, :, -1] = beta
+        G[:] = beta
     else:
-        W[:, 0, -1] = beta
-    return _qr_solve(W).reshape(sigma.shape + (-1,))
+        G[:, 0] = beta
+    if info:
+        singular = np.ones(sigmas.size, dtype=bool)
+    else:
+        lam = ritz[0] + 1j * ritz[1] if len(ritz) == 2 else ritz[0]
+        gap = np.abs(lam - sigmas[:, None]).min(axis=1)
+        singular = gap <= _UNIT_ROUNDOFF * _shifted_norms(T, sigmas)
+    Y = np.full(G.shape, np.nan, dtype=dtype)
+    solved = ~singular
+    if solved.any():
+        Y[solved] = _sylvester(T, Q, sigmas[solved], G[solved])
+    if singular.any():
+        raise SingularReducedSystem(
+            f"{int(singular.sum())} of {sigmas.size} reduced systems are numerically "
+            f"singular", singular, Y
+        )
+    return Y.reshape(sigma.shape + (-1,))
 
 
 def collinearity_scalar(h_next, y):

@@ -14,8 +14,10 @@ products are therefore paid once per cycle, independent of the number of
 shifts.
 
 The shifts differ only in their m x m reduced systems: each cycle solves
-those of all active shifts as one stack and adds their corrections to
-the iterates in one product with the basis.
+those of all active shifts as one stack, through the one Schur form of
+``H`` that the decomposition caches and the next thick restart reorders,
+and adds their corrections to the iterates in one product with the
+basis.
 
 When the operator, the right-hand side and any initial guess are real,
 the shift conj(sigma) has the solution conj(x) when sigma has x.  Each
@@ -449,7 +451,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         G[:, : g.size] = coef[rows, None] * g
         skipped = np.zeros(p, dtype=bool)
         try:
-            Y = solve_shifted_hessenberg(H, sigmas[reps[rows]], G)
+            Y = solve_shifted_hessenberg(H, sigmas[reps[rows]], G, schur=dec.schur)
         except SingularReducedSystem as exc:
             Y = exc.solution
             skipped[rows[exc.singular]] = True

@@ -244,9 +244,11 @@ class CsrMatrix:
         return self._csr.toarray()
 
     def norm_inf(self):
-        """Maximum absolute row sum, computed on first use."""
+        """Maximum absolute row sum, computed on first use; inf, without a
+        warning, when a row sum overflows."""
         if self._norm_inf is None:
-            self._norm_inf = float(abs(self._csr).sum(axis=1).max()) if self.nnz else 0.0
+            with np.errstate(over="ignore"):
+                self._norm_inf = float(abs(self._csr).sum(axis=1).max()) if self.nnz else 0.0
         return self._norm_inf
 
     def conjugate_transpose(self):

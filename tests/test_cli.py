@@ -313,7 +313,7 @@ def test_matfunc_reports_a_stalled_family_as_non_convergence(tmp_path, monkeypat
     p = tmp_path / "lap.mtx"
     assert run("gen", "laplace2d", "--n", "6", "-o", str(p)) == 0
 
-    def always_singular(H, sigma, G):
+    def always_singular(H, sigma, G, schur=None):
         raise SingularReducedSystem("injected", singular=np.ones(len(sigma), dtype=bool),
                                     solution=np.full(G.shape, np.nan))
 

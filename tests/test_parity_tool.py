@@ -124,6 +124,9 @@ def test_compare_measures_an_action_against_its_input(record, tmp_path):
         assert "0 differences" in res.stdout
         gap = float(res.stdout.split("largest relative solution gap ")[1].split()[0])
         assert 0.5 * size <= gap <= 1.5 * size
+        # the one workload's mean line carries the same largest gap
+        line = next(x for x in res.stdout.splitlines() if x.startswith("matfunc-exp:"))
+        assert line.endswith(f"largest relative solution gap {gap:.2e}")
 
 
 def test_compare_prints_mean_cycles_and_basis_products(record, tmp_path):

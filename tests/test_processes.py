@@ -384,7 +384,6 @@ def test_nan_in_operator_is_not_a_breakdown(process):
     assert A.counter.count == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
 def test_overflowing_operator_norm_is_rejected_before_any_product(process):
     # every entry is finite (the largest 9.7e307), but the row sums
@@ -395,6 +394,10 @@ def test_overflowing_operator_norm_is_rejected_before_any_product(process):
     with pytest.raises(NonFiniteInput, match="overflow"):
         process(A, np.ones(100), 10)
     assert A.counter.count == 0
+    # a dense operator's row sums too, with no overflow warning (tier-1
+    # makes a RuntimeWarning an error)
+    with pytest.raises(NonFiniteInput, match="overflow"):
+        process(A.toarray(), np.ones(100), 10)
 
 
 @pytest.mark.parametrize("process", [run_hessenberg, run_arnoldi])
@@ -673,6 +676,24 @@ def test_thick_restart_keeps_pairs_whole_or_falls_back():
             thick_restart(dec, k)
     with pytest.raises(InvalidDimensions):
         thick_restart(run_hessenberg(identity(40), np.ones(40), 5), 1)
+
+
+@pytest.mark.parametrize("runner, restart", RESTARTS)
+def test_restart_shares_the_cached_schur_form(runner, restart):
+    # the restart reads the decomposition's one Schur form, computed on
+    # first use, without modifying it; a failed form, info > 0 as gees
+    # reports it, gives the plain restart
+    _, _, dec = next(thick_cases(runner))
+    assert "schur" not in vars(dec)
+    T, Q, ritz, info = dec.schur
+    copies = [a.copy() for a in (T, Q, *ritz)]
+    seed = restart(dec, 10)
+    assert seed is not None and dec.schur[0] is T
+    for a, b in zip((T, Q, *ritz), copies):
+        assert_array_equal(a, b)
+    assert_same_decomposition(restart(dec, 10), seed)
+    dec.schur = (T, Q, ritz, 1)
+    assert restart(dec, 10) is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

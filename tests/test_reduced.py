@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from shiftkrylov import DimensionMismatch, SingularReducedSystem
 from shiftkrylov.reduced import (
+    _schur,
     collinearity_scalar,
     solve_hessenberg,
     solve_shifted_hessenberg,
@@ -143,3 +145,103 @@ def test_stacked_solve_matches_row_by_row(sigma, whole):
     for i in np.flatnonzero(singular):
         with pytest.raises(SingularReducedSystem):
             solve_shifted_hessenberg(H, sigma[i], beta[i])
+
+
+# -- the shared Schur form --------------------------------------------------
+
+U = np.finfo(float).eps / 2
+
+
+def thick_shape(rng, m, k, complex_h=False):
+    """An m x m reduced matrix as a thick restart of k columns leaves it:
+    full in its leading (k+1) x k block, Hessenberg from column k + 1."""
+    H = rng.standard_normal((m, m))
+    if complex_h:
+        H = H + 1j * rng.standard_normal((m, m))
+    i, j = np.indices((m, m))
+    H[i > np.maximum(k, j + 1)] = 0.0
+    return H
+
+
+FAMILIES = {
+    "real_h_real_shifts": (False, [0.0, -0.5, 2.0, 1.25]),
+    # -0.3 + 0.8j has no conjugate partner in the family
+    "real_h_complex_shifts": (False, [-1.0 + 0.5j, -1.0 - 0.5j, -0.3 + 0.8j, 2.0 - 1.0j]),
+    "complex_h": (True, [0.0, -1.0 + 0.5j, -1.0 - 0.5j, 0.7]),
+    "real_h_mixed": (False, [0.5, -1.0 + 0.5j, -2.0, -1.0 - 0.5j, 0.25j]),
+}
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["beta_e1", "whole_rhs"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_shared_schur_solve_matches_dense_solves(family, whole):
+    complex_h, shifts = FAMILIES[family]
+    rng = np.random.default_rng(11)
+    m, k = 14, 5
+    H = thick_shape(rng, m, k, complex_h)
+    assert np.any(H[k, : k - 1]) and not np.any(np.tril(H, -2)[:, k:])
+    sigma = np.array(shifts)
+    beta = rng.standard_normal((sigma.size, m) if whole else sigma.size)
+    Y = solve_shifted_hessenberg(H, sigma, beta)
+    assert Y.shape == (sigma.size, m)
+    for s, b, y in zip(sigma, beta, Y):
+        rhs = b if whole else np.eye(m)[0] * b
+        ref = np.linalg.solve(H - s * np.eye(m), rhs)
+        assert_allclose(y, ref, rtol=1e-12, atol=1e-12 * np.linalg.norm(ref))
+    # the stack agrees with each shift solved alone, and with the Schur
+    # form passed in as the solvers pass it
+    schur = _schur(H)
+    assert np.array_equal(solve_shifted_hessenberg(H, sigma, beta, schur=schur), Y)
+    for s, b, y in zip(sigma, beta, Y):
+        assert_allclose(solve_shifted_hessenberg(H, s, b), y, rtol=1e-13,
+                        atol=1e-13 * np.linalg.norm(y))
+    # real data and real shifts keep real solutions
+    assert np.isrealobj(Y) == (not complex_h and np.isrealobj(sigma))
+
+
+def test_failed_schur_form_reads_every_system_as_singular():
+    rng = np.random.default_rng(12)
+    H = thick_shape(rng, 8, 3)
+    T, Q, ritz, _ = _schur(H)
+    with pytest.raises(SingularReducedSystem) as exc:
+        solve_shifted_hessenberg(H, np.array([0.5, -1.0 + 1.0j]), 1.0, schur=(T, Q, ritz, 3))
+    assert exc.value.singular.tolist() == [True, True]
+    assert np.all(np.isnan(exc.value.solution))
+
+
+@st.composite
+def shifted_systems(draw):
+    """A reduced matrix of thick-restart shape, real or complex, with a
+    family of real and complex shifts and whole right-hand sides."""
+    m = draw(st.integers(1, 12))
+    k = draw(st.integers(0, m - 1))
+    complex_h = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = thick_shape(rng, m, k, complex_h) * 10.0 ** draw(st.integers(-6, 6))
+    scale = np.abs(H).max()
+    p = draw(st.integers(1, 5))
+    sigma = scale * rng.standard_normal(p)
+    if draw(st.booleans()):
+        # a complex family, with some real shifts in it
+        sigma = sigma + 1j * scale * rng.standard_normal(p) * (rng.random(p) < 0.6)
+    return H, sigma, rng.standard_normal((p, m))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(shifted_systems())
+def test_shared_schur_solve_is_backward_stable(system):
+    # ||(H - sigma I) y - g|| <= c u ||H - sigma I||_F ||y|| for every
+    # shift the solve does not flag as singular
+    H, sigma, G = system
+    m = H.shape[0]
+    try:
+        Y = solve_shifted_hessenberg(H, sigma, G)
+        singular = np.zeros(sigma.size, dtype=bool)
+    except SingularReducedSystem as exc:
+        Y, singular = exc.solution, exc.singular
+    for s, g, y, flagged in zip(sigma, G, Y, singular):
+        if flagged:
+            assert np.all(np.isnan(y))
+            continue
+        M = H - s * np.eye(m)
+        assert np.linalg.norm(M @ y - g) <= 10 * m * U * np.linalg.norm(M) * np.linalg.norm(y)

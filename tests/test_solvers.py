@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import shiftkrylov.reduced as reduced_mod
 import shiftkrylov.solvers as solvers_mod
 from shiftkrylov import (
     CsrMatrix,
@@ -221,15 +222,15 @@ def inject_singular(monkeypatch, target):
     real_solver = solvers_mod.solve_shifted_hessenberg
     sizes = []
 
-    def flaky(H, sigma, beta):
+    def flaky(H, sigma, beta, schur=None):
         sizes.append(len(sigma))
         hit = np.isin(sigma, target)
         if hit.any() and not flaky.fired:
             flaky.fired = True
             raise SingularReducedSystem(
-                "injected", singular=hit, solution=real_solver(H, sigma, beta)
+                "injected", singular=hit, solution=real_solver(H, sigma, beta, schur=schur)
             )
-        return real_solver(H, sigma, beta)
+        return real_solver(H, sigma, beta, schur=schur)
 
     flaky.fired = False
     monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", flaky)
@@ -278,7 +279,7 @@ def test_all_shifts_stalled(monkeypatch):
     # one cycle that retires every active shift ends the solve
     A, b = random_system(11)
 
-    def always_singular(H, sigma, beta):
+    def always_singular(H, sigma, beta, schur=None):
         singular = np.ones(len(sigma), dtype=bool)
         raise SingularReducedSystem(
             "injected", singular=singular, solution=np.full((len(sigma), len(H)), np.nan)
@@ -292,6 +293,65 @@ def test_all_shifts_stalled(monkeypatch):
         assert not h.converged
         assert (h.cycles, h.skipped_cycles) == (1, 1)
         assert h.final_relative_residual == 1.0
+
+
+def gees_calls(monkeypatch, fail=()):
+    """Record the ``gees`` call of every Schur form a reduced solve or a
+    restart takes; the calls numbered in ``fail`` (from 1) report failure,
+    ``info > 0``, as LAPACK does when the QR algorithm does not converge."""
+    real_lookup = reduced_mod.get_lapack_funcs
+    calls = []
+
+    def lookup(names, arrays=()):
+        func = real_lookup(names, arrays)
+        if names != "gees":
+            return func
+
+        def gees(*args, **kwargs):
+            out = func(*args, **kwargs)
+            calls.append(out[0].shape[0])
+            return (*out[:-1], 1) if len(calls) in fail else out
+
+        return gees
+
+    monkeypatch.setattr(reduced_mod, "get_lapack_funcs", lookup)
+    return calls
+
+
+@SOLVERS
+def test_one_schur_form_per_cycle(monkeypatch, solver):
+    # the cycle's stacked reduced solve computes the Schur form and the
+    # next cycle's thick restart reuses it
+    A, b = random_system(12)
+    calls = gees_calls(monkeypatch)
+    _, rep = solver(A, b, [0.0, -0.7, -1.0 + 0.5j, -1.0 - 0.5j],
+                    SolverConfig(m=12, tol=1e-12))
+    assert rep.all_converged and rep.cycles >= 3 and all(rep.kept[1:])
+    # one form of the full 12 x 12 H a cycle
+    assert calls == [12] * rep.cycles
+
+
+@SOLVERS
+@pytest.mark.parametrize("cycle", [1, 2])
+def test_failed_schur_form_retires_the_family_as_singular(monkeypatch, solver, cycle):
+    # no Schur form, no reduced solve: every class of that cycle is
+    # retired as singular with the iterate of the cycle before, never a
+    # NaN, and the solve stalls
+    A, b = random_system(13)
+    shifts = [0.0, -1.0 + 0.5j, -0.7, -1.0 - 0.5j]
+    gees_calls(monkeypatch, fail={cycle})
+    infos = []
+    xs, rep = solver(A, b, shifts, SolverConfig(m=12, tol=1e-12), on_cycle=infos.append)
+    assert rep.stalled and rep.cycles == cycle
+    assert rep.num_converged == 0
+    assert infos[-1].skipped == (0, 1, 2, 3)
+    before = np.zeros((4, b.size)) if cycle == 1 else infos[-2].solutions
+    for s, x, x_before, h in zip(shifts, xs, before, rep.shifts):
+        assert np.all(np.isfinite(x)) and np.array_equal(x, x_before)
+        assert (h.cycles, h.skipped_cycles) == (cycle, 1)
+        assert not (h.converged or h.diverged)
+        assert h.estimates[-1] == h.estimates[-2]
+        assert h.final_relative_residual == true_relative_residual(A, s, x, b)
 
 
 def test_nonconvergence_is_reported():
@@ -531,7 +591,6 @@ def test_nan_in_operator_is_rejected_before_any_product():
     assert A.counter.count == 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("solve", [solve_shifted_hessen, solve_shifted_fom])
 def test_overflowing_operator_norm_is_rejected_before_any_product(solve):
     # finite entries whose row sums overflow: the message used to blame a
@@ -566,9 +625,9 @@ def stack_sizes(monkeypatch):
     real_solver = solvers_mod.solve_shifted_hessenberg
     sizes = []
 
-    def counting(H, sigma, beta):
+    def counting(H, sigma, beta, schur=None):
         sizes.append(len(sigma))
-        return real_solver(H, sigma, beta)
+        return real_solver(H, sigma, beta, schur=schur)
 
     monkeypatch.setattr(solvers_mod, "solve_shifted_hessenberg", counting)
     return sizes

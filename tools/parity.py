@@ -28,8 +28,9 @@ input ``u0`` too.
 ``--compare A B`` prints every counter or flag that differs, each
 workload's mean cycles, basis products and residual products in both
 runs with its counts of shifts retired at a singular reduced system
-(``skipped_cycles`` above 0) and of stalled reports, and the largest
-relative solution gap over all shifts and inputs:
+(``skipped_cycles`` above 0) and of stalled reports and its own largest
+solution gap, and the largest relative solution gap over all shifts and
+inputs:
 ``||x_A - x_B|| / ||x_A||`` for a family solution and
 ``||y_A - y_B|| / ||u0||`` for a ``matfunc-exp`` action, which is far
 smaller than its input (a record without the input norm falls back to
@@ -144,6 +145,7 @@ def compare(path_a, path_b):
     a, b = recs
     diffs = [f"only in one run: {key}" for key in sorted(set(a) ^ set(b))]
     gap, where = 0.0, None
+    gaps = {}  # per workload
     for key in sorted(set(a) & set(b)):
         ra, rb = a[key], b[key]
         diffs += _differ(key, ra, rb, COUNTERS)
@@ -161,7 +163,10 @@ def compare(path_a, path_b):
             rel = np.linalg.norm(xa - xb, axis=1) / scale
             if not np.all(np.isfinite(rel)):
                 diffs.append(f"{k}: non-finite solution")
-            elif rel.max() > gap:
+                continue
+            name = key.split("/")[0]
+            gaps[name] = max(gaps.get(name, 0.0), float(rel.max()))
+            if rel.max() > gap:
                 gap, where = float(rel.max()), k
     for line in diffs:
         print(line)
@@ -172,7 +177,8 @@ def compare(path_a, path_b):
         print(f"{name}: mean cycle count {ca:.2f} -> {cb:.2f}, "
               f"mean basis MVPs {ma:.1f} -> {mb:.1f}, "
               f"mean residual MVPs {ra:.1f} -> {rb:.1f}, "
-              f"singular shifts {sa} -> {sb}, stalled {ta} -> {tb} ({na} -> {nb} inputs)")
+              f"singular shifts {sa} -> {sb}, stalled {ta} -> {tb} ({na} -> {nb} inputs), "
+              f"largest relative solution gap {gaps.get(name, 0.0):.2e}")
     print(f"{len(a)} inputs; {len(diffs)} differences in counters, flags or finiteness; "
           f"largest relative solution gap {gap:.2e}" + (f" ({where})" if where else ""))
     return 1 if diffs or gap > RTOL else 0
