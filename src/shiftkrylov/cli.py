@@ -183,7 +183,7 @@ def _cmd_gen(args):
 def _run_one(solver, A, b, shifts, cfg, reps=1):
     """Solutions and report of the last of ``reps`` solves and their median time in ms."""
     times = []
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         t0 = time.perf_counter()
         xs, report = _SOLVERS[solver](A, b, shifts, cfg)
         times.append((time.perf_counter() - t0) * 1e3)
@@ -259,6 +259,13 @@ def _bench_problem(section, bench, solvers):
     return A, b, shifts, cfg
 
 
+def _positive_int(text):
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"{count} is not a positive integer")
+    return count
+
+
 def _cmd_bench(args):
     parser = configparser.ConfigParser()
     parser.add_section("bench")
@@ -269,7 +276,7 @@ def _cmd_bench(args):
     unknown = [s for s in solvers if s not in _SOLVERS]
     if unknown:
         raise ParseError(f"[bench] solvers: unknown {unknown}; choose from {list(_SOLVERS)}")
-    reps = args.reps if args.reps is not None else _setting((bench,), "reps", int, 3)
+    reps = args.reps if args.reps is not None else _setting((bench,), "reps", _positive_int, 3)
     problems = [
         (sec_name.split(":", 1)[1], *_bench_problem(parser[sec_name], bench, solvers))
         for sec_name in parser.sections()
@@ -365,7 +372,7 @@ def _build_parser():
     b = sub.add_parser("bench", help="run a problem x solver grid")
     b.add_argument("--config", required=True, help="INI file, see README")
     b.add_argument("-o", "--out", help="output CSV ('-' or omit for stdout)")
-    b.add_argument("--reps", type=int, help="timing repetitions (median reported)")
+    b.add_argument("--reps", type=_positive_int, help="timing repetitions (median reported)")
     b.set_defaults(func=_cmd_bench)
 
     f = sub.add_parser("matfunc", help="apply exp(-A) or E_gamma(-A) to a vector")

@@ -312,10 +312,10 @@ def _as_dense(A):
 def dense_matfunc_oracle(A, u0, func):
     """Reference value of ``f(A) u0`` through a dense eigendecomposition.
 
-    For (numerically) Hermitian ``A`` an orthogonal eigenbasis is used;
-    otherwise a general eigendecomposition, rejected when its basis has
-    condition number above 1e8.  Intended for small matrices in tests
-    and validation, not for production runs.
+    For ``A`` Hermitian to 1e-12 of its largest entry an orthogonal
+    eigenbasis is used; otherwise a general eigendecomposition, rejected
+    when its basis has condition number above 1e8.  Intended for small
+    matrices in tests and validation, not for production runs.
 
     Parameters
     ----------
@@ -336,7 +336,8 @@ def dense_matfunc_oracle(A, u0, func):
         raise DimensionMismatch(
             f"vector of shape {u0.shape} does not match order {Ad.shape[0]}"
         )
-    hermitian = np.allclose(Ad, Ad.conj().T, rtol=1e-12, atol=1e-12)
+    atol = 1e-12 * np.abs(Ad).max(initial=0.0)
+    hermitian = np.allclose(Ad, Ad.conj().T, rtol=1e-12, atol=atol)
     if hermitian:
         lam, V = np.linalg.eigh(Ad)
         coeffs = V.conj().T @ u0

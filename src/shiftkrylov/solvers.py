@@ -66,7 +66,8 @@ its norm is bitwise the same.  The tolerance may be given per shift; a
 folded pair is then held to the smaller of its two values.  A shift
 whose estimate overflows or becomes NaN is retired unconverged, with
 ``ShiftHistory.diverged`` set.  The final residual of a class that did
-not converge is evaluated once at return, outside the product count.
+not converge is evaluated once at return, with ``A @`` like every other
+product, but left out of the report's count.
 
 A shift whose reduced system is numerically singular gets no update and
 is retired unconverged in that cycle, with ``ShiftHistory.skipped_cycles``
@@ -247,9 +248,8 @@ class SolveReport:
         the initial residual of a nonzero initial guess.
 
         The final residual of each class that did not converge (one per
-        folded pair, see the module docstring) is left out: it is taken
-        with ``A._apply`` when the operator has one, so an operator
-        without ``_apply`` sees one product more per such class."""
+        folded pair, see the module docstring) is left out, so the
+        operator sees one product more per such class."""
         return self.basis_mvps + self.residual_mvps
 
     @property
@@ -291,12 +291,12 @@ def true_relative_residual(A, sigma, x, b):
         )
     if not np.any(b):
         raise ZeroStartVector("right-hand side is identically zero")
-    return _relative_residual(A.__matmul__, _as_scalar_shift(sigma), x, b, np.linalg.norm(b))
+    return _relative_residual(A, _as_scalar_shift(sigma), x, b, np.linalg.norm(b))
 
 
-def _relative_residual(apply, sigma, x, b, bnorm):
-    """``||b - (apply(x) - sigma x)|| / bnorm`` for one product ``apply``."""
-    r = b - (apply(x) - sigma * x)
+def _relative_residual(A, sigma, x, b, bnorm):
+    """``||b - (A @ x - sigma x)|| / bnorm``, for one product with ``A``."""
+    r = b - (A @ x - sigma * x)
     return float(np.linalg.norm(r) / bnorm)
 
 
@@ -402,11 +402,11 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
             x = x.conj()
         return x if offset is None else offset + x
 
-    def residual(c, apply):
+    def residual(c):
         # a folded partner's residual is the exact conjugate of its
         # representative's, so its norm is bitwise the same
         i = reps[c]
-        return _relative_residual(apply, shifts[i], solution(i), b, bnorm)
+        return _relative_residual(A, shifts[i], solution(i), b, bnorm)
 
     def expand(mask):
         """The shifts of the classes in ``mask``."""
@@ -485,7 +485,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
                 live[c] = False
             elif est <= class_tol[c]:
                 # one product confirms the class
-                tr = residual(c, A.__matmul__)
+                tr = residual(c)
                 report.residual_mvps += 1
                 if tr <= class_tol[c]:
                     h.converged, h.final_relative_residual = True, tr
@@ -519,10 +519,9 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         v = lnext.copy()
 
     # the final residual of an unconverged class is left out of the count
-    apply = getattr(A, "_apply", A.__matmul__)
     for c, h in enumerate(hist):
         if not h.converged:
-            h.final_relative_residual = residual(c, apply)
+            h.final_relative_residual = residual(c)
     report.shifts = [replace(hist[c], shift=s, estimates=list(hist[c].estimates))
                      for s, c in zip(shifts, cls)]
     return [solution(i) for i in range(nu)], report
@@ -534,7 +533,8 @@ def solve_hessen(A, b, x0=None, cfg=None, on_cycle=None):
     Parameters
     ----------
     A : operator
-        Square sparse matrix or operator supporting ``A @ x``.
+        Square sparse matrix or operator supporting ``A @ x``; ``shape``,
+        ``dtype``, ``nnz`` and ``norm_inf`` are read where present.
     b : (n,) array_like
         Nonzero right-hand side.
     x0 : (n,) array_like, optional

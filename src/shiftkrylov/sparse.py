@@ -50,7 +50,7 @@ class MvpCounter:
     """Counts matrix-vector products.
 
     >>> c = MvpCounter()
-    >>> c.add()
+    >>> c.count += 1
     >>> c.count
     1
     >>> c.reset()
@@ -60,9 +60,6 @@ class MvpCounter:
 
     def __init__(self):
         self.count = 0
-
-    def add(self, n=1):
-        self.count += n
 
     def reset(self):
         self.count = 0
@@ -210,7 +207,7 @@ class CsrMatrix:
     # -- products ---------------------------------------------------------
 
     def _apply(self, x):
-        """Product without touching the counter (internal diagnostics)."""
+        """``A @ x`` without a count, to check a result; the solvers use ``@``."""
         x = np.asarray(x)
         if x.ndim != 1 or x.shape[0] != self.shape[1]:
             raise DimensionMismatch(
@@ -219,13 +216,7 @@ class CsrMatrix:
         return self._kernel @ x
 
     def __matmul__(self, x):
-        # _apply inlined: this is the hot path of every basis step
-        x = np.asarray(x)
-        if x.ndim != 1 or x.shape[0] != self._csr.shape[1]:
-            raise DimensionMismatch(
-                f"matrix of shape {self.shape} cannot multiply vector of shape {x.shape}"
-            )
-        y = self._kernel @ x
+        y = self._apply(x)
         self.counter.count += 1
         return y
 

@@ -329,6 +329,7 @@ def test_matfunc_reports_a_stalled_family_as_non_convergence(tmp_path, monkeypat
     ("solvers = shessen\nm = zero", "n = 4", ["[bench]", "m", "zero"]),
     ("solvers = shessen\nreps = x", "n = 4", ["[bench]", "reps"]),
     ("solvers = shessen", "n = 4\nmax_mvps = -1", ["problem:bad", "max_mvps"]),
+    ("solvers = shessen\nreps = -5", "n = 4", ["[bench]", "reps", "-5"]),
 ])
 def test_bench_checks_every_section_before_the_first_cell(tmp_path, capsys, monkeypatch,
                                                           bench, problem, names):
@@ -344,6 +345,18 @@ def test_bench_checks_every_section_before_the_first_cell(tmp_path, capsys, monk
     assert calls == []
     err = capsys.readouterr().err
     assert all(name in err for name in names), err
+
+
+def test_bench_reps_flag_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli._SOLVERS, "shessen", lambda *system: calls.append(system))
+    cfgfile = tmp_path / "bench.ini"
+    cfgfile.write_text("[bench]\nsolvers = shessen\n[problem:lap]\ngenerator = laplace2d\nn = 4\n")
+    with pytest.raises(SystemExit) as exc:
+        run("bench", "--config", str(cfgfile), "--reps", "0")
+    assert exc.value.code == 2
+    assert calls == []
+    assert "--reps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", [

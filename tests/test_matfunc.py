@@ -294,6 +294,24 @@ def test_dense_oracle_paths():
         dense_matfunc_oracle(J, np.array([1.0, 0.0]), np.exp)
 
 
+def test_dense_oracle_reads_symmetry_relative_to_the_largest_entry(monkeypatch):
+    # every entry of M is below 1e-12, yet M is far from symmetric
+    rng = np.random.default_rng(0)
+    M = 1e-13 * rng.standard_normal((6, 6))
+    u0 = rng.standard_normal(6)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda B: calls.append(B) or eigh(B))
+    y = dense_matfunc_oracle(M, u0, lambda lam: lam)
+    assert calls == []
+    assert np.linalg.norm(y - M @ u0) <= 1e-12 * np.linalg.norm(M @ u0)
+    # a tiny symmetric matrix still takes the orthogonal eigenbasis
+    B = M + M.T
+    y = dense_matfunc_oracle(B, u0, lambda lam: lam)
+    assert len(calls) == 1
+    assert np.linalg.norm(y - B @ u0) <= 1e-12 * np.linalg.norm(B @ u0)
+
+
 # -- per-pole tolerances ------------------------------------------------
 
 PACKAGED_RULES = [("exp", None), ("ml", 0.6), ("ml", 0.8), ("ml", 0.9)]

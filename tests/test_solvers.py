@@ -850,6 +850,31 @@ def test_unconverged_class_takes_one_final_residual():
         assert h.final_relative_residual == true_relative_residual(A, s, x, b)
 
 
+class BareOperator:
+    """A CsrMatrix's products behind only ``shape``, ``dtype`` and ``@``."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.dtype = A, A.shape, A.dtype
+
+    def __matmul__(self, x):
+        return self.A @ x
+
+
+@pytest.mark.parametrize("solve", [solve_shifted_hessen, solve_shifted_fom])
+def test_every_operator_sees_one_final_residual_per_unconverged_class(solve):
+    # a folded pair and two real shifts, none converged at this budget:
+    # three classes, so three products beyond the report's count
+    A = gen_convdiff3d(9, 1.0, (0.0, 111.8, 223.6), 400.0)
+    b = np.ones(A.shape[0])
+    shifts = [0.5 + 0.1j, 0.5 - 0.1j, -1e-3, 2.0]
+    cfg = SolverConfig(m=10, tol=1e-14, max_mvps=25)
+    for op in (BareOperator(A), A):
+        A.counter.reset()
+        _, rep = solve(op, b, shifts, cfg)
+        assert rep.budget_exhausted and rep.num_converged == 0
+        assert A.counter.count == rep.total_mvps + 3
+
+
 @st.composite
 def real_families(draw):
     """A small real operator and right-hand side, and a shift family that

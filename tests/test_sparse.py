@@ -1,9 +1,12 @@
+import doctest
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import shiftkrylov.sparse
 from shiftkrylov import (
     CsrMatrix,
     DimensionMismatch,
@@ -215,3 +218,8 @@ def test_the_csr_views_are_read_only():
         with pytest.raises(ValueError):
             view[0] = 0
     assert A.norm_inf() == A.norm_inf() == 9.0
+
+
+def test_the_docstring_examples_run():
+    failed, attempted = doctest.testmod(shiftkrylov.sparse)
+    assert attempted > 0 and failed == 0
