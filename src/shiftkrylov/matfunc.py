@@ -314,8 +314,10 @@ def dense_matfunc_oracle(A, u0, func):
 
     For ``A`` Hermitian to 1e-12 of its largest entry an orthogonal
     eigenbasis is used; otherwise a general eigendecomposition, rejected
-    when its basis has condition number above 1e8.  Intended for small
-    matrices in tests and validation, not for production runs.
+    when its basis has condition number above 1e8.  For real ``A`` and
+    ``u0`` the result is real when its imaginary part is at most 1e-12 of
+    its largest entry in modulus.  Intended for small matrices in tests
+    and validation, not for production runs.
 
     Parameters
     ----------
@@ -352,9 +354,7 @@ def dense_matfunc_oracle(A, u0, func):
     flam = np.array([func(l) for l in lam])
     out = V @ (flam * coeffs)
     if np.isrealobj(Ad) and np.isrealobj(u0) and np.iscomplexobj(out):
-        if np.abs(out.imag).max(initial=0.0) <= 1e-12 * max(
-            1.0, np.abs(out.real).max(initial=0.0)
-        ):
+        if np.abs(out.imag).max(initial=0.0) <= 1e-12 * np.abs(out).max(initial=0.0):
             out = out.real
     return out
 

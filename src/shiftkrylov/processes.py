@@ -29,33 +29,31 @@ both break down on a candidate not above :func:`_breakdown_threshold`;
 and both hand their m-step buffers, from :func:`_run_buffers`, to
 :class:`HessenbergDecomposition`, which trims them to the k steps done.
 
-One Krylov-Schur step, :func:`_krylov_schur`, restarts both processes:
-it turns an m-step decomposition into a j-step one that keeps the j
-Ritz values of smallest modulus and starts from the old last basis
-vector.  For Arnoldi that seed is the whole restart; :func:`thick_restart`
-refactors it into a basis unit lower trapezoidal under ``perm``.  Either
-runner continues a seed at column j + 1 (``start=seed``, which
-:func:`_run_buffers` checks and copies in); the leading (j+1) x j block
-of its ``hbar`` is full, so the extended matrix is Hessenberg only from
-column j + 1 on.
-
-The seed's basis is built in one column-major (n, k+1) buffer, like the
-basis it continues into: ``V Q_k`` is written straight into its first k
-columns (and factored there by :func:`thick_restart`), and the
+One Krylov-Schur step, :func:`_krylov_schur`, restarts both processes;
+:func:`thick_restart` refactors its seed for the pivoted one, and either
+runner continues a seed with ``start=seed``.  The seed's basis is one
+column-major (n, k+1) buffer, like the basis it continues into: ``V Q_k``
+is written straight into its first k columns and factored there, and the
 continued run copies it column by column into a basis it need not zero.
-One product keeps the row-major form that fixes its rounding, because
-the column-major form rounds differently (OpenBLAS 0.3.31, AVX-512
-kernels): ``W c`` is taken from a row-major copy of ``W``.  Taken from
-``W`` itself, it moves cycle counts: over the 120 inputs a workload of
-``tools/parity.py -n 40``, ``matfunc-exp`` went from 158.1 to 160.1
-mean basis products and ``convdiff-shessen`` from 122.0 to 120.3.
+
+The restart's rounding is pinned.  It calls LAPACK ``getrf`` and
+``trtrs`` itself, with the arguments that scipy's ``lu_factor`` and
+``solve_triangular`` pass: a triangle that is not column-major, as the
+in-place ``L`` and the C-ordered ``U`` are, goes in transposed, with
+``lower`` and ``trans`` flipped.  And ``W c`` is taken from a row-major
+copy of ``W``, because the column-major form rounds differently
+(OpenBLAS 0.3.31, AVX-512 kernels) and moves cycle counts: over the 120
+inputs a workload of ``tools/parity.py -n 40``, ``matfunc-exp`` went
+from 158.1 to 160.1 mean basis products and ``convdiff-shessen`` from
+122.0 to 120.3.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs, lu_factor, solve_triangular
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import (
     DimensionMismatch,
@@ -189,30 +187,30 @@ def _pivot_column(u, mag, col, perm, inv, tol):
     ``perm[:col]``, basis column ``col`` under the pivoting rule, in place.
 
     The pivot is the largest entry in magnitude, the first in pivot order
-    on a tie: the first maximum of ``|u[perm[col:]]|``.  Returns it,
-    having divided ``u`` by it, pinned its entry to 1 and updated ``perm``
-    and its inverse ``inv``, or None, leaving ``u`` as it is, when it is
-    not above ``tol``.  ``mag`` is (n,) scratch.  Raises NonFiniteInput
-    when ``u`` has a non-finite entry.
+    on a tie: the first maximum of ``|u[perm[col:]]|``.  Returns it as a
+    Python scalar, having divided ``u`` by it, pinned its entry to 1 and
+    updated ``perm`` and its inverse ``inv``, or None, leaving ``u`` as it
+    is, when it is not above ``tol``.  ``mag`` is (n,) scratch.  Raises
+    NonFiniteInput when ``u`` has a non-finite entry.
     """
     np.abs(u, out=mag)
     # argmax picks a nan or inf entry over any finite one, so the peak
     # alone carries the non-finite check
     row = int(mag.argmax())
-    peak = mag[row]
-    if not np.isfinite(peak):
+    peak = mag.item(row)
+    if not math.isfinite(peak):
         raise NonFiniteInput(f"non-finite pivot candidate at step {col}")
     # the first maximum is unique unless the entries after it reach the
     # peak; only then is the first maximum in pivot order looked for
     if mag[row + 1:].max(initial=0.0) == peak:
         ties = np.flatnonzero(mag == peak)
-        row = ties[inv[ties].argmin()]
-    piv = u[row]
+        row = int(ties[inv[ties].argmin()])
+    piv = u.item(row)
     if not abs(piv) > tol:
         return None
-    pos = inv[row]
-    perm[col], perm[pos] = row, perm[col]
-    inv[perm[pos]], inv[row] = pos, col
+    pos, top = inv.item(row), perm.item(col)
+    perm[col], perm[pos] = row, top
+    inv[top], inv[row] = pos, col
     u /= piv
     # complex self-division may miss exact one; the structure needs it exact
     u[row] = 1.0
@@ -230,10 +228,12 @@ def _check_start(A, v, m):
         raise DimensionMismatch(
             f"operator of shape {shape} cannot act on a vector of length {n}"
         )
-    if not np.any(v):
-        raise ZeroStartVector("start vector is identically zero")
-    if not np.all(np.isfinite(v)):
+    # one pass: NaN or inf for a non-finite entry, zero for the zero vector
+    peak = np.abs(v).max(initial=0.0)
+    if not math.isfinite(peak):
         raise NonFiniteInput("start vector has a non-finite entry")
+    if peak == 0.0:
+        raise ZeroStartVector("start vector is identically zero")
     message = f"step count m={m!r} outside 1..{n}"
     m = _count(m, 1, InvalidDimensions, message)
     if m > n:
@@ -242,7 +242,7 @@ def _check_start(A, v, m):
     norm_scale = _operator_norm_scale(A)
     # a NaN entry, or finite entries whose row sum overflows, would make
     # every breakdown threshold NaN or inf: reject before any product
-    if norm_scale is not None and not np.isfinite(norm_scale):
+    if norm_scale is not None and not math.isfinite(norm_scale):
         raise NonFiniteInput(
             f"operator norm is {norm_scale}: a non-finite entry, or a row sum "
             f"that overflows"
@@ -327,20 +327,23 @@ def run_hessenberg(A, v, m, *, start=None):
         g = start.g
         lower[: first + 1, : first + 1] = basis[perm[: first + 1], : first + 1]
     trsv, gemv = get_blas_funcs(("trsv", "gemv"), (basis,))
+    # an operator's norm fixes the breakdown threshold for the whole run
+    tol = None if norm_scale is None else _breakdown_threshold(norm_scale, n, None)
 
     steps = m
     breakdown = False
     for j in range(first, m):
         u = basis[:, j + 1]
         u[:] = A @ basis[:, j]
-        tol = _breakdown_threshold(norm_scale, n, u)
-        h = trsv(lower[: j + 1, : j + 1], u[perm[: j + 1]], lower=1, diag=1)
+        step_tol = _breakdown_threshold(None, n, u) if tol is None else tol
+        rows = perm[: j + 1]
+        h = trsv(lower[: j + 1, : j + 1], u[rows], lower=1, diag=1)
         hbar[: j + 1, j] = h
         # u is a contiguous column of the basis's dtype: eliminated in place
         gemv(-1.0, basis[:, : j + 1], h, 1.0, u, overwrite_y=1)
         # the elimination zeroes the pivot rows up to roundoff; make it exact
-        u[perm[: j + 1]] = 0.0
-        piv = _pivot_column(u, mag, j + 1, perm, inv, tol) if j + 1 < n else None
+        u[rows] = 0.0
+        piv = _pivot_column(u, mag, j + 1, perm, inv, step_tol) if j + 1 < n else None
         if piv is None:
             steps = j + 1
             breakdown = True
@@ -374,7 +377,7 @@ def _krylov_schur(dec, k):
     if info:
         return None
     mod = np.hypot(*ritz) if len(ritz) == 2 else np.abs(ritz[0])
-    order = np.sort(mod)
+    order = np.sort(mod).tolist()
     # a conjugate pair, like any exact tie of modulus, is kept whole
     while k < m and order[k] == order[k - 1]:
         k += 1
@@ -397,7 +400,7 @@ def thick_restart(dec, k):
     """Krylov-Schur restart of a pivoted decomposition, for ``start=``.
 
     :func:`_krylov_schur` gives ``A W0 = W0 T_k + v (b^T Q_k)`` with
-    ``W0 = V Q_k``.  ``W0 = P L U`` by partial pivoting, and
+    ``W0 = V Q_k``.  ``W0 = P L U`` by partial pivoting (``getrf``), and
     ``W = W0 U^{-1}`` is taken as ``P L``: unit lower trapezoidal under
     the pivot rows, as the process keeps its basis.  Eliminating ``v`` on
     those rows, ``c = L_piv^{-1} v[piv]``, leaves a remainder whose
@@ -407,9 +410,10 @@ def thick_restart(dec, k):
         A W = W (U T_k U^{-1} + c b_hat^T) + s w b_hat^T,
         b_hat^T = b^T Q_k U^{-1},
 
-    and ``v = W c + s w``.  Returns that k-step decomposition, with
-    ``g = [c; s]`` and the basis ``[W, w]`` factored and assembled in the
-    seed's buffer (see the module notes); ``dec`` is only read.  Because
+    and ``v = W c + s w``.  Returns that k-step decomposition, the seed
+    itself with ``g = [c; s]`` and the basis ``[W, w]`` factored and
+    assembled in its buffer, the triangular solves by ``trtrs`` (see the
+    module notes); ``dec`` is only read.  Because
     the decomposition is one of ``A`` alone, ``A - sigma I`` has it too
     with ``T_k - sigma I``, so a residual ``coef * v`` of any shift is
     ``coef * [c; s]`` in the new basis.  No products are taken.
@@ -436,23 +440,25 @@ def thick_restart(dec, k):
         return None
     k, basis, hbar, perm = seed.steps, seed.basis, seed.hbar, seed.perm
     n = basis.shape[0]
-    lu, piv = lu_factor(basis[:, :k], overwrite_a=True, check_finite=False)
-    U = np.triu(lu[:k])
+    getrf, trtrs = get_lapack_funcs(("getrf", "trtrs"), (basis,))
+    # factored in place: lu is the seed's first k columns
+    lu, piv, _ = getrf(basis[:, :k], overwrite_a=1)
+    upper = np.arange(k)[:, None] <= np.arange(k)
+    U = np.where(upper, lu[:k], 0.0)
     if np.abs(np.diagonal(U)).min() <= _breakdown_threshold(None, n, U):
         return None
-    for i, p in enumerate(piv):
-        perm[i], perm[p] = perm[p], perm[i]
+    for i, p in enumerate(piv.tolist()):
+        perm[i], perm[p] = perm.item(p), perm.item(i)
     # L pinned to exact zeros and ones on its pivot rows
-    lu[:k] = np.tril(lu[:k], -1) + np.eye(k)
+    np.copyto(lu[:k], np.eye(k, dtype=bool), where=upper)
     u = basis[:, k]  # v, reduced to its remainder in place
     tol = _breakdown_threshold(None, n, u)
-    c = solve_triangular(lu[:k], u[perm[:k]], lower=True, unit_diagonal=True,
-                         check_finite=False)
+    c, _ = trtrs(lu[:k].T, u[perm[:k]], lower=0, trans=1, unitdiag=1)
     # W = P L in natural row order, in place: only the rows that the
-    # pivoting moved, at most 2k, change
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(n)
-    moved = np.union1d(np.arange(k), piv)
+    # pivoting moved, at most 2k (listed here with repeats), change
+    moved = np.concatenate((np.arange(k), piv))
+    inv = np.arange(n)
+    inv[perm[moved]] = moved
     lu[moved] = lu[inv[moved]]
     # W c from a row-major copy of W, as the module notes explain
     u -= np.ascontiguousarray(lu) @ c
@@ -464,11 +470,12 @@ def thick_restart(dec, k):
     if s is None:
         return None
     # b_hat^T = b^T Q_k U^{-1} and U T_k U^{-1}, by solves with U^T
-    bhat = solve_triangular(U, hbar[k], trans="T", check_finite=False)
-    UTU = solve_triangular(U, (U @ hbar[:k]).T, trans="T", check_finite=False).T
-    hbar[:k] = UTU + np.outer(c, bhat)
+    bhat, _ = trtrs(U.T, hbar[k], lower=1)
+    UTU, _ = trtrs(U.T, (U @ hbar[:k]).T, lower=1)
+    hbar[:k] = UTU.T + c[:, None] * bhat
     hbar[k] = s * bhat
-    return HessenbergDecomposition(basis, hbar, perm, np.append(c, s), k)
+    seed.g = np.append(c, s)
+    return seed
 
 
 def run_arnoldi(A, v, m, *, start=None):

@@ -43,7 +43,7 @@ stacked solve, reads all of ``H``, as a thick restart needs.
 """
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import DimensionMismatch, SingularReducedSystem
 
@@ -73,11 +73,13 @@ def _schur(H):
 
 
 def _shifted_norms(T, sigma):
-    """``||T - sigma_j I||_F`` per shift, summed by ``hypot`` so that no
-    square overflows."""
-    diag = np.diagonal(T)
-    off = np.hypot.reduce(np.abs(T - np.diag(diag)).ravel())
-    return np.hypot(off, np.hypot.reduce(np.abs(diag - sigma[:, None]), axis=1))
+    """``||T - sigma_j I||_F`` per shift: the off-diagonal part once, by
+    BLAS ``nrm2``, and the diagonal per shift, by ``hypot``; both scale
+    their sums, so that no square overflows."""
+    rest = T.copy()
+    np.fill_diagonal(rest, 0.0)
+    off = get_blas_funcs("nrm2", (rest,))(rest.ravel())
+    return np.hypot(off, np.hypot.reduce(np.abs(np.diagonal(T) - sigma[:, None]), axis=1))
 
 
 def _sylvester(T, Q, sigma, G):
@@ -96,9 +98,11 @@ def _sylvester(T, Q, sigma, G):
         C[:, 0::2], C[:, 1::2] = G.real.T, G.imag.T
         C = Q.T @ C
         S = np.zeros((2 * p, 2 * p))
-        i = np.arange(0, 2 * p, 2)
-        S[i, i] = S[i + 1, i + 1] = sigma.real
-        S[i, i + 1], S[i + 1, i] = sigma.imag, -sigma.imag
+        # the diagonal, and the entries (2j, 2j + 1) and (2j + 1, 2j), of
+        # the flat S: diagonal entries lie 2p + 1 apart
+        flat, step = S.reshape(-1), 2 * p + 1
+        flat[::step] = np.repeat(sigma.real, 2)
+        flat[1::2 * step], flat[2 * p::2 * step] = sigma.imag, -sigma.imag
     # trsyl may scale the solution down to avoid overflow; info 1 only
     # says that it perturbed close eigenvalues, which the caller's
     # singularity rule has already judged
@@ -187,10 +191,10 @@ def solve_shifted_hessenberg(H, sigma, beta, *, schur=None):
     T, Q, ritz, info = schur
     m = H.shape[0]
     sigmas = sigma.reshape(-1)
-    G = np.zeros((sigmas.size, m), dtype=dtype)
     if beta.ndim > sigma.ndim:
-        G[:] = beta
+        G = beta.reshape(sigmas.size, m).astype(dtype, copy=False)
     else:
+        G = np.zeros((sigmas.size, m), dtype=dtype)
         G[:, 0] = beta
     if info:
         singular = np.ones(sigmas.size, dtype=bool)
@@ -198,16 +202,17 @@ def solve_shifted_hessenberg(H, sigma, beta, *, schur=None):
         lam = ritz[0] + 1j * ritz[1] if len(ritz) == 2 else ritz[0]
         gap = np.abs(lam - sigmas[:, None]).min(axis=1)
         singular = gap <= _UNIT_ROUNDOFF * _shifted_norms(T, sigmas)
+    if not singular.any():
+        Y = np.ascontiguousarray(_sylvester(T, Q, sigmas, G))
+        return Y.reshape(sigma.shape + (-1,))
     Y = np.full(G.shape, np.nan, dtype=dtype)
     solved = ~singular
     if solved.any():
         Y[solved] = _sylvester(T, Q, sigmas[solved], G[solved])
-    if singular.any():
-        raise SingularReducedSystem(
-            f"{int(singular.sum())} of {sigmas.size} reduced systems are numerically "
-            f"singular", singular, Y
-        )
-    return Y.reshape(sigma.shape + (-1,))
+    raise SingularReducedSystem(
+        f"{int(singular.sum())} of {sigmas.size} reduced systems are numerically "
+        f"singular", singular, Y
+    )
 
 
 def collinearity_scalar(h_next, y):

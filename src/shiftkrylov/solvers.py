@@ -34,29 +34,23 @@ real and one for its imaginary part, rather than one complex product
 that would upcast the basis.  Complex data, or a family without pairs,
 uses the same loop with every shift its own class.
 
-Both processes restart thick: they keep wanted spectral information
-across cycles instead of throwing the basis away.  At the end of a
-cycle ``A V = V H + v b^T``, with ``v`` the last basis vector and every
-active residual a multiple ``coef * v``.  A Krylov-Schur step takes the
-real Schur form of ``H`` with its k = m // 3 Ritz values of smallest
-modulus leading (a conjugate pair kept whole, so k may become k + 1):
-``[V Q_k, v]`` with start coordinates ``g = e_{k+1}`` is the Arnoldi
-solver's restart, and the pivoted one
-(:func:`~shiftkrylov.processes.thick_restart`) rebuilds its unit lower
-trapezoidal basis from ``V Q_k`` by one pivoted LU factorization and
-eliminates ``v`` on the new pivot rows: ``v = W c + s w`` with ``w``
-the first new basis vector and ``g = [c; s]``.  The next cycle continues
-the process from column k + 1, paying m - k products instead of m.  The
-leading block of its ``H`` is then full, not Hessenberg, which the
-stacked reduced solve reads as it is.  The decomposition is one of
-``A`` alone, so it serves every shift: the right-hand side of each
-collinear class is ``coef`` times the start coordinates ``g`` (``beta
-e1`` after a plain restart), padded with zeros, and its new residual is
-again a multiple of the new last vector.  The Ritz selection ignores the
-shifts, so the products stay independent of the number of shifts.  When
-the Schur form, its reordering or the LU factorization cannot give a
+Both processes restart thick, keeping wanted spectral information
+across cycles.  At the end of a cycle ``A V = V H + v b^T``, with ``v``
+the last basis vector and every active residual a multiple ``coef * v``.
+The Krylov-Schur step of :mod:`~shiftkrylov.processes` keeps the k =
+m // 3 Ritz values of ``H`` of smallest modulus (a conjugate pair whole,
+so k may become k + 1), and for the pivoted solver
+:func:`~shiftkrylov.processes.thick_restart` refactors what it keeps
+into a unit lower trapezoidal basis.  The next cycle continues from
+column k + 1, paying m - k products instead of m, with an ``H`` full in
+its leading block, which the stacked solve reads as it is.  The
+decomposition is one of ``A`` alone, so it serves every shift: the
+right-hand side of each collinear class is ``coef`` times the start
+coordinates ``g`` (``beta e1`` after a plain restart), padded with
+zeros, and the Ritz selection ignores the shifts, so the products stay
+independent of their number.  When the restart gives no
 well-conditioned kept block (see ``thick_restart``), or k is 0 (m < 3),
-the cycle restarts plain from ``v`` as above.
+the cycle restarts plain from ``v``.
 
 Per-shift residual norm estimates come free from the collinearity
 scalar; an estimate crossing the tolerance is confirmed with one true
@@ -76,6 +70,7 @@ multiple of the next one, and its estimate repeats.  A cycle that retires
 every active shift this way ends the solve with ``SolveReport.stalled``.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -327,6 +322,18 @@ def _conjugate_classes(shifts, fold):
     return cls, flip
 
 
+class _DenseOperator:
+    """A dense matrix and the norm its family solve read once, so that no
+    run reduces all n^2 entries again."""
+
+    def __init__(self, A, norm_scale):
+        self.shape, self.dtype, self._A = A.shape, A.dtype, A
+        self.norm_inf = lambda: norm_scale
+
+    def __matmul__(self, x):
+        return self._A @ x
+
+
 def _thick_keep(m):
     """Ritz values the thick restart of an m-step cycle keeps."""
     return m // 3
@@ -339,7 +346,9 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     # b passes the checks of every cycle's start vector, the operator's
     # norm among them, and is the first start vector when there is no
     # initial guess
-    r0, n, _, _, _ = _check_start(A, b, 1)
+    r0, n, _, _, norm_scale = _check_start(A, b, 1)
+    if isinstance(A, np.ndarray):
+        A = _DenseOperator(A, norm_scale)
     bnorm = float(np.linalg.norm(b))
     # looked up per call: bench/tracing.py wraps the runners by name
     runner, restart = {"hessenberg": (run_hessenberg, thick_restart),
@@ -467,19 +476,20 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         else:
             X[upd] += Y @ V.T
 
-        for c in rows:
+        for c, size, skip in zip(rows.tolist(), np.abs(coef[rows]).tolist(),
+                                 skipped[rows].tolist()):
             h, e = hist[c], hist[c].estimates
             # a skipped class is not updated: its residual coef * v repeats
-            est = e[-1] if skipped[c] else float(abs(coef[c])) * lnorm / bnorm
+            est = e[-1] if skip else size * lnorm / bnorm
             h.cycles += 1
-            h.skipped_cycles += int(skipped[c])
+            h.skipped_cycles += skip
             e.append(est)
             if len(e) > _STAGNATION_WINDOW:
                 ref = e[-1 - _STAGNATION_WINDOW]
-                h.stagnated |= abs(e[-1] - ref) <= _STAGNATION_RTOL * ref
-            if skipped[c]:
+                h.stagnated |= abs(est - ref) <= _STAGNATION_RTOL * ref
+            if skip:
                 live[c] = False
-            elif not np.isfinite(est):
+            elif not math.isfinite(est):
                 # an overflowed iterate cannot recover: retire the class
                 h.diverged = True
                 live[c] = False
@@ -534,7 +544,8 @@ def solve_hessen(A, b, x0=None, cfg=None, on_cycle=None):
     ----------
     A : operator
         Square sparse matrix or operator supporting ``A @ x``; ``shape``,
-        ``dtype``, ``nnz`` and ``norm_inf`` are read where present.
+        ``dtype``, ``nnz`` and ``norm_inf`` are read where present.  The
+        norm of a dense ``numpy`` array is reduced once per solve.
     b : (n,) array_like
         Nonzero right-hand side.
     x0 : (n,) array_like, optional

@@ -10,9 +10,12 @@ sequence of operations:
 >>> A.counter.count
 1
 
-Storage and the product kernel are delegated to ``scipy.sparse``; this
-module fixes the interface (explicit CSR views, strict shape checks,
-duplicate summing) and the accounting.
+Storage is delegated to ``scipy.sparse``; this module fixes the
+interface (explicit CSR views, strict shape checks, duplicate summing)
+and the accounting.  A product calls the compiled kernel that
+``scipy.sparse``'s ``@`` ends in (``dia_matvec`` or ``csr_matvec`` of
+its private ``_sparsetools``) straight into a zeroed result, so it is
+bitwise the same product without the Python dispatch around it.
 
 CSR is the storage of record, but a matrix picks its product kernel from
 its pattern, once, when it is built.  A pattern on few diagonals, such as
@@ -25,8 +28,11 @@ sum.  For an infinite ``x[j]`` it adds NaN, so the diagonal kernel makes
 non-finite every row that CSR does, and possibly more.
 """
 
+from functools import partial
+
 import numpy as np
 import scipy.sparse as _sp
+from scipy.sparse._sparsetools import csr_matvec, dia_matvec
 
 from .errors import (
     DimensionMismatch,
@@ -96,9 +102,10 @@ class CsrMatrix:
     The product kernel is chosen once, at construction: a matrix whose
     diagonals, padding included, hold at most ``_MAX_DIAGONAL_PADDING``
     times its stored entries is multiplied on a copy stored by diagonals,
-    any other in CSR (see the module docstring).  The repr names the
-    kernel.  The diagonal copy and :meth:`norm_inf` derive from the CSR
-    arrays, so the views of those arrays are read-only.
+    any other in CSR (see the module docstring), each by its compiled
+    ``scipy.sparse`` kernel called directly.  The repr names the kernel.
+    The diagonal copy and :meth:`norm_inf` derive from the CSR arrays, so
+    the views of those arrays are read-only.
 
     Parameters
     ----------
@@ -124,7 +131,12 @@ class CsrMatrix:
         csr.sort_indices()
         self._csr = csr
         dia = _diagonal_kernel(csr)
-        self._kernel = csr if dia is None else dia
+        kern = self._kernel = csr if dia is None else dia
+        # the compiled call that scipy.sparse's @ ends in, all but x and y bound
+        self._matvec = (partial(csr_matvec, *kern.shape, kern.indptr, kern.indices, kern.data)
+                        if dia is None else
+                        partial(dia_matvec, *kern.shape, *kern.data.shape, kern.offsets,
+                                kern.data))
         self._norm_inf = None
         self.counter = MvpCounter()
 
@@ -209,11 +221,14 @@ class CsrMatrix:
     def _apply(self, x):
         """``A @ x`` without a count, to check a result; the solvers use ``@``."""
         x = np.asarray(x)
-        if x.ndim != 1 or x.shape[0] != self.shape[1]:
+        nrows, ncols = self.shape
+        if x.shape != (ncols,):
             raise DimensionMismatch(
                 f"matrix of shape {self.shape} cannot multiply vector of shape {x.shape}"
             )
-        return self._kernel @ x
+        y = np.zeros(nrows, np.result_type(self.dtype, x.dtype))
+        self._matvec(x, y)
+        return y
 
     def __matmul__(self, x):
         y = self._apply(x)

@@ -312,6 +312,35 @@ def test_dense_oracle_reads_symmetry_relative_to_the_largest_entry(monkeypatch):
     assert np.linalg.norm(y - B @ u0) <= 1e-12 * np.linalg.norm(B @ u0)
 
 
+def test_dense_oracle_keeps_the_imaginary_part_of_a_tiny_complex_action():
+    # every entry of the result lies below 1e-12: an absolute floor used to
+    # drop its imaginary part, the whole action, for a relative error of 1
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((6, 6))
+    u0 = rng.standard_normal(6)
+    for scale in (1e-13, 1.0, 1e13):
+        y = dense_matfunc_oracle(scale * M, u0, lambda lam: 1j * lam)
+        ref = 1j * (scale * M) @ u0
+        assert np.iscomplexobj(y)
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_dense_oracle_returns_a_strongly_decaying_real_action_as_real():
+    # exp(-A) u0 for a scaled convection-diffusion Laplacian: the general
+    # eigenbasis leaves imaginary roundoff on a result near 1e-43, which
+    # the test relative to the result still drops
+    n, c, s = 12, 3.0, 50.0
+    A = s * (2.0 * np.eye(n) + np.diag(np.full(n - 1, -1.0 - c), -1)
+             + np.diag(np.full(n - 1, -1.0 + c), 1))
+    u0 = np.ones(n)
+    y = dense_matfunc_oracle(A, u0, lambda lam: np.exp(-lam))
+    from scipy.linalg import expm
+
+    ref = expm(-A) @ u0
+    assert np.isrealobj(y) and np.abs(ref).max() < 1e-40
+    assert np.linalg.norm(y - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 # -- per-pole tolerances ------------------------------------------------
 
 PACKAGED_RULES = [("exp", None), ("ml", 0.6), ("ml", 0.8), ("ml", 0.9)]

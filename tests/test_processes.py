@@ -32,6 +32,7 @@ from shiftkrylov.processes import (
     _count,
     _krylov_schur,
     _operator_norm_scale,
+    _pivot_column,
 )
 
 
@@ -66,6 +67,38 @@ def test_pivot_select_first_max_and_window():
     assert pivot_select(u, start=2) == 2
     with pytest.raises(IndexOutOfRange):
         pivot_select(u, start=4)
+
+
+@pytest.mark.parametrize("u, perm, col", [
+    # a tie at the last entry, and a last entry that is the only maximum
+    ([0.0, 1.0, 3.0, 2.0, -3.0], [0, 1, 2, 3, 4], 0),
+    ([1.0, -2.0, 5.0], [0, 1, 2], 0),
+    # +p against -p, in either pivot order, real and complex
+    ([0.5, -2.0, 1.0, 2.0], [0, 1, 2, 3], 0),
+    ([0.5, -2.0, 1.0, 2.0], [3, 2, 1, 0], 0),
+    ([2j, 1.0, -2j], [0, 1, 2], 0),
+    # all magnitudes equal, before and after a pivot row
+    ([1.0, -1.0, 1.0, -1.0], [2, 0, 3, 1], 0),
+    ([1.0, -1.0, 0.0, -1.0], [2, 0, 3, 1], 1),
+    # a tie in which the later row comes first in pivot order
+    ([3.0, 1.0, 3.0], [2, 1, 0], 0),
+    ([0.0, 4.0, 1.0, -4.0], [0, 3, 2, 1], 1),
+])
+def test_pivot_column_takes_the_first_maximum_in_pivot_order(u, perm, col):
+    u, perm = np.array(u), np.array(perm)
+    n = u.size
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    # the reference reads u in pivot order
+    row = perm[pivot_select(u[perm], start=col)]
+    want = perm.copy()
+    want[[col, inv[row]]] = want[[inv[row], col]]
+    before = u.copy()
+    piv = _pivot_column(u, np.empty(n), col, perm, inv, 0.0)
+    assert piv == before[row] and u[row] == 1.0
+    assert_allclose(u, before / piv, rtol=1e-15)
+    assert_array_equal(perm, want)
+    assert_array_equal(inv[perm], np.arange(n))
 
 
 def test_hand_worked_2x2():

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import shiftkrylov.processes as processes_mod
 import shiftkrylov.reduced as reduced_mod
 import shiftkrylov.solvers as solvers_mod
 from shiftkrylov import (
@@ -599,6 +600,38 @@ def test_overflowing_operator_norm_is_rejected_before_any_product(solve):
     with pytest.raises(NonFiniteInput, match="overflow"):
         solve(A, np.ones(100), [0.0, 0.5])
     assert A.counter.count == 0
+
+
+class RenormedDense:
+    """A dense matrix whose norm every run reduces again, as a bare
+    ndarray's was: the reference for the norm read once."""
+
+    def __init__(self, M):
+        self.M, self.shape, self.dtype = M, M.shape, M.dtype
+
+    def norm_inf(self):
+        return processes_mod._operator_norm_scale(self.M)
+
+    def __matmul__(self, x):
+        return self.M @ x
+
+
+@pytest.mark.parametrize("solve", [solve_shifted_hessen, solve_shifted_fom])
+def test_a_dense_operator_norm_is_reduced_once_per_solve(solve, monkeypatch):
+    M = laplace1d(60).toarray()
+    b = np.linspace(1.0, 2.0, 60)
+    cfg = SolverConfig(m=8, tol=1e-10)
+    xs_ref, rep_ref = solve(RenormedDense(M), b, [-1.0, -0.5], cfg)
+    real = processes_mod._operator_norm_scale
+    dense = []
+    monkeypatch.setattr(processes_mod, "_operator_norm_scale",
+                        lambda A: dense.append(isinstance(A, np.ndarray)) or real(A))
+    xs, rep = solve(M, b, [-1.0, -0.5], cfg)
+    assert rep.cycles == rep_ref.cycles > 3 and rep.all_converged
+    assert sum(dense) == 1
+    assert (rep.basis_mvps, rep.residual_mvps) == (rep_ref.basis_mvps, rep_ref.residual_mvps)
+    for x, x_ref in zip(xs, xs_ref):
+        assert x.tobytes() == x_ref.tobytes()
 
 
 def test_huge_operator_scale_does_not_read_as_singular():

@@ -211,6 +211,40 @@ def test_either_kernel_counts_one_per_product():
         assert A.counter.count == 3
 
 
+@pytest.mark.parametrize("kernel", ["diagonals", "CSR"])
+def test_the_direct_kernel_call_is_bitwise_scipys_product(kernel):
+    # a product calls scipy.sparse's compiled kernel itself, without the
+    # dispatch of its @; this pins it to that public @ on the same storage,
+    # should a scipy upgrade change the private kernels
+    A0 = gen_laplace2d(9) if kernel == "diagonals" else scattered(2)
+    rng = np.random.default_rng(3)
+    rows = np.repeat(np.arange(A0.shape[0]), np.diff(A0.row_ptr))
+    n = A0.shape[1]
+    z = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    # real, complex, strided, integer and single-precision vectors
+    xs = (z.real[:n], z[:n], z.real[::2], z[::2], np.arange(n), z.real[:n].astype(np.float32))
+    for vals in (A0.values, A0.values + 1j * rng.standard_normal(A0.nnz)):
+        A = CsrMatrix.from_triplets(rows, A0.col_idx, vals, A0.shape)
+        assert repr(A).endswith(f"{kernel}>")
+        for x in xs:
+            y, ref = A @ x, A._kernel @ x
+            assert y.dtype == ref.dtype and y.tobytes() == ref.tobytes()
+
+
+def test_direct_products_are_fresh_arrays_counted_once_and_shape_checked():
+    for A in (small_matrix(), scattered(1)):  # the diagonal and the CSR kernel
+        x = np.ones(A.shape[1])
+        y1, y2 = A @ x, A @ x
+        assert not np.shares_memory(y1, y2) and not np.shares_memory(y1, x)
+        y1[:] = 0.0
+        assert_array_equal(y2, A._apply(x))
+        assert A.counter.count == 2
+        for bad in (np.ones(A.shape[1] + 1), np.ones((A.shape[1], 1)), np.float64(1.0)):
+            with pytest.raises(DimensionMismatch):
+                _ = A @ bad
+        assert A.counter.count == 2
+
+
 def test_the_csr_views_are_read_only():
     # the diagonal copy and the cached norm derive from them
     A = small_matrix()
