@@ -7,11 +7,14 @@ A quadrature rule discretizing a contour integral representation turns
 
 whose poles ``-z_j`` are exactly one family of shifted systems.  The
 whole action is then computed by :func:`~shiftkrylov.solvers.solve_shifted_hessen`
-at the basis cost of a single system.  The packaged rules are
-conjugate-symmetric with nodes in exact conjugate pairs, so for a real
-operator and vector the solver folds each pair into one reduced system
-and one update: the 16-node rules solve 8 reduced systems per cycle and
-confirm each pair with one true residual, which is bitwise that of both.
+at the basis cost of a single system.  For a real operator and vector
+the solver folds a shift with its exact conjugate into one reduced
+system and one update, and the action is returned real only when every
+node and weight has its exact conjugate; a rule conjugate only to
+within rounding is solved unpaired and its action is complex.  The
+packaged rules are exactly closed under conjugation: the 16-node rules
+solve 8 reduced systems per cycle and confirm each pair with one true
+residual, which is bitwise that of both.
 
 The action is the weighted sum ``sum_j w_j x_j``, so a pole's error
 counts only in proportion to ``|w_j|``, and the weights of a rule span
@@ -29,6 +32,7 @@ Mittag-Leffler function is a double-precision contour integral.
 """
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -98,24 +102,17 @@ class QuadratureRule:
         return out
 
     def is_conjugate_symmetric(self):
-        """True when nodes and weights come in conjugate pairs, so the
-        rule maps real data to real values."""
-        z, w = self.nodes, self.weights
-        scale_z = np.abs(z).max(initial=1.0)
-        scale_w = np.abs(w).max(initial=1.0)
-        matched = np.zeros(self.nu, dtype=bool)
-        for j in range(self.nu):
-            if matched[j]:
-                continue
-            dz = np.abs(z - z[j].conjugate())
-            dw = np.abs(w - w[j].conjugate())
-            ok = (~matched) & (dz <= 1e-10 * scale_z) & (dw <= 1e-10 * scale_w)
-            cand = np.flatnonzero(ok)
-            if cand.size == 0:
-                return False
-            matched[j] = True
-            matched[cand[0]] = True
-        return True
+        """True when every (node, weight) pair has its exact conjugate
+        pair, with the same multiplicity, so the rule maps real data to
+        real values.
+
+        This is the rule by which the family solve folds conjugate
+        shifts, with no tolerance: a rule whose pairs agree only to
+        within rounding is asymmetric, and its action is complex.
+        """
+        pairs = Counter(zip(self.nodes.tolist(), self.weights.tolist()))
+        return all(pairs[z.conjugate(), w.conjugate()] == count
+                   for (z, w), count in pairs.items())
 
     def __repr__(self):
         g = f", gamma={self.gamma}" if self.kind == "ml" else ""
@@ -224,9 +221,12 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     """Apply the rational approximation of ``f(A)`` to a vector.
 
     Solves the family ``(A - (-z_j) I) x_j = u0`` with the restarted
-    pivoted Hessenberg solver and combines ``sum_j w_j x_j``.  When the
-    rule is conjugate-symmetric and the data real, the exact imaginary
-    part is zero and a real vector is returned.
+    pivoted Hessenberg solver and combines ``sum_j w_j x_j``.  When every
+    node and weight of the rule has its exact conjugate
+    (:meth:`QuadratureRule.is_conjugate_symmetric`) and the data are
+    real, the solver folds each conjugate pair, the exact imaginary part
+    is zero and a real vector is returned.  A rule conjugate only to
+    within rounding gets the unpaired solve and a complex vector.
 
     A scalar tolerance ``tol`` is shared out over the poles by weight:
     pole ``j`` must reach the relative residual

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -417,6 +418,61 @@ def test_one_confirmation_product_per_folded_pair():
     assert rep.all_converged
     assert rep.residual_mvps == rule.nu // 2 == 8
     assert A.counter.count == rep.total_mvps
+
+
+def test_a_rule_conjugate_to_rounding_is_not_symmetric():
+    # the solver folds only exact conjugates, so a rule whose lower-half
+    # nodes are one ulp off is solved unpaired and its action is complex
+    A = gen_laplace2d(12)
+    u0 = np.random.default_rng(6).standard_normal(A.shape[0])
+    rule = packaged_rule("exp", None)
+    lower = rule.nodes.imag < 0
+    assert lower.sum() == rule.nu // 2
+    nodes = rule.nodes.copy()
+    nodes[lower] = np.nextafter(nodes.real, np.inf)[lower] + 1j * nodes.imag[lower]
+    moved = QuadratureRule(nodes, rule.weights, "exp", 1.0)
+    assert not moved.is_conjugate_symmetric()
+    assert np.iscomplexobj(moved.evaluate(1.0))
+    y, rep = eval_rational_action(A, u0, moved, return_report=True)
+    assert rep.all_converged and rep.residual_mvps == rule.nu
+    assert np.iscomplexobj(y)
+    assert np.linalg.norm(y - eval_rational_action(A, u0, rule)) <= 1e-9 * np.linalg.norm(u0)
+
+
+@pytest.mark.parametrize("nodes, weights", [
+    # the conjugate node carries a weight that is not the conjugate
+    ([1 + 2j, 1 - 2j], [0.1 + 0.2j, 0.1 + 0.2j]),
+    # a real node with a complex weight
+    ([1.0 + 0j, 2 + 1j, 2 - 1j], [0.5 + 0.1j, 0.3j, -0.3j]),
+    # one pair twice against its conjugate once
+    ([1 + 2j, 1 + 2j, 1 - 2j], [0.1 + 0.2j, 0.1 + 0.2j, 0.1 - 0.2j]),
+])
+def test_every_pair_needs_its_exact_conjugate_pair(nodes, weights):
+    rule = QuadratureRule(np.array(nodes), np.array(weights))
+    assert not rule.is_conjugate_symmetric()
+    conj = QuadratureRule(np.conj(rule.nodes), np.conj(rule.weights))
+    closed = QuadratureRule(np.concatenate([rule.nodes, conj.nodes]),
+                            np.concatenate([rule.weights, conj.weights]))
+    assert closed.is_conjugate_symmetric()
+
+
+def test_hyperbola_rules_are_exactly_conjugate_closed():
+    # folding conjugate poles rests on the generator returning exact
+    # conjugate pairs; the packaged rules were written by it
+    for kind, gamma in PACKAGED_RULES:
+        assert packaged_rule(kind, gamma).is_conjugate_symmetric()
+    path = Path(__file__).resolve().parents[1] / "tools" / "make_quadrature_rules.py"
+    spec = importlib.util.spec_from_file_location("make_quadrature_rules", path)
+    make = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make)
+    for n in (7, 16, 24):
+        for mu in (6.0, 17.3, 31.9):
+            for alpha in (0.3, 0.77, 1.3):
+                for step in (0.1, 0.23, 0.5):
+                    for gamma in (0.6, 0.8, 1.0):
+                        z, w = make.hyperbola_rule(n, mu, alpha, step, gamma)
+                        rule = QuadratureRule(z, w, "ml", gamma)
+                        assert rule.is_conjugate_symmetric(), (n, mu, alpha, step, gamma)
 
 
 def test_pole_tolerances_never_add_cycles(monkeypatch):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "parity.py"
 
 
-def _tool(*args):
+def _tool(*args, env=None):
     return subprocess.run([sys.executable, str(TOOL), *map(str, args)],
-                          capture_output=True, text=True, cwd=ROOT)
+                          capture_output=True, text=True, cwd=ROOT, env=env)
 
 
 def test_parity_run_and_compare(tmp_path):
@@ -83,6 +84,22 @@ def test_parity_run_and_compare(tmp_path):
     bad = _tool("--compare", out.with_suffix(".json"), nan.with_suffix(".json"))
     assert bad.returncode == 1
     assert "matfunc-exp/1/0/action: non-finite solution" in bad.stdout
+
+
+def test_a_preset_thread_count_is_pinned_and_recorded(tmp_path):
+    # the benchmark's pinning rule: one BLAS thread whatever the caller's
+    # environment says, with the preset named in the record
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = dict(os.environ, **dict.fromkeys(threads, "2"))
+    out = tmp_path / "rec"
+    run = _tool("--src", ROOT / "src", "--out", out, "-n", 1, "--workload", "matfunc-exp",
+                env=env)
+    assert run.returncode == 0, run.stderr
+    environment = json.loads(out.with_suffix(".json").read_text())["environment"]
+    assert environment["threads"] == dict.fromkeys(threads, "1")
+    assert set(environment["blas_threads"].values()) <= {1}
+    assert environment["flags"] == [f"{var} was '2' before pinning" for var in threads]
+    assert environment["src_sha256"]
 
 
 @pytest.fixture(scope="module")

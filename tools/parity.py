@@ -15,12 +15,16 @@ every workload named by ``--workload``
 (default: ``convdiff-shessen``, ``convdiff-sfom`` and ``matfunc-exp``),
 with ``--inputs NAME=N`` overriding the count of one workload.  The
 inputs, settings and calls are those of ``bench/workloads.py``; nothing
-under ``bench/`` is written.  ``OUT.json`` holds, per input, the
-family's cycles, basis and residual products, breakdown,
-budget-exhausted and stalled flags, the columns each cycle kept from a
-thick restart, and each shift's converged, cycles, skipped, stagnated
-and diverged; a field that the tree's reports lack is recorded as
-``"missing"``.
+under ``bench/`` is written.  As in ``bench/`` and ``tools/grid.py``,
+BLAS is forced to one thread by ``envinfo.pin_threads`` whatever the
+environment presets, and ``OUT.json`` holds the environment record of
+``bench/envinfo.py``: the tree's commit and source digest, the thread
+variables in force, and under ``flags`` any found set otherwise before.
+``OUT.json`` also holds, per input, the family's cycles, basis and
+residual products, breakdown, budget-exhausted and stalled flags, the
+columns each cycle kept from a thick restart, and each shift's
+converged, cycles, skipped, stagnated and diverged; a field that the
+tree's reports lack is recorded as ``"missing"``.
 ``OUT.npz`` holds the family's solutions, one (nu, n) array per input,
 and for ``matfunc-exp`` the action ``f(A) u0`` and the norm of its
 input ``u0`` too.
@@ -57,15 +61,18 @@ SHIFT_FLAGS = ("converged", "cycles", "skipped_cycles", "stagnated", "diverged")
 
 
 def _import_tree(src):
-    """Import ``shiftkrylov`` from ``src`` and the workloads from ``bench/``,
-    with BLAS on one thread as in the benchmark, so rounding repeats."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
+    """Import ``shiftkrylov`` from ``src`` and the workloads and environment
+    record from ``bench/``, with BLAS pinned to one thread before numpy
+    loads, as in the benchmark; also the thread settings found before
+    pinning."""
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "bench")]
+    import envinfo
+
+    before = envinfo.pin_threads(os.environ)
     import shiftkrylov.matfunc as matfunc
     import workloads
 
-    return matfunc, workloads
+    return matfunc, workloads, envinfo, before
 
 
 def _record(report):
@@ -78,7 +85,7 @@ def _record(report):
 
 
 def run(src, out, counts):
-    matfunc, workloads = _import_tree(src)
+    matfunc, workloads, envinfo, before = _import_tree(src)
     import numpy as np
 
     # the matfunc workload returns only the action; keep its inner family
@@ -109,7 +116,10 @@ def run(src, out, counts):
                     records.append({"key": key, **_record(report)})
     out = Path(out)
     np.savez(out.with_suffix(".npz"), **arrays)
-    out.with_suffix(".json").write_text(json.dumps({"src": str(src), "inputs": records}, indent=1))
+    # the environment record names the tree by its commit and source digest
+    environment = envinfo.record(Path(src).resolve().parent, src, before)
+    out.with_suffix(".json").write_text(json.dumps(
+        {"src": str(src), "environment": environment, "inputs": records}, indent=1))
     print(f"wrote {out.with_suffix('.json')} and .npz: {len(records)} inputs")
 
 
