@@ -106,7 +106,12 @@ def _load_vector(spec, n):
         seed = int(spec.split(":", 1)[1])
         return np.random.default_rng(seed).standard_normal(n)
     if spec.startswith("file:"):
-        data = np.loadtxt(spec.split(":", 1)[1], ndmin=2)
+        path = spec.split(":", 1)[1]
+        try:
+            data = np.loadtxt(path, ndmin=2)
+        except ValueError as exc:
+            # ragged rows or a non-numeric token: a parse failure, not a bad option
+            raise ParseError(f"cannot read vector file {path!r}: {exc}") from None
         if data.shape[1] > 2:
             raise ParseError(f"vector file has {data.shape[1]} columns; "
                              f"use 1 (real) or 2 (real, imaginary)")
@@ -150,7 +155,6 @@ def _solver_config(m, tol, max_mvps, error=ValueError):
 
 
 def _report_row(report, time_ms):
-    attach_costs(report)
     return {
         "solver": report.solver,
         "m": report.m,
@@ -181,13 +185,14 @@ def _cmd_gen(args):
 
 
 def _run_one(solver, A, b, shifts, cfg, reps=1):
-    """Solutions and report of the last of ``reps`` solves and their median time in ms."""
+    """Solutions and report, with its predicted flops attached, of the last
+    of ``reps`` solves and their median time in ms."""
     times = []
     for _ in range(reps):
         t0 = time.perf_counter()
         xs, report = _SOLVERS[solver](A, b, shifts, cfg)
         times.append((time.perf_counter() - t0) * 1e3)
-    return xs, report, statistics.median(times)
+    return xs, attach_costs(report), statistics.median(times)
 
 
 def _cmd_solve(args):
@@ -197,7 +202,6 @@ def _cmd_solve(args):
     b = _load_vector(args.rhs, A.shape[0])
     xs, report, elapsed = _run_one(args.solver, A, b, shifts, cfg)
 
-    row = _report_row(report, elapsed)
     print(
         f"{report.solver}: {report.num_converged}/{len(report.shifts)} shifts "
         f"converged in {report.cycles} cycles, {report.total_mvps} MVPs, "
@@ -212,7 +216,7 @@ def _cmd_solve(args):
             f"final={h.final_relative_residual:.3e}{tag}"
         )
     if args.out:
-        _write_csv(args.out, BENCH_COLUMNS, [row])
+        _write_csv(args.out, BENCH_COLUMNS, [_report_row(report, elapsed)])
     if args.solutions:
         stem = Path(args.solutions)
         for i, x in enumerate(xs):

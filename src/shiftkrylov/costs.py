@@ -23,7 +23,7 @@ All divisions here are exact in integers, so there is no rounding.
 
 from .errors import InvalidDimensions, _count
 
-__all__ = ["PROCESS_NAMES", "predicted_flops", "attach_costs"]
+__all__ = ["predicted_flops", "attach_costs"]
 
 PROCESS_NAMES = ("hessenberg", "arnoldi", "weighted_arnoldi")
 

@@ -302,13 +302,6 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     return acc
 
 
-def _as_dense(A):
-    toarray = getattr(A, "toarray", None)
-    if callable(toarray):
-        return np.asarray(toarray())
-    return np.asarray(A)
-
-
 def dense_matfunc_oracle(A, u0, func):
     """Reference value of ``f(A) u0`` through a dense eigendecomposition.
 
@@ -330,7 +323,8 @@ def dense_matfunc_oracle(A, u0, func):
     ------
     IllConditionedEigenbasis
     """
-    Ad = _as_dense(A)
+    toarray = getattr(A, "toarray", None)
+    Ad = np.asarray(toarray() if callable(toarray) else A)
     if Ad.ndim != 2 or Ad.shape[0] != Ad.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {Ad.shape}")
     u0 = np.asarray(u0)

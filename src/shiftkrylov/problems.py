@@ -7,8 +7,7 @@ the command line:
 - a scaled 2-D Laplacian on the unit square,
 
 both on uniform interior grids with homogeneous Dirichlet boundary,
-together with matching smooth initial profiles and a parser for shift
-families.
+together with a parser for shift families.
 """
 
 import numpy as np
@@ -20,8 +19,6 @@ __all__ = [
     "gen_convdiff3d",
     "gen_laplace2d",
     "gen_shifts",
-    "u0_bump3d",
-    "u0_sine2d",
 ]
 
 
@@ -124,22 +121,6 @@ def gen_laplace2d(n, scale=1.0):
     h = 1.0 / (n + 1)
     a = scale / h**2
     return _stencil(n, 2, 4.0 * a, [-a, -a], [-a, -a])
-
-
-def u0_bump3d(n):
-    """Sample ``x(1-x) y(1-y) z(1-z)`` on the convdiff3d grid."""
-    n = _check_grid(n)
-    t = np.arange(1, n + 1) / (n + 1)
-    g = t * (1.0 - t)
-    return np.einsum("k,j,i->kji", g, g, g).ravel()
-
-
-def u0_sine2d(n):
-    """Sample ``sin(pi x) sin(pi y)`` on the laplace2d grid."""
-    n = _check_grid(n)
-    t = np.arange(1, n + 1) / (n + 1)
-    s = np.sin(np.pi * t)
-    return np.outer(s, s).ravel()
 
 
 def gen_shifts(spec):

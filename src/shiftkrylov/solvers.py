@@ -286,13 +286,8 @@ def true_relative_residual(A, sigma, x, b):
         )
     if not np.any(b):
         raise ZeroStartVector("right-hand side is identically zero")
-    return _relative_residual(A, _as_scalar_shift(sigma), x, b, np.linalg.norm(b))
-
-
-def _relative_residual(A, sigma, x, b, bnorm):
-    """``||b - (A @ x - sigma x)|| / bnorm``, for one product with ``A``."""
-    r = b - (A @ x - sigma * x)
-    return float(np.linalg.norm(r) / bnorm)
+    r = b - (A @ x - _as_scalar_shift(sigma) * x)
+    return float(np.linalg.norm(r) / np.linalg.norm(b))
 
 
 def _conjugate_classes(shifts, fold):
@@ -415,7 +410,7 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
         # a folded partner's residual is the exact conjugate of its
         # representative's, so its norm is bitwise the same
         i = reps[c]
-        return _relative_residual(A, shifts[i], solution(i), b, bnorm)
+        return true_relative_residual(A, shifts[i], solution(i), b)
 
     def expand(mask):
         """The shifts of the classes in ``mask``."""

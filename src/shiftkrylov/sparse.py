@@ -257,9 +257,6 @@ class CsrMatrix:
                 self._norm_inf = float(abs(self._csr).sum(axis=1).max()) if self.nnz else 0.0
         return self._norm_inf
 
-    def conjugate_transpose(self):
-        return CsrMatrix(self._csr.conj().T.tocsr())
-
     def __repr__(self):
         if self._kernel is self._csr:
             kernel = "CSR"

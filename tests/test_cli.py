@@ -299,14 +299,22 @@ def test_bench_checks_the_hessen_shift_count_before_the_first_cell(tmp_path, cap
     assert "[problem:family]" in err and "'hessen' takes exactly one shift" in err, err
 
 
-@pytest.mark.parametrize("option", ["solve --rhs", "matfunc --u0"])
-def test_a_vector_file_with_three_columns_is_a_parse_failure(tmp_path, capsys, option):
+@pytest.mark.parametrize("option, content, message", [
+    pytest.param(option, content, message, id=option + case)
+    for option in ("solve --rhs", "matfunc --u0")
+    for case, content, message in [("", "1 1 1\n" * 64, "3 columns"),
+                                   (" ragged", "1 2\n3\n", "number of columns changed"),
+                                   (" abc", "abc\n", "could not convert")]
+])
+def test_a_vector_file_with_three_columns_is_a_parse_failure(tmp_path, capsys, option,
+                                                             content, message):
+    # a file that cannot be read as a vector exits 1 (parse failure), not 2 (usage)
     p = gen_matrix(tmp_path)
     vec = tmp_path / "v.txt"
-    np.savetxt(vec, np.ones((64, 3)))
+    vec.write_text(content)
     command, flag = option.split()
     assert run(command, "--matrix", str(p), flag, f"file:{vec}") == 1
-    assert "3 columns" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_matfunc_reports_a_stalled_family_as_non_convergence(tmp_path, monkeypatch, capsys):

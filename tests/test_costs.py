@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import shiftkrylov.solvers as solvers
+from shiftkrylov.costs import PROCESS_NAMES
 
 from shiftkrylov import (
     CsrMatrix,
     InvalidDimensions,
-    PROCESS_NAMES,
     SolverConfig,
     attach_costs,
     gen_laplace2d,

@@ -8,8 +8,6 @@ from shiftkrylov import (
     gen_convdiff3d,
     gen_laplace2d,
     gen_shifts,
-    u0_bump3d,
-    u0_sine2d,
 )
 
 
@@ -108,22 +106,6 @@ def test_grid_validation():
     for scale in (np.inf, 1e308):
         with pytest.raises(InvalidGrid):
             gen_laplace2d(4, scale)
-
-
-def test_profiles():
-    u = u0_bump3d(5)
-    assert u.shape == (125,)
-    assert np.all(u > 0)
-    # x-fastest ordering: index 0 is the (1,1,1) grid point
-    t = np.arange(1, 6) / 6.0
-    g = t * (1 - t)
-    assert_allclose(u[0], g[0] ** 3)
-    assert_allclose(u[1], g[1] * g[0] * g[0])
-    assert_allclose(u[5], g[0] * g[1] * g[0])
-    v = u0_sine2d(4)
-    assert v.shape == (16,)
-    t2 = np.arange(1, 5) / 5.0
-    assert_allclose(v[1], np.sin(np.pi * t2[1]) * np.sin(np.pi * t2[0]))
 
 
 def test_gen_shifts():

@@ -857,6 +857,20 @@ def test_folded_pair_takes_the_smaller_tolerance(monkeypatch):
         assert true_relative_residual(A, PAIRED[i], xs[i], b) <= 1e-11
 
 
+@SOLVERS
+def test_every_final_residual_is_the_true_residual_of_its_solution(solver):
+    # the report's residual is true_relative_residual of the returned x,
+    # bitwise: for converged shifts, folded conjugate partners (2 and 4)
+    # and a shift that the budget leaves unconverged (1)
+    A, b = random_system(43)
+    tols = [1e-8, 1e-16, 1e-8, 1e-8, 1e-8]
+    xs, rep = solver(A, b, PAIRED, SolverConfig(m=12, tol=tols, max_mvps=60))
+    assert rep.budget_exhausted
+    assert [h.converged for h in rep.shifts] == [True, False, True, True, True]
+    for s, x, h in zip(PAIRED, xs, rep.shifts):
+        assert h.final_relative_residual == true_relative_residual(A, s, x, b)
+
+
 class CountingWithoutApply:
     """A CsrMatrix's products behind an operator without ``_apply``, so it
     also sees the final residuals the report leaves out of its count."""

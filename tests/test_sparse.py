@@ -95,13 +95,6 @@ def test_norm_inf_is_max_abs_row_sum():
     assert_allclose(B.norm_inf(), 5.0)
 
 
-def test_conjugate_transpose():
-    B = CsrMatrix.from_triplets([0, 1], [1, 0], [1.0 + 2.0j, 3.0], (2, 3))
-    Bh = B.conjugate_transpose()
-    assert Bh.shape == (3, 2)
-    assert_allclose(Bh.toarray(), B.toarray().conj().T)
-
-
 def test_identity():
     I = identity(4)
     assert_allclose(I.toarray(), np.eye(4))
