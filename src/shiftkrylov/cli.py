@@ -11,6 +11,15 @@ Exit codes: 0 success, 1 file or parse problem (``bench`` checks its
 solver list and every section before the first cell), 2 usage error,
 3 non-convergence: any shift left with a dagger flag, a family that
 stalled on singular reduced systems included.
+
+Each input has one reader, and that reader decides how a malformed
+value fails: a file, a vector spec (``_load_vector``), a shift spec or a
+``bench`` setting (``_setting``) that cannot be read is a ParseError, so
+it exits 1.  ``main`` can then read a ``ValueError`` as a bad option value
+(exit 2): a solver setting such as ``--tol inf`` (``_solver_config``
+checks them before any file is read), or a rule kind or fractional order
+that ``load_quadrature``, ``packaged_rule_path`` or ``mittag_leffler``
+reject, as the ``errors`` module describes.
 """
 
 import argparse
@@ -21,6 +30,7 @@ import json
 import statistics
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +67,15 @@ BENCH_COLUMNS = [
 ]
 
 
-def _check_hessen_shifts(shifts, where=""):
-    """Solver ``hessen``'s rule: a family of exactly one shift."""
-    if len(shifts) != 1:
+def _check_hessen_shifts(solvers, shifts, where=""):
+    """Solver ``hessen``'s rule, if it is one of ``solvers``: a family of
+    exactly one shift.  Checked where a problem is built, before any solve."""
+    if "hessen" in solvers and len(shifts) != 1:
         raise ParseError(f"{where}solver 'hessen' takes exactly one shift; shift the matrix instead")
 
 
 def _solve_hessen(A, b, shifts, cfg):
     """The unshifted method on ``A - sigma I``, for a family of one shift."""
-    _check_hessen_shifts(shifts)
     x, report = solve_hessen(A.shifted(shifts[0]) if shifts[0] != 0 else A, b, cfg=cfg)
     return [x], report
 
@@ -99,29 +109,34 @@ def _model_problem(generator, value):
 
 
 def _load_vector(spec, n):
-    """Right-hand side / start vector from a CLI spec string."""
+    """Right-hand side / start vector from a CLI spec string.
+
+    The one reader of a vector spec: a spec that cannot be read as a
+    vector of order ``n`` (an unknown form, a bad seed, an empty, ragged
+    or non-numeric file, a wrong shape) is a ParseError."""
     if spec == "ones":
         return np.ones(n)
-    if spec.startswith("random:"):
-        seed = int(spec.split(":", 1)[1])
-        return np.random.default_rng(seed).standard_normal(n)
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        try:
-            data = np.loadtxt(path, ndmin=2)
-        except ValueError as exc:
-            # ragged rows or a non-numeric token: a parse failure, not a bad option
-            raise ParseError(f"cannot read vector file {path!r}: {exc}") from None
-        if data.shape[1] > 2:
-            raise ParseError(f"vector file has {data.shape[1]} columns; "
-                             f"use 1 (real) or 2 (real, imaginary)")
-        vec = data[:, 0] + 1j * data[:, 1] if data.shape[1] == 2 else data[:, 0]
-        if vec.shape[0] != n:
-            raise ParseError(
-                f"vector file has {vec.shape[0]} entries, matrix order is {n}"
-            )
-        return vec
-    raise ParseError(f"unknown vector spec {spec!r}; use ones, random:SEED or file:PATH")
+    source, _, arg = spec.partition(":")
+    if source not in ("random", "file"):
+        raise ParseError(f"unknown vector spec {spec!r}; use ones, random:SEED or file:PATH")
+    try:
+        if source == "random":
+            return np.random.default_rng(int(arg)).standard_normal(n)
+        with warnings.catch_warnings():
+            # loadtxt only warns about a file without data; that is the error
+            warnings.simplefilter("error", UserWarning)
+            data = np.loadtxt(arg, ndmin=2)
+    except (ValueError, UserWarning) as exc:
+        raise ParseError(f"cannot read vector {spec!r}: {exc}") from None
+    if data.shape[1] > 2:
+        raise ParseError(f"vector file has {data.shape[1]} columns; "
+                         f"use 1 (real) or 2 (real, imaginary)")
+    vec = data[:, 0] + 1j * data[:, 1] if data.shape[1] == 2 else data[:, 0]
+    if vec.shape[0] != n:
+        raise ParseError(
+            f"vector file has {vec.shape[0]} entries, matrix order is {n}"
+        )
+    return vec
 
 
 def _save_vector(path, vec):
@@ -199,6 +214,7 @@ def _cmd_solve(args):
     cfg = _solver_config(args.m, args.tol, args.max_mvps)
     A = load_matrix_market(args.matrix)
     shifts = gen_shifts(args.shifts)
+    _check_hessen_shifts([args.solver], shifts)
     b = _load_vector(args.rhs, A.shape[0])
     xs, report, elapsed = _run_one(args.solver, A, b, shifts, cfg)
 
@@ -229,15 +245,16 @@ def _cmd_solve(args):
 
 def _setting(sections, key, parse, default=None):
     """``parse`` of ``key`` in the first of ``sections`` that sets it, else of
-    ``default``; a missing or malformed value is a ParseError naming both."""
+    ``default``; a missing value, or one that ``parse`` rejects with a
+    ValueError or a ParseError, is a ParseError naming the section and key."""
     where = next((sec for sec in sections if key in sec), sections[0])
     raw = where.get(key, default)
     if raw is None:
         raise ParseError(f"[{where.name}] needs a value for '{key}'")
     try:
         return parse(raw)
-    except ValueError:
-        raise ParseError(f"[{where.name}] {key} = {raw!r} is not a valid value") from None
+    except (ValueError, ParseError) as exc:
+        raise ParseError(f"[{where.name}] {key} = {raw!r}: {exc}") from None
 
 
 def _bench_problem(section, bench, solvers):
@@ -251,8 +268,7 @@ def _bench_problem(section, bench, solvers):
     else:
         raise ParseError(f"[{section.name}] needs 'matrix' or a generator of {list(_GENERATORS)}")
     shifts = setting("shifts", gen_shifts, "arith:0.001:4")
-    if "hessen" in solvers:
-        _check_hessen_shifts(shifts, f"[{section.name}] ")
+    _check_hessen_shifts(solvers, shifts, f"[{section.name}] ")
     b = setting("rhs", lambda spec: _load_vector(spec, A.shape[0]), "ones")
     cfg = _solver_config(
         setting("m", int, SolverConfig.m),
@@ -305,7 +321,7 @@ def _cmd_matfunc(args):
     cfg = _solver_config(args.m, args.tol, args.max_mvps)
     A = load_matrix_market(args.matrix)
     rule = load_quadrature(
-        args.quadrature or packaged_rule_path(args.kind, args.gamma if args.kind == "ml" else None),
+        args.quadrature or packaged_rule_path(args.kind, args.gamma),
         kind=args.kind,
         gamma=args.gamma,
     )
@@ -322,12 +338,9 @@ def _cmd_matfunc(args):
         if A.shape[0] > 2000:
             print("skipping dense check: matrix order above 2000")
         else:
-            if rule.kind == "exp":
-                f = lambda lam: np.exp(-lam)
-            else:
-                f = lambda lam: mittag_leffler(-lam, rule.gamma)
             try:
-                ref = dense_matfunc_oracle(A, u0, f)
+                # E_1 is the exponential, and an exp rule has gamma 1
+                ref = dense_matfunc_oracle(A, u0, lambda lam: mittag_leffler(-lam, rule.gamma))
             except IllConditionedEigenbasis as exc:
                 # the reference, not the computed action, is what failed
                 print(f"skipping dense check: {exc}")
@@ -406,7 +419,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NotConverged):
             return EXIT_NOCONV
-        # a ValueError is a bad argument value (unknown rule kind, unpackaged gamma, ...)
+        # every reader of an input raises ParseError, so a ValueError is a bad
+        # option value (solver setting, unknown rule kind, unpackaged gamma, ...)
         return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO
 
 

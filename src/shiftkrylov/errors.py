@@ -1,11 +1,17 @@
 """Exception types raised across the package.
 
-Every error raised by shiftkrylov derives from :class:`ShiftKrylovError`,
-so callers can catch one base class at an API boundary.  Conditions that
-are expected outcomes of an iteration (stagnation, a shift exhausting its
-budget, a shift retired at a singular reduced system) are reported
-through result objects instead of exceptions; only conditions that
-invalidate the requested operation raise.
+Every error raised by shiftkrylov for bad data (a malformed file, a
+non-finite operand, a size out of range) or a failed operation derives
+from :class:`ShiftKrylovError`, so callers can catch one base class at an
+API boundary.  A bad argument value that is not data is a ``ValueError``,
+by design: an unknown rule kind or a fractional order outside (0, 1] in
+``load_quadrature``, ``packaged_rule_path`` and ``mittag_leffler``, an
+unknown process in ``predicted_flops``.
+
+Conditions that are expected outcomes of an iteration (stagnation, a
+shift exhausting its budget, a shift retired at a singular reduced
+system) are reported through result objects instead of exceptions; only
+conditions that invalidate the requested operation raise.
 
 Sizes and counts (grid sizes, matrix orders, step counts, budgets) are
 checked by one helper, :func:`_count`, which raises the calling site's

@@ -128,15 +128,19 @@ def load_quadrature(path, kind="exp", gamma=1.0):
     Raises
     ------
     ParseError
-        Missing or wrong header, malformed row, non-finite value.
+        Missing or wrong header, malformed row, non-finite value; a byte
+        that is not ASCII reads as U+FFFD and fails the header or number
+        check with its line number.
     DuplicateNodes
         Two rows carry the same node; the shifted systems of the family
         would coincide.
+    ValueError
+        An unknown ``kind``, or ``gamma`` outside (0, 1] for ``"ml"``.
     """
     if kind not in ("exp", "ml"):
         raise ValueError(f"unknown rule kind {kind!r}, expected 'exp' or 'ml'")
     nodes, weights = [], []
-    with open(path, "rt", newline="", encoding="ascii") as fh:
+    with open(path, "rt", newline="", encoding="ascii", errors="replace") as fh:
         reader = csv.reader(fh)
         header_seen = False
         for lineno, row in enumerate(reader, start=1):

@@ -136,6 +136,9 @@ def test_solve_rhs_sources(tmp_path):
     np.savetxt(short, np.ones(5))
     assert run("solve", "--matrix", str(p), "--rhs", f"file:{short}") == 1
     assert run("solve", "--matrix", str(p), "--rhs", "carrots") == 1
+    # a seed that is not a non-negative integer is a parse failure, not a bad option
+    assert run("solve", "--matrix", str(p), "--rhs", "random:abc") == 1
+    assert run("solve", "--matrix", str(p), "--rhs", "random:-1") == 1
 
 
 def test_bench_grid(tmp_path):
@@ -280,6 +283,21 @@ def test_bench_keeps_the_table_when_a_hessen_family_stalls(tmp_path):
     assert [(r["solver"], r["dagger_flags"]) for r in rows] == [("shessen", "1"), ("hessen", "1")]
 
 
+def test_bench_checks_the_hessen_shift_count_once_per_problem(tmp_path, monkeypatch):
+    checks = []
+    check = cli._check_hessen_shifts
+    monkeypatch.setattr(cli, "_check_hessen_shifts",
+                        lambda *args: checks.append(args) or check(*args))
+    cfgfile = tmp_path / "bench.ini"
+    cfgfile.write_text(
+        "[bench]\nsolvers = shessen, hessen\nreps = 3\nshifts = list:-0.5\n"
+        "[problem:a]\ngenerator = laplace2d\nn = 4\n"
+        "[problem:b]\ngenerator = laplace2d\nn = 5\n"
+    )
+    assert run("bench", "--config", str(cfgfile), "-o", str(tmp_path / "table.csv")) == 0
+    assert len(checks) == 2
+
+
 def test_bench_checks_the_hessen_shift_count_before_the_first_cell(tmp_path, capsys,
                                                                    monkeypatch):
     calls = []
@@ -304,7 +322,8 @@ def test_bench_checks_the_hessen_shift_count_before_the_first_cell(tmp_path, cap
     for option in ("solve --rhs", "matfunc --u0")
     for case, content, message in [("", "1 1 1\n" * 64, "3 columns"),
                                    (" ragged", "1 2\n3\n", "number of columns changed"),
-                                   (" abc", "abc\n", "could not convert")]
+                                   (" abc", "abc\n", "could not convert"),
+                                   (" empty", "", "no data")]
 ])
 def test_a_vector_file_with_three_columns_is_a_parse_failure(tmp_path, capsys, option,
                                                              content, message):
@@ -338,6 +357,9 @@ def test_matfunc_reports_a_stalled_family_as_non_convergence(tmp_path, monkeypat
     ("solvers = shessen\nreps = x", "n = 4", ["[bench]", "reps"]),
     ("solvers = shessen", "n = 4\nmax_mvps = -1", ["problem:bad", "max_mvps"]),
     ("solvers = shessen\nreps = -5", "n = 4", ["[bench]", "reps", "-5"]),
+    ("solvers = shessen", "n = 4\nshifts = arith:nope", ["problem:bad", "shifts", "arith:S:K"]),
+    ("solvers = shessen", "n = 4\nrhs = random:abc", ["problem:bad", "rhs", "invalid literal"]),
+    ("solvers = shessen", "n = 4\nrhs = carrots", ["problem:bad", "rhs", "unknown vector spec"]),
 ])
 def test_bench_checks_every_section_before_the_first_cell(tmp_path, capsys, monkeypatch,
                                                           bench, problem, names):
@@ -409,6 +431,15 @@ def test_matfunc_reads_a_rule_file(tmp_path):
                "-o", str(tmp_path / "file.txt")) == 0
     assert run("matfunc", "--matrix", str(p), "-o", str(tmp_path / "packaged.txt")) == 0
     assert np.array_equal(np.loadtxt(tmp_path / "file.txt"), np.loadtxt(tmp_path / "packaged.txt"))
+
+
+def test_matfunc_rule_file_that_is_not_text_is_a_parse_failure(tmp_path, capsys):
+    p = tmp_path / "lap.mtx"
+    assert run("gen", "laplace2d", "--n", "4", "-o", str(p)) == 0
+    rule = tmp_path / "rule.bin"
+    rule.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(range(0x80, 0x100)))
+    assert run("matfunc", "--matrix", str(p), "--quadrature", str(rule)) == 1
+    assert "line 1: expected header" in capsys.readouterr().err
 
 
 def test_matfunc_ml_dense_check(tmp_path, capsys):

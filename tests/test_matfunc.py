@@ -210,10 +210,13 @@ def test_load_quadrature_validation(tmp_path):
     ("# only a comment\n", "line 1: missing header"),
     ("", "line 1: missing header"),
     ("re_z,im_z,re_w,im_w\n# no rows\n", "line 1: rule has no nodes"),
+    # a byte that is not ASCII fails the number or header check, not the decoder
+    ("re_z,im_z,re_w,im_w\n1.0,2.0\u00b2,0.1,0.2\n", "line 2: bad numeric value"),
+    ("re_z,im_z,re_w,im_w\u00e9\n1.0,2.0,0.1,0.2\n", "line 1: expected header"),
 ])
 def test_load_quadrature_rejects_a_malformed_file(tmp_path, text, message):
     p = tmp_path / "rule.csv"
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match=message):
         load_quadrature(p, kind="exp")
 
