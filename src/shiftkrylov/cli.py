@@ -17,7 +17,8 @@ value fails: a file, a vector spec (``_load_vector``), a shift spec or a
 ``bench`` setting (``_setting``) that cannot be read is a ParseError, so
 it exits 1.  ``main`` can then read a ``ValueError`` as a bad option value
 (exit 2): a solver setting such as ``--tol inf`` (``_solver_config``
-checks them before any file is read), or a rule kind or fractional order
+checks them before any file is read), a ``gen`` parameter such as
+``--n 0`` that the generator rejects, or a rule kind or fractional order
 that ``load_quadrature``, ``packaged_rule_path`` or ``mittag_leffler``
 reject, as the ``errors`` module describes.
 """
@@ -39,6 +40,7 @@ from .costs import attach_costs
 from .errors import (
     IllConditionedEigenbasis,
     InvalidDimensions,
+    InvalidGrid,
     NotConverged,
     ParseError,
     ShiftKrylovError,
@@ -187,7 +189,11 @@ def _report_row(report, time_ms):
 
 
 def _cmd_gen(args):
-    A, params = _model_problem(args.problem, lambda name, *_: getattr(args, name))
+    try:
+        A, params = _model_problem(args.problem, lambda name, *_: getattr(args, name))
+    except InvalidGrid as exc:
+        # the generator's parameters are options here: a usage error
+        raise ValueError(str(exc)) from None
     meta = {"generator": args.problem, **params, "order": A.shape[0], "nnz": A.nnz}
     out = Path(args.out)
     save_matrix_market(A, out, comments=[f"{args.problem} n={args.n}"])

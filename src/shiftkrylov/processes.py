@@ -137,10 +137,10 @@ class HessenbergDecomposition:
     @cached_property
     def schur(self):
         """The Schur form ``square_h Q = Q T``, computed on first use:
-        ``(T, Q, ritz, info)``, real for real ``hbar``, with the Ritz
-        values as ``ritz`` (``(wr, wi)`` when real, ``(w,)`` when
-        complex) and ``info > 0`` when ``gees`` failed.  A cycle's
-        stacked reduced solve and its thick restart share it."""
+        ``(T, Q, lam, info)``, real for real ``hbar``, with the Ritz
+        values as one complex array ``lam`` and ``info > 0`` when
+        ``gees`` failed.  A cycle's stacked reduced solve and its thick
+        restart share it."""
         return _schur(self.square_h)
 
     @property
@@ -327,15 +327,13 @@ def run_hessenberg(A, v, m, *, start=None):
         g = start.g
         lower[: first + 1, : first + 1] = basis[perm[: first + 1], : first + 1]
     trsv, gemv = get_blas_funcs(("trsv", "gemv"), (basis,))
-    # an operator's norm fixes the breakdown threshold for the whole run
-    tol = None if norm_scale is None else _breakdown_threshold(norm_scale, n, None)
 
     steps = m
     breakdown = False
     for j in range(first, m):
         u = basis[:, j + 1]
         u[:] = A @ basis[:, j]
-        step_tol = _breakdown_threshold(None, n, u) if tol is None else tol
+        tol = _breakdown_threshold(norm_scale, n, u)
         rows = perm[: j + 1]
         h = trsv(lower[: j + 1, : j + 1], u[rows], lower=1, diag=1)
         hbar[: j + 1, j] = h
@@ -343,7 +341,7 @@ def run_hessenberg(A, v, m, *, start=None):
         gemv(-1.0, basis[:, : j + 1], h, 1.0, u, overwrite_y=1)
         # the elimination zeroes the pivot rows up to roundoff; make it exact
         u[rows] = 0.0
-        piv = _pivot_column(u, mag, j + 1, perm, inv, step_tol) if j + 1 < n else None
+        piv = _pivot_column(u, mag, j + 1, perm, inv, tol) if j + 1 < n else None
         if piv is None:
             steps = j + 1
             breakdown = True
@@ -373,10 +371,10 @@ def _krylov_schur(dec, k):
     k = _count(k, 1, InvalidDimensions, message)
     if dec.breakdown or k >= m:
         raise InvalidDimensions(message)
-    T, Q, ritz, info = dec.schur
+    T, Q, lam, info = dec.schur
     if info:
         return None
-    mod = np.hypot(*ritz) if len(ritz) == 2 else np.abs(ritz[0])
+    mod = np.hypot(lam.real, lam.imag)
     order = np.sort(mod).tolist()
     # a conjugate pair, like any exact tie of modulus, is kept whole
     while k < m and order[k] == order[k - 1]:

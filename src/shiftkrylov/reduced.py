@@ -4,9 +4,11 @@ The restarted solvers project each shifted system onto a Krylov subspace
 and solve an m x m reduced system per shift and cycle: upper Hessenberg
 after a plain restart, full in its leading block after a thick one.
 Every shift shares ``H``, and with it one Schur form ``H = Q T Q^H``
-(:func:`_schur`, LAPACK ``gees``).  With the right-hand sides ``g``
-(``beta e1`` or whole ones) as the columns of ``G^T``, the solutions
-are the columns of ``Q Z``, where
+(:func:`_schur`, LAPACK ``gees``).  :func:`solve_shifted_hessenberg`
+takes the p shifts as a (p,) array ``sigma`` and their right-hand sides
+``g`` (``beta e1`` after a plain restart, whole coordinates after a
+thick one) as the rows of a (p, m) array ``G``.  The solutions are the
+columns of ``Q Z``, where
 
     T Z - Z S = Q^H G^T,    S = diag(sigma),
 
@@ -38,8 +40,9 @@ not mark it converged.
 The two entry points read ``H`` differently.  :func:`solve_hessenberg`
 takes an upper Hessenberg ``H`` and never reads its entries strictly
 below the first subdiagonal, so a caller may pass storage whose lower
-triangle holds garbage.  :func:`solve_shifted_hessenberg`, the solvers'
-stacked solve, reads all of ``H``, as a thick restart needs.
+triangle holds garbage; it solves a one-row stack.
+:func:`solve_shifted_hessenberg`, the solvers' stacked solve, reads all
+of ``H``, as a thick restart needs.
 """
 
 import numpy as np
@@ -64,12 +67,14 @@ def _check_square(H):
 
 
 def _schur(H):
-    """``(T, Q, ritz, info)`` of ``gees`` on ``H``: ``H Q = Q T``, real for
-    real ``H``, with the eigenvalues as ``ritz``, ``(wr, wi)`` for real
-    ``H`` and ``(w,)`` for complex; ``info > 0`` when it failed."""
+    """``(T, Q, lam, info)`` of ``gees`` on ``H``: ``H Q = Q T``, real for
+    real ``H``, with the eigenvalues as one complex array ``lam``, also
+    for real ``H``; ``info > 0`` when it failed."""
     gees = get_lapack_funcs("gees", (H,))
-    T, _, *ritz, Q, _, info = gees(lambda *ritz: None, H)
-    return T, Q, ritz, info
+    T, _, *w, Q, _, info = gees(lambda *w: None, H)
+    # real H: gees returns the real and imaginary parts, wr and wi
+    lam = w[0] + 1j * w[1] if len(w) == 2 else w[0]
+    return T, Q, lam, info
 
 
 def _shifted_norms(T, sigma):
@@ -142,77 +147,71 @@ def solve_hessenberg(H, rhs):
         raise DimensionMismatch(f"right-hand side must be 1-d, got shape {rhs.shape}")
     _check_square(H)
     # the entries below the first subdiagonal are masked outside any arithmetic
-    return solve_shifted_hessenberg(np.triu(H, k=-1), 0.0, rhs)
+    return solve_shifted_hessenberg(np.triu(H, k=-1), np.zeros(1), rhs[None])[0]
 
 
-def solve_shifted_hessenberg(H, sigma, beta, *, schur=None):
-    """Solve ``(H - sigma I) y = beta e1``, or ``= g``, without modifying ``H``.
+def solve_shifted_hessenberg(H, sigma, G, *, schur=None):
+    """Solve ``(H - sigma_j I) y_j = g_j`` for a stack of shifts, without
+    modifying ``H``.
 
-    One Schur form of ``H`` serves every shift of a family, and arrays of
-    shifts and right-hand sides are solved as one stack (see the module
-    docstring).
+    One Schur form of ``H`` serves every shift, and the stack is solved
+    as one Sylvester equation (see the module docstring).
 
     Parameters
     ----------
     H : (m, m) array_like
         The reduced matrix, read in full: upper Hessenberg after a plain
         restart, with a full leading block after a thick one.
-    sigma : scalar or (p,) array_like
+    sigma : (p,) array_like
         Shifts, real or complex.
-    beta : scalar, array_like shaped like ``sigma``, or ``sigma.shape + (m,)``
-        Scales of the right-hand sides ``beta * e1``, or whole right-hand
-        sides ``g`` with a row per shift for array input.
+    G : (p, m) array_like
+        Right-hand sides, a row ``g_j`` per shift: ``beta e1`` after a
+        plain restart, whole coordinates after a thick one.
     schur : tuple, optional
         The Schur form of ``H`` as ``HessenbergDecomposition.schur``
         holds it; computed here when not given.
 
     Returns
     -------
-    (m,) ndarray, or (p, m) with a row per shift for array input.
+    (p, m) ndarray
+        The solutions ``y_j`` as rows.
 
     Raises
     ------
     SingularReducedSystem
-        If ``H - sigma I`` is numerically singular for some shift, or the
+        If ``H - sigma_j I`` is numerically singular for some shift, or the
         Schur form failed; its ``singular`` is the mask of those shifts
         and its ``solution`` holds the other rows' solutions, NaN in the
         masked rows.
     DimensionMismatch
-        If ``H`` is not square, ``sigma`` is not a scalar or 1-d, or
-        ``beta`` has none of the shapes above.
+        If ``H`` is not square, ``sigma`` is not 1-d or ``G`` is not
+        (p, m).
     """
-    H, sigma, beta = np.asarray(H), np.asarray(sigma), np.asarray(beta)
-    if sigma.ndim > 1 or beta.shape not in ((), sigma.shape, sigma.shape + H.shape[-1:]):
-        raise DimensionMismatch(f"shifts of shape {sigma.shape}, right sides {beta.shape}")
+    H, sigma, G = np.asarray(H), np.asarray(sigma), np.asarray(G)
+    if sigma.ndim != 1 or G.shape != sigma.shape + H.shape[-1:]:
+        raise DimensionMismatch(f"shifts of shape {sigma.shape}, right sides {G.shape}")
     _check_square(H)
-    dtype = np.result_type(H.dtype, sigma.dtype, beta.dtype, np.float64)
+    dtype = np.result_type(H.dtype, sigma.dtype, G.dtype, np.float64)
+    G = G.astype(dtype, copy=False)
     if schur is None:
         schur = _schur(H.astype(np.result_type(H.dtype, np.float64), copy=False))
-    T, Q, ritz, info = schur
-    m = H.shape[0]
-    sigmas = sigma.reshape(-1)
-    if beta.ndim > sigma.ndim:
-        G = beta.reshape(sigmas.size, m).astype(dtype, copy=False)
-    else:
-        G = np.zeros((sigmas.size, m), dtype=dtype)
-        G[:, 0] = beta
+    T, Q, lam, info = schur
     if info:
-        singular = np.ones(sigmas.size, dtype=bool)
+        singular = np.ones(sigma.size, dtype=bool)
     else:
-        lam = ritz[0] + 1j * ritz[1] if len(ritz) == 2 else ritz[0]
-        gap = np.abs(lam - sigmas[:, None]).min(axis=1)
-        singular = gap <= _UNIT_ROUNDOFF * _shifted_norms(T, sigmas)
-    if not singular.any():
-        Y = np.ascontiguousarray(_sylvester(T, Q, sigmas, G))
-        return Y.reshape(sigma.shape + (-1,))
+        gap = np.abs(lam - sigma[:, None]).min(axis=1)
+        singular = gap <= _UNIT_ROUNDOFF * _shifted_norms(T, sigma)
     Y = np.full(G.shape, np.nan, dtype=dtype)
     solved = ~singular
+    # trsyl rejects an empty stack: every row singular, or gees failed
     if solved.any():
-        Y[solved] = _sylvester(T, Q, sigmas[solved], G[solved])
-    raise SingularReducedSystem(
-        f"{int(singular.sum())} of {sigmas.size} reduced systems are numerically "
-        f"singular", singular, Y
-    )
+        Y[solved] = _sylvester(T, Q, sigma[solved], G[solved])
+    if singular.any():
+        raise SingularReducedSystem(
+            f"{int(singular.sum())} of {sigma.size} reduced systems are numerically "
+            f"singular", singular, Y
+        )
+    return Y
 
 
 def collinearity_scalar(h_next, y):

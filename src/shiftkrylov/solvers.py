@@ -349,8 +349,9 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     runner, restart = {"hessenberg": (run_hessenberg, thick_restart),
                        "arnoldi": (run_arnoldi, _krylov_schur)}[process]
     # a basis cannot have more than n vectors; clamp rather than reject so
-    # the default cycle length works on small matrices
-    m = min(cfg.m, n)
+    # the default cycle length works on small matrices.  validate accepts
+    # any value equal to an integer, such as 12.0; the report carries the int
+    m = min(int(cfg.m), n)
     keep = _thick_keep(m)
 
     shifts = [_as_scalar_shift(s) for s in shifts]

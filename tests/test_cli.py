@@ -230,6 +230,24 @@ def test_bad_option_values_are_usage_errors_before_any_file_is_read(tmp_path):
     assert run("solve", "--matrix", str(bad)) == 1
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--n", "0", "n=0"), ("--beta", "0,0", "beta must have 3"), ("--eps", "-1", "eps=-1"),
+], ids=["n", "beta", "eps"])
+def test_gen_bad_parameter_is_a_usage_error(tmp_path, capsys, option, value, message):
+    # a generator parameter is an option of gen (exit 2) but a setting of a
+    # bench section (exit 1); gen writes nothing
+    params = {"--n": "4", "--eps": "1", "--beta": "0,0,0", option: value}
+    out = tmp_path / "m.mtx"
+    argv = [arg for pair in params.items() for arg in pair]
+    assert run("gen", "convdiff3d", *argv, "-o", str(out)) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+    cfgfile = tmp_path / "bench.ini"
+    cfgfile.write_text("[bench]\nsolvers = shessen\n[problem:bad]\ngenerator = convdiff3d\n"
+                       + "".join(f"{k.lstrip('-')} = {v}\n" for k, v in params.items()))
+    assert run("bench", "--config", str(cfgfile)) == 1
+
+
 def rotation(tmp_path):
     # H - 0 I is singular in cycle 2 at m = 1, so the pivoted family stalls
     p = tmp_path / "rot.mtx"

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import get_lapack_funcs, lu_factor, solve_triangular
 
@@ -718,14 +719,14 @@ def test_restart_shares_the_cached_schur_form(runner, restart):
     # reports it, gives the plain restart
     _, _, dec = next(thick_cases(runner))
     assert "schur" not in vars(dec)
-    T, Q, ritz, info = dec.schur
-    copies = [a.copy() for a in (T, Q, *ritz)]
+    T, Q, lam, info = dec.schur
+    copies = [a.copy() for a in (T, Q, lam)]
     seed = restart(dec, 10)
     assert seed is not None and dec.schur[0] is T
-    for a, b in zip((T, Q, *ritz), copies):
+    for a, b in zip((T, Q, lam), copies):
         assert_array_equal(a, b)
     assert_same_decomposition(restart(dec, 10), seed)
-    dec.schur = (T, Q, ritz, 1)
+    dec.schur = (T, Q, lam, 1)
     assert restart(dec, 10) is None
 
 
@@ -969,3 +970,70 @@ def test_one_solve_holds_fewer_than_72_basis_vectors():
         tracemalloc.stop()
     assert report.all_converged and max(report.kept) > 0
     assert peak <= 72 * 8 * A.shape[0]
+
+
+# -- properties over small operators ------------------------------------------
+
+
+@st.composite
+def small_cycles(draw):
+    """A small operator, real or complex, random sparse or a nonnormal
+    triangle with repeated eigenvalues, optionally with planted pivot ties
+    (rows copied up to sign, the start vector alike), a start vector, a
+    cycle length m and a kept count k < m."""
+    n = draw(st.integers(2, 40))
+    is_complex = draw(st.booleans())
+    triangle = draw(st.booleans())
+    ties = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < draw(st.sampled_from([0.1, 0.3, 1.0])))
+    if is_complex:
+        M = M + 1j * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+    if triangle:
+        M = np.triu(M, 1) * draw(st.sampled_from([1.0, 10.0]))
+        M = M + np.diag(rng.choice(rng.standard_normal(2), n))
+    else:
+        M = M + np.diag(rng.standard_normal(n) + draw(st.sampled_from([0.0, 4.0])))
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if is_complex else 0.0)
+    if ties:
+        for src in rng.choice(n, min(n, 3), replace=False):
+            for dst in rng.choice(n, 2):
+                if dst != src:
+                    sign = rng.choice([-1.0, 1.0])
+                    M[dst] = sign * M[src]
+                    v[dst] = sign * v[src]
+    m = draw(st.integers(2, n))
+    return csr_from_dense(M), v, m, draw(st.integers(1, m - 1))
+
+
+def assert_pivoted_decomposition(A, dec, fro):
+    """The decomposition identity to ``10 m u (||A|| ||V_k|| + ||V|| ||hbar||)``
+    in the Frobenius norm, the rounding a step's product, triangular solve
+    and elimination leave, and an exactly unit lower trapezoidal basis
+    under a permutation ``perm``."""
+    V, H = dec.basis, dec.hbar[: dec.basis.shape[1]]
+    scale = fro * np.linalg.norm(V[:, : dec.steps]) + np.linalg.norm(V) * np.linalg.norm(H)
+    assert verify_decomposition(A, dec) <= 10 * dec.steps * (_EPS / 2) * scale
+    assert_array_equal(np.sort(dec.perm), np.arange(A.shape[0]))
+    assert_exact_unit_lower(dec, V.shape[1])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(small_cycles())
+def test_restart_cycles_keep_the_identity_and_the_unit_lower_basis(case):
+    # a run, its thick restart and the run continued from it: each is a
+    # decomposition of A with the pivoted basis structure, whether it ran
+    # to m steps or broke down
+    A, v, m, k = case
+    fro = np.linalg.norm(A.values)
+    dec = run_hessenberg(A, v, m)
+    assert_pivoted_decomposition(A, dec, fro)
+    if dec.breakdown:
+        return
+    seed = thick_restart(dec, k)
+    if seed is None:
+        return
+    assert_pivoted_decomposition(A, seed, fro)
+    cont = run_hessenberg(A, dec.last_vector, m, start=seed)
+    assert_pivoted_decomposition(A, cont, fro)
+    assert_array_equal(cont.g, seed.g)

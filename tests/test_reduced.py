@@ -47,12 +47,20 @@ def test_entries_below_subdiagonal_are_ignored():
     assert_allclose(Hclean @ y, rhs, atol=1e-12)
 
 
+def e1_rows(beta, m):
+    """The (p, m) right-hand sides ``beta_j e1`` of a plain restart."""
+    beta = np.asarray(beta)
+    G = np.zeros((beta.size, m), dtype=beta.dtype)
+    G[:, 0] = beta
+    return G
+
+
 def test_shifted_solve_2x2():
     H = np.array([[2.0, 0.0], [1.0, 2.0]])
-    y = solve_shifted_hessenberg(H, 0.0, 2.0)
+    y = solve_shifted_hessenberg(H, np.zeros(1), e1_rows([2.0], 2))[0]
     assert_allclose(y, [1.0, -0.5], atol=1e-15)
     # sigma shifts only the diagonal of the reduced matrix
-    y2 = solve_shifted_hessenberg(H, 1.0, 2.0)
+    y2 = solve_shifted_hessenberg(H, np.ones(1), e1_rows([2.0], 2))[0]
     assert_allclose(y2, np.linalg.solve(H - np.eye(2), [2.0, 0.0]), atol=1e-12)
     # the input is not modified in place
     assert_allclose(H, [[2.0, 0.0], [1.0, 2.0]])
@@ -60,7 +68,7 @@ def test_shifted_solve_2x2():
 
 def test_shifted_solve_complex_shift_promotes():
     H = np.array([[3.0, 1.0], [1.0, 3.0]])
-    y = solve_shifted_hessenberg(H, 1.0j, 1.0)
+    y = solve_shifted_hessenberg(H, np.array([1.0j]), e1_rows([1.0], 2))[0]
     assert np.iscomplexobj(y)
     assert_allclose((H - 1.0j * np.eye(2)) @ y, [1.0, 0.0], atol=1e-12)
 
@@ -72,7 +80,7 @@ def test_singular_system_raises():
     # a shift landing exactly on an eigenvalue of a diagonal reduced matrix
     D = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(SingularReducedSystem):
-        solve_shifted_hessenberg(D, 2.0, 1.0)
+        solve_shifted_hessenberg(D, np.array([2.0]), e1_rows([1.0], 3))
     # exactly singular with a unit diagonal: the test must read the
     # triangular factor, not the diagonal of H
     H = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
@@ -97,9 +105,18 @@ def test_right_hand_side_shape_is_checked():
     for rhs in (1.0, np.ones(4), np.ones((1, 3)), np.ones((3, 3))):
         with pytest.raises(DimensionMismatch):
             solve_hessenberg(H, rhs)
-    for beta in (np.ones(3), np.ones((2, 4)), np.ones((3, 3)), np.ones((2, 3, 1))):
+    # the stacked solve takes (p,) shifts and (p, m) right-hand sides only:
+    # no scale of e1, per shift or shared, and no 1-d right-hand side
+    for G in (1.0, np.ones(2), np.ones(3), np.ones((2, 4)), np.ones((3, 3)),
+              np.ones((2, 3, 1))):
         with pytest.raises(DimensionMismatch):
-            solve_shifted_hessenberg(H, np.zeros(2), beta)
+            solve_shifted_hessenberg(H, np.zeros(2), G)
+    # nor a scalar shift, with a one-row or a 1-d right-hand side
+    for G in (np.ones((1, 3)), np.ones(3)):
+        with pytest.raises(DimensionMismatch):
+            solve_shifted_hessenberg(H, 0.0, G)
+    with pytest.raises(DimensionMismatch):
+        solve_shifted_hessenberg(H, np.zeros(1), np.ones(3))
     with pytest.raises(DimensionMismatch):
         solve_hessenberg(np.ones((3, 4)), np.ones(3))
 
@@ -126,25 +143,26 @@ def test_stacked_solve_matches_row_by_row(sigma, whole):
     H = np.triu(rng.standard_normal((m, m)), k=-1)
     H[:, 0] = 0.0
     H[0, 0] = 3.0  # e1 is an eigenvector for the eigenvalue 3
-    beta = rng.standard_normal((sigma.size, m) if whole else sigma.size)
+    G = rng.standard_normal((sigma.size, m)) if whole else e1_rows(
+        rng.standard_normal(sigma.size), m)
     singular = sigma == 3.0
     if singular.any():
         with pytest.raises(SingularReducedSystem) as exc:
-            solve_shifted_hessenberg(H, sigma, beta)
+            solve_shifted_hessenberg(H, sigma, G)
         assert np.array_equal(exc.value.singular, singular)
         Y = exc.value.solution
         assert np.all(np.isnan(Y[singular]))
     else:
-        Y = solve_shifted_hessenberg(H, sigma, beta)
+        Y = solve_shifted_hessenberg(H, sigma, G)
     assert Y.shape == (sigma.size, m)
     for i in np.flatnonzero(~singular):
-        # real shifts are compared with a real scalar solve
+        # real shifts are compared with a real one-row solve
         s = sigma[i].real if sigma[i].imag == 0 else sigma[i]
-        y = solve_shifted_hessenberg(H, s, beta[i])
+        y = solve_shifted_hessenberg(H, np.array([s]), G[i:i + 1])[0]
         assert_allclose(Y[i], y, rtol=1e-13, atol=1e-13 * np.linalg.norm(y))
     for i in np.flatnonzero(singular):
         with pytest.raises(SingularReducedSystem):
-            solve_shifted_hessenberg(H, sigma[i], beta[i])
+            solve_shifted_hessenberg(H, sigma[i:i + 1], G[i:i + 1])
 
 
 # -- the shared Schur form --------------------------------------------------
@@ -181,20 +199,20 @@ def test_shared_schur_solve_matches_dense_solves(family, whole):
     H = thick_shape(rng, m, k, complex_h)
     assert np.any(H[k, : k - 1]) and not np.any(np.tril(H, -2)[:, k:])
     sigma = np.array(shifts)
-    beta = rng.standard_normal((sigma.size, m) if whole else sigma.size)
-    Y = solve_shifted_hessenberg(H, sigma, beta)
+    G = rng.standard_normal((sigma.size, m)) if whole else e1_rows(
+        rng.standard_normal(sigma.size), m)
+    Y = solve_shifted_hessenberg(H, sigma, G)
     assert Y.shape == (sigma.size, m)
-    for s, b, y in zip(sigma, beta, Y):
-        rhs = b if whole else np.eye(m)[0] * b
-        ref = np.linalg.solve(H - s * np.eye(m), rhs)
+    for s, g, y in zip(sigma, G, Y):
+        ref = np.linalg.solve(H - s * np.eye(m), g)
         assert_allclose(y, ref, rtol=1e-12, atol=1e-12 * np.linalg.norm(ref))
     # the stack agrees with each shift solved alone, and with the Schur
     # form passed in as the solvers pass it
     schur = _schur(H)
-    assert np.array_equal(solve_shifted_hessenberg(H, sigma, beta, schur=schur), Y)
-    for s, b, y in zip(sigma, beta, Y):
-        assert_allclose(solve_shifted_hessenberg(H, s, b), y, rtol=1e-13,
-                        atol=1e-13 * np.linalg.norm(y))
+    assert np.array_equal(solve_shifted_hessenberg(H, sigma, G, schur=schur), Y)
+    for i, y in enumerate(Y):
+        assert_allclose(solve_shifted_hessenberg(H, sigma[i:i + 1], G[i:i + 1])[0], y,
+                        rtol=1e-13, atol=1e-13 * np.linalg.norm(y))
     # real data and real shifts keep real solutions
     assert np.isrealobj(Y) == (not complex_h and np.isrealobj(sigma))
 
@@ -202,9 +220,10 @@ def test_shared_schur_solve_matches_dense_solves(family, whole):
 def test_failed_schur_form_reads_every_system_as_singular():
     rng = np.random.default_rng(12)
     H = thick_shape(rng, 8, 3)
-    T, Q, ritz, _ = _schur(H)
+    T, Q, lam, _ = _schur(H)
     with pytest.raises(SingularReducedSystem) as exc:
-        solve_shifted_hessenberg(H, np.array([0.5, -1.0 + 1.0j]), 1.0, schur=(T, Q, ritz, 3))
+        solve_shifted_hessenberg(H, np.array([0.5, -1.0 + 1.0j]), e1_rows([1.0, 1.0], 8),
+                                 schur=(T, Q, lam, 3))
     assert exc.value.singular.tolist() == [True, True]
     assert np.all(np.isnan(exc.value.solution))
 

@@ -17,6 +17,7 @@ from shiftkrylov import (
     SingularReducedSystem,
     SolverConfig,
     ZeroStartVector,
+    attach_costs,
     gen_convdiff3d,
     gen_laplace2d,
     gen_shifts,
@@ -792,6 +793,23 @@ def test_non_finite_or_non_positive_tolerance_is_rejected():
         with pytest.raises(InvalidDimensions):
             solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(tol=tol))
     assert A.counter.count == 0
+
+
+def test_integral_float_counts_reach_the_report_as_ints():
+    # a count that validates as equal to an integer is reported as that int,
+    # so attach_costs keeps its exact integer flop count
+    A = gen_laplace2d(10)
+    b = np.ones(A.shape[0])
+    cfg = SolverConfig(m=12.0, max_mvps=400.0)
+    for solver in (solve_shifted_hessen, solve_shifted_fom):
+        xs, rep = solver(A, b, [0.0, -1.0], cfg)
+        ys, ref = solver(A, b, [0.0, -1.0], SolverConfig(m=12, max_mvps=400))
+        assert type(rep.m) is int and rep.m == 12
+        assert type(attach_costs(rep).predicted_flops) is int
+        assert rep.predicted_flops == attach_costs(ref).predicted_flops
+        assert (rep.cycles, rep.total_mvps) == (ref.cycles, ref.total_mvps)
+        for x, y in zip(xs, ys):
+            assert np.array_equal(x, y)
 
 
 def test_per_shift_tolerance_validation():
