@@ -163,12 +163,10 @@ def _solver_config(m, tol, max_mvps, error=ValueError):
     """Checked solver settings; a bad value raises ``error(message)``, by
     default a ``ValueError``: a bad option is a usage error (exit 2), found
     before any file is read, not a file problem (exit 1)."""
-    cfg = SolverConfig(m=m, tol=tol, max_mvps=max_mvps)
     try:
-        cfg.validate()
+        return SolverConfig(m=m, tol=tol, max_mvps=max_mvps)
     except InvalidDimensions as exc:
         raise error(str(exc)) from None
-    return cfg
 
 
 def _report_row(report, time_ms):

@@ -278,7 +278,6 @@ def eval_rational_action(A, u0, rule, cfg=None, return_report=False):
     """
     if cfg is None:
         cfg = SolverConfig(tol=1e-10)
-    cfg.validate()
     if np.ndim(cfg.tol) == 0:
         cfg = replace(cfg, tol=_pole_tolerances(rule.weights, cfg.tol))
     shifts = [-z for z in rule.nodes]

@@ -85,6 +85,8 @@ from .errors import (
 )
 # bench/tracing.py wraps all three here by name, solve_hessenberg though unused
 from .reduced import collinearity_scalar, solve_hessenberg, solve_shifted_hessenberg
+# bench/tracing.py also wraps both runners here by name, so the solvers
+# name their runner and restart at call time
 from .processes import (
     _check_start,
     _krylov_schur,
@@ -111,15 +113,22 @@ _STAGNATION_WINDOW = 3
 _STAGNATION_RTOL = 1e-15
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by all restarted solvers.
+
+    A configuration is checked when it is built, and cannot be changed
+    afterwards: a bad value raises :class:`~shiftkrylov.errors.InvalidDimensions`
+    at construction, ``m`` and ``max_mvps`` are stored as the ints they
+    equal (12.0 as 12), and a per-shift ``tol`` as a tuple, so editing
+    the caller's array later does not reach it.
+    ``dataclasses.replace`` builds, and so checks, a new configuration.
 
     Attributes
     ----------
     m : int
         Basis size per restart cycle.
-    tol : float or (nu,) array_like
+    tol : float, or (nu,) array_like stored as a tuple
         Convergence threshold on the relative residual
         ||b - (A - sigma I) x|| / ||b||: one positive finite value shared
         by every shift, or one per shift, in the order of the shifts.  A
@@ -133,12 +142,12 @@ class SolverConfig:
     """
 
     m: int = 30
-    tol: float | np.ndarray = 1e-8
+    tol: float | tuple = 1e-8
     max_mvps: int = 4000
 
-    def validate(self):
-        _count(self.m, 1, InvalidDimensions,
-               f"cycle length m={self.m!r} must be a positive integer")
+    def __post_init__(self):
+        m = _count(self.m, 1, InvalidDimensions,
+                   f"cycle length m={self.m!r} must be a positive integer")
         tol = np.asarray(self.tol)
         if (tol.dtype.kind not in "iuf" or tol.ndim > 1 or tol.size == 0
                 or not np.all((tol > 0) & (tol < np.inf))):
@@ -146,8 +155,13 @@ class SolverConfig:
                 f"tolerance {self.tol!r} must be positive and finite, a scalar "
                 f"or a 1-d array with one value per shift"
             )
-        _count(self.max_mvps, 0, InvalidDimensions,
-               f"max_mvps {self.max_mvps!r} must be a nonnegative integer")
+        max_mvps = _count(self.max_mvps, 0, InvalidDimensions,
+                          f"max_mvps {self.max_mvps!r} must be a nonnegative integer")
+        # a frozen dataclass sets its own fields through object.__setattr__
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "max_mvps", max_mvps)
+        if tol.ndim:
+            object.__setattr__(self, "tol", tuple(tol.tolist()))
 
 
 @dataclass
@@ -334,9 +348,8 @@ def _thick_keep(m):
     return m // 3
 
 
-def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_name=""):
+def _solve_family(A, b, shifts, cfg, runner, restart, x0=None, on_cycle=None, solver_name=""):
     cfg = cfg if cfg is not None else SolverConfig()
-    cfg.validate()
     b = np.asarray(b)
     # b passes the checks of every cycle's start vector, the operator's
     # norm among them, and is the first start vector when there is no
@@ -345,13 +358,9 @@ def _solve_family(A, b, shifts, cfg, process, x0=None, on_cycle=None, solver_nam
     if isinstance(A, np.ndarray):
         A = _DenseOperator(A, norm_scale)
     bnorm = float(np.linalg.norm(b))
-    # looked up per call: bench/tracing.py wraps the runners by name
-    runner, restart = {"hessenberg": (run_hessenberg, thick_restart),
-                       "arnoldi": (run_arnoldi, _krylov_schur)}[process]
     # a basis cannot have more than n vectors; clamp rather than reject so
-    # the default cycle length works on small matrices.  validate accepts
-    # any value equal to an integer, such as 12.0; the report carries the int
-    m = min(int(cfg.m), n)
+    # the default cycle length works on small matrices
+    m = min(cfg.m, n)
     keep = _thick_keep(m)
 
     shifts = [_as_scalar_shift(s) for s in shifts]
@@ -556,9 +565,8 @@ def solve_hessen(A, b, x0=None, cfg=None, on_cycle=None):
     x : (n,) ndarray
     report : SolveReport
     """
-    sols, report = _solve_family(
-        A, b, [0.0], cfg, "hessenberg", x0=x0, on_cycle=on_cycle, solver_name="hessen"
-    )
+    sols, report = _solve_family(A, b, [0.0], cfg, run_hessenberg, thick_restart, x0=x0,
+                                 on_cycle=on_cycle, solver_name="hessen")
     return sols[0], report
 
 
@@ -576,15 +584,13 @@ def solve_shifted_hessen(A, b, shifts, cfg=None, on_cycle=None):
         report.
     report : SolveReport
     """
-    return _solve_family(
-        A, b, shifts, cfg, "hessenberg", on_cycle=on_cycle, solver_name="shessen"
-    )
+    return _solve_family(A, b, shifts, cfg, run_hessenberg, thick_restart,
+                         on_cycle=on_cycle, solver_name="shessen")
 
 
 def solve_shifted_fom(A, b, shifts, cfg=None, on_cycle=None):
     """Restarted shifted FOM: like :func:`solve_shifted_hessen` with an
     orthonormal Arnoldi basis.  The reference method; roughly twice the
     vector work per cycle."""
-    return _solve_family(
-        A, b, shifts, cfg, "arnoldi", on_cycle=on_cycle, solver_name="sfom"
-    )
+    return _solve_family(A, b, shifts, cfg, run_arnoldi, _krylov_schur,
+                         on_cycle=on_cycle, solver_name="sfom")

@@ -18,9 +18,9 @@ from shiftkrylov import (
 )
 
 ENTRY_POINTS = {
-    "SolverConfig.m": (InvalidDimensions, lambda x: SolverConfig(m=x).validate()),
+    "SolverConfig.m": (InvalidDimensions, lambda x: SolverConfig(m=x)),
     "SolverConfig.max_mvps": (InvalidDimensions,
-                              lambda x: SolverConfig(max_mvps=x).validate()),
+                              lambda x: SolverConfig(max_mvps=x)),
     "run_hessenberg.m": (InvalidDimensions,
                          lambda x: run_hessenberg(identity(4), np.ones(4), x)),
     "predicted_flops.m": (InvalidDimensions, lambda x: predicted_flops("hessenberg", x, 10, 5)),

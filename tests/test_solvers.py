@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -789,10 +789,37 @@ def test_non_finite_or_non_positive_tolerance_is_rejected():
     b = np.ones(A.shape[0])
     for tol in (np.inf, -np.inf, np.nan, 0.0, -1e-8, "1e-8", None):
         with pytest.raises(InvalidDimensions):
-            SolverConfig(tol=tol).validate()
+            SolverConfig(tol=tol)
         with pytest.raises(InvalidDimensions):
             solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(tol=tol))
     assert A.counter.count == 0
+
+
+def test_a_config_is_checked_when_built_and_cannot_change():
+    for bad in ({"m": 0}, {"tol": -1}, {"max_mvps": -1}):
+        with pytest.raises(InvalidDimensions):
+            SolverConfig(**bad)
+    assert not hasattr(SolverConfig, "validate")
+    cfg = SolverConfig(m=12.0, max_mvps=400.0)
+    assert type(cfg.m) is int and cfg.m == 12
+    assert type(cfg.max_mvps) is int and cfg.max_mvps == 400
+    with pytest.raises(FrozenInstanceError):
+        cfg.m = 0
+    # a per-shift tolerance is the config's own tuple: an edit of the
+    # caller's array cannot skip the check it passed
+    tols = np.full(2, 1e-8)
+    cfg = SolverConfig(tol=tols)
+    tols[0] = -1.0
+    assert cfg.tol == (1e-8, 1e-8)
+    with pytest.raises(TypeError):
+        cfg.tol[0] = -1.0
+    assert cfg == SolverConfig(tol=[1e-8, 1e-8])
+    A, b = random_system(41, n=30)
+    _, rep = solve_shifted_hessen(A, b, [0.0, -1.0], cfg)
+    assert rep.all_converged
+    # replace builds, and so checks, a new config
+    with pytest.raises(InvalidDimensions):
+        replace(cfg, tol=[1e-8, 0.0])
 
 
 def test_integral_float_counts_reach_the_report_as_ints():
@@ -818,11 +845,11 @@ def test_per_shift_tolerance_validation():
            [1e-8, 0.0], np.array([1e-8, -1e-8]), [1e-8, "x"], [1e-8, 1j])
     for tol in bad:
         with pytest.raises(InvalidDimensions):
-            SolverConfig(tol=tol).validate()
+            SolverConfig(tol=tol)
         with pytest.raises(InvalidDimensions):
             solve_shifted_hessen(A, b, [0.0, -1.0], SolverConfig(tol=tol))
-    SolverConfig(tol=[1e-8, 1e-6]).validate()
-    SolverConfig(tol=np.array([1e-8])).validate()
+    SolverConfig(tol=[1e-8, 1e-6])
+    SolverConfig(tol=np.array([1e-8]))
     # the length is checked against the family when the solve starts
     for tol, shifts in (([1e-8, 1e-6], [0.0]), ([1e-8], [0.0, -1.0]),
                         (np.full(4, 1e-8), PAIRED)):
