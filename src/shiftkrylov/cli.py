@@ -77,8 +77,10 @@ def _check_hessen_shifts(solvers, shifts, where=""):
 
 
 def _solve_hessen(A, b, shifts, cfg):
-    """The unshifted method on ``A - sigma I``, for a family of one shift."""
+    """The unshifted method on ``A - sigma I``, for a family of one shift;
+    the report carries ``sigma``, not the 0 that the method solved for."""
     x, report = solve_hessen(A.shifted(shifts[0]) if shifts[0] != 0 else A, b, cfg=cfg)
+    report.shifts[0].shift = shifts[0]
     return [x], report
 
 

@@ -77,12 +77,25 @@ class QuadratureRule:
         ``"exp"`` or ``"ml"``.
     gamma : float
         Fractional order for ``kind="ml"``; 1.0 for the exponential.
+
+    Raises
+    ------
+    DimensionMismatch
+        When built with ``nodes`` that are not 1-d, or with ``weights`` of
+        another shape: every pole needs its one weight.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     kind: str = "exp"
     gamma: float = 1.0
+
+    def __post_init__(self):
+        if np.ndim(self.nodes) != 1 or np.shape(self.weights) != np.shape(self.nodes):
+            raise DimensionMismatch(
+                f"a rule needs 1-d nodes and weights of the same shape, "
+                f"not {np.shape(self.nodes)} and {np.shape(self.weights)}"
+            )
 
     @property
     def nu(self):

@@ -110,6 +110,23 @@ def test_solve_solver_choices(tmp_path):
                "--shifts", "arith:0.001:2") == 1
 
 
+@pytest.mark.parametrize("spec, shift", [("list:0.5", 0.5), ("list:0.5j", 0.5j)])
+def test_hessen_reports_the_requested_shift(tmp_path, capsys, spec, shift):
+    # hessen solves A - sigma I with the unshifted method, whose report read
+    # shift 0.0; its line and its report carry sigma, as shessen's do
+    p = gen_matrix(tmp_path)
+    lines = {}
+    for solver in ("shessen", "hessen"):
+        assert run("solve", "--matrix", str(p), "--solver", solver,
+                   "--shifts", spec, "--m", "20") == 0
+        lines[solver] = capsys.readouterr().out.splitlines()[-1]
+    assert f"shift {shift!r:>24} " in lines["hessen"]
+    assert lines["hessen"].split("cycles")[0] == lines["shessen"].split("cycles")[0]
+    _, report = cli._solve_hessen(load_matrix_market(p), np.ones(64), [shift],
+                                  SolverConfig(m=20))
+    assert report.shifts[0].shift == shift
+
+
 def test_solve_exit_codes(tmp_path):
     p = gen_matrix(tmp_path)
     assert run("solve", "--matrix", str(tmp_path / "nope.mtx")) == 1

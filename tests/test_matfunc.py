@@ -13,6 +13,7 @@ from scipy.special import erfc, rgamma, wofz
 import shiftkrylov
 from shiftkrylov import (
     CsrMatrix,
+    DimensionMismatch,
     DuplicateNodes,
     IllConditionedEigenbasis,
     NotConverged,
@@ -457,6 +458,23 @@ def test_every_pair_needs_its_exact_conjugate_pair(nodes, weights):
     closed = QuadratureRule(np.concatenate([rule.nodes, conj.nodes]),
                             np.concatenate([rule.weights, conj.weights]))
     assert closed.is_conjugate_symmetric()
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(tol=np.full(16, 1e-10)), None])
+def test_a_rule_with_fewer_weights_than_nodes_is_rejected(cfg):
+    # zip paired the 4 weights with the first 4 of 16 poles: with per-pole
+    # tolerances the action came out 4.0e5 (relative) off the full rule's,
+    # without them the solve failed on "4 tolerances given for 16 shifts"
+    A, u0 = gen_laplace2d(6), np.ones(36)
+    rule = packaged_rule("exp", None)
+    with pytest.raises(DimensionMismatch, match="same shape"):
+        eval_rational_action(A, u0, QuadratureRule(rule.nodes, rule.weights[:4]), cfg)
+
+
+def test_a_rule_needs_1d_nodes():
+    rule = packaged_rule("exp", None)
+    with pytest.raises(DimensionMismatch, match="1-d nodes"):
+        QuadratureRule(rule.nodes.reshape(4, 4), rule.weights.reshape(4, 4))
 
 
 def test_hyperbola_rules_are_exactly_conjugate_closed():

@@ -1017,6 +1017,50 @@ def test_class_records_hold_for_every_shift(family, solve):
                     or rep.budget_exhausted or rep.stalled)
 
 
+@st.composite
+def basis_families(draw):
+    """A sparse operator, real or complex, of order n <= 60, a right-hand
+    side, a family with one or two exact conjugate pairs and up to three
+    real shifts, in any order, and a cycle length m from 3 to 25."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 60))
+    M = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    M += np.diag(draw(st.sampled_from([2.0, 5.0, 8.0])) + rng.standard_normal(n))
+    b = rng.standard_normal(n)
+    if draw(st.booleans()):
+        M = M + 1j * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+        b = b + 1j * rng.standard_normal(n)
+    part = st.floats(-3.0, 3.0).map(lambda t: round(t, 3))
+    shifts = []
+    for _ in range(draw(st.integers(1, 2))):
+        z = complex(draw(part), draw(st.floats(0.05, 2.0)))
+        shifts += [z, z.conjugate()]
+    shifts += draw(st.lists(part, max_size=3))
+    cfg = SolverConfig(m=draw(st.integers(3, 25)), tol=1e-10, max_mvps=300)
+    return csr_from_dense(M), b, draw(st.permutations(shifts)), cfg
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(basis_families(), st.sampled_from([solve_shifted_hessen, solve_shifted_fom]), st.data())
+def test_the_bases_do_not_depend_on_the_family(family, solve, data):
+    # each cycle's basis is one of A alone, so the family and one of its
+    # shifts alone keep the same columns and build the same bases, bitwise,
+    # on every cycle both reach: the basis products do not depend on nu
+    A, b, shifts, cfg = family
+    runs = []
+    for subset in (shifts, [data.draw(st.sampled_from(shifts))]):
+        bases = []
+        _, rep = solve(A, b, subset, cfg,
+                       on_cycle=lambda info: bases.append(info.decomposition.basis.copy()))
+        runs.append((rep.kept, bases))
+    (kept, bases), (kept_one, bases_one) = runs
+    reached = min(len(bases), len(bases_one))
+    assert reached >= 1
+    assert kept[:reached] == kept_one[:reached]
+    for V, W in zip(bases, bases_one):
+        assert V.dtype == W.dtype and V.shape == W.shape and V.tobytes() == W.tobytes()
+
+
 # -- thick restart --------------------------------------------------------
 
 
